@@ -120,7 +120,7 @@ def _compile_formula(formula_text: str, alphabet: frozenset[str] | None):
 
 def _prepare_product(args):
     grid = _load_map(args)
-    labeled, _, start_cell = _abstract(grid, args.mode)
+    labeled, regions, start_cell = _abstract(grid, args.mode)
     pruned, report = _timed("prune", prune, labeled)
     aut = _compile_formula(args.ltl, grid.symbols())
     pa = _timed("product", build_product, pruned, aut)
@@ -130,7 +130,7 @@ def _prepare_product(args):
         for name, artifact in (("pruned", pruned), ("buchi", aut), ("product", pa)):
             _write_json(str(directory / f"{name}.json"), artifact.to_document())
             _write_text(str(directory / f"{name}.dot"), artifact.to_dot())
-    return grid, start_cell, pruned, aut, pa
+    return grid, regions, start_cell, aut, pa
 
 
 def _emit_prune_stages(directory: Path, labeled, report) -> None:
@@ -178,7 +178,7 @@ def cmd_compile(args) -> int:
 
 
 def cmd_product(args) -> int:
-    _, _, _, _, pa = _prepare_product(args)
+    *_, pa = _prepare_product(args)
     if args.dot:
         _write_text(args.dot, pa.to_dot())
     _write_json(args.out, pa.to_document())
@@ -186,7 +186,7 @@ def cmd_product(args) -> int:
 
 
 def cmd_plan(args) -> int:
-    _, _, _, _, pa = _prepare_product(args)
+    *_, pa = _prepare_product(args)
     plan = _timed("plan", find_plan, pa)
     if plan is None:
         print("no satisfying plan exists", file=sys.stderr)
@@ -198,19 +198,21 @@ def cmd_plan(args) -> int:
 def cmd_run(args) -> int:
     if args.cycles < 1:
         raise CliError("--cycles must be at least 1", EXIT_BAD_INPUT)
-    grid, start_cell, _, aut, pa = _prepare_product(args)
+    grid, regions, start_cell, aut, pa = _prepare_product(args)
     plan = _timed("plan", find_plan, pa)
     if plan is None:
         print("no satisfying plan exists", file=sys.stderr)
         return EXIT_INFEASIBLE
+    index = region_index(regions)
     try:
         trace = _timed(
-            "execute", execute_plan, grid, start_cell, plan.prefix, plan.cycle, args.cycles
+            "execute", execute_plan,
+            grid, start_cell, plan.prefix, plan.cycle, index, args.cycles,
         )
     except UnreachableTargetError as exc:
         print(f"execution failed: {exc}", file=sys.stderr)
         return EXIT_UNREACHABLE
-    report = unsafe_report(grid, trace)
+    report = unsafe_report(grid, trace, index)
     satisfied = _timed("check", check_trace, aut, trace)
     _write_json(
         args.out,
@@ -233,10 +235,10 @@ def cmd_check(args) -> int:
         trace = Trace.from_document(doc)
     except (OSError, json.JSONDecodeError, KeyError, TypeError) as exc:
         raise CliError(f"cannot load trace: {exc}", EXIT_BAD_INPUT)
-    index = region_index(grid)
+    index = region_index(extract_regions(grid)[0])
     if any(cell not in index for cell in trace.cells):
         raise CliError("trace leaves the map's passable cells", EXIT_BAD_INPUT)
-    trace.word, trace.word_cells = trace_word(grid, trace.cells, index)
+    trace.word, trace.word_cells = trace_word(trace.cells, index)
     aut = _compile_formula(args.ltl, grid.symbols())
     satisfied = _timed("check", check_trace, aut, trace)
     _write_json(args.out, {"satisfied": satisfied})

@@ -300,10 +300,3 @@ def bfs_hops(adjacency: dict[int, tuple[int, ...]], source: int) -> dict[int, in
                 dist[nxt] = dist[node] + 1
                 queue.append(nxt)
     return dist
-
-
-def hop_distance(adjacency: dict[int, tuple[int, ...]], s1: int, s2: int) -> int | None:
-    """Fewest hops between two nodes, or None when unreachable."""
-    if s1 == s2:
-        return 0
-    return bfs_hops(adjacency, s1).get(s2)

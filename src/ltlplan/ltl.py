@@ -136,11 +136,15 @@ def _render(formula: LtlFormula, parent_level: int) -> str:
 
 _RESERVED = {"F", "G", "U", "true"}
 
+# Deepest accepted nesting, counting each F, G, U, &, | and parenthesis on
+# the way down.  Parsing costs up to five frames per level and later passes
+# recurse over the tree, so this stays far below Python's recursion limit.
+MAX_NESTING = 100
+
 
 class _Tokenizer:
     def __init__(self, text: str):
         self.text = text
-        self.pos = 0
         self.tokens: list[tuple[str, str, int]] = []
         self._scan()
         self.index = 0
@@ -184,7 +188,7 @@ class _Tokenizer:
 def parse_ltl(text: str, alphabet: frozenset[str] | None = None) -> LtlFormula:
     """Parse a formula; with ``alphabet`` given, atoms outside it are errors."""
     tokens = _Tokenizer(text)
-    formula = _parse_or(tokens)
+    formula = _parse_or(tokens, 0)
     kind, value, pos = tokens.peek()
     if kind != "END":
         raise LtlParseError(f"unexpected token {value!r} at offset {pos}")
@@ -196,38 +200,42 @@ def parse_ltl(text: str, alphabet: frozenset[str] | None = None) -> LtlFormula:
     return formula
 
 
-def _parse_or(tokens: _Tokenizer) -> LtlFormula:
-    node = _parse_and(tokens)
+def _parse_or(tokens: _Tokenizer, depth: int) -> LtlFormula:
+    node = _parse_and(tokens, depth)
     while tokens.peek()[0] == "OR":
         tokens.next()
-        node = Or(node, _parse_and(tokens))
+        depth += 1
+        node = Or(node, _parse_and(tokens, depth))
     return node
 
 
-def _parse_and(tokens: _Tokenizer) -> LtlFormula:
-    node = _parse_until(tokens)
+def _parse_and(tokens: _Tokenizer, depth: int) -> LtlFormula:
+    node = _parse_until(tokens, depth)
     while tokens.peek()[0] == "AND":
         tokens.next()
-        node = And(node, _parse_until(tokens))
+        depth += 1
+        node = And(node, _parse_until(tokens, depth))
     return node
 
 
-def _parse_until(tokens: _Tokenizer) -> LtlFormula:
-    node = _parse_unary(tokens)
+def _parse_until(tokens: _Tokenizer, depth: int) -> LtlFormula:
+    node = _parse_unary(tokens, depth)
     if tokens.peek()[0] == "U":
         tokens.next()
-        return Until(node, _parse_until(tokens))
+        return Until(node, _parse_until(tokens, depth + 1))
     return node
 
 
-def _parse_unary(tokens: _Tokenizer) -> LtlFormula:
+def _parse_unary(tokens: _Tokenizer, depth: int) -> LtlFormula:
     kind, value, pos = tokens.peek()
+    if depth > MAX_NESTING:
+        raise LtlParseError(f"formula nests deeper than {MAX_NESTING} levels at offset {pos}")
     if kind == "F":
         tokens.next()
-        return Eventually(_parse_unary(tokens))
+        return Eventually(_parse_unary(tokens, depth + 1))
     if kind == "G":
         tokens.next()
-        return Always(_parse_unary(tokens))
+        return Always(_parse_unary(tokens, depth + 1))
     if kind == "NOT":
         tokens.next()
         inner_kind, inner_value, inner_pos = tokens.next()
@@ -236,17 +244,17 @@ def _parse_unary(tokens: _Tokenizer) -> LtlFormula:
                 f"negation applies only to atomic propositions (offset {inner_pos})"
             )
         return NotAtom(inner_value)
-    return _parse_primary(tokens)
+    return _parse_primary(tokens, depth)
 
 
-def _parse_primary(tokens: _Tokenizer) -> LtlFormula:
+def _parse_primary(tokens: _Tokenizer, depth: int) -> LtlFormula:
     kind, value, pos = tokens.next()
     if kind == "TRUE":
         return Top()
     if kind == "NAME":
         return Atom(value)
     if kind == "LPAREN":
-        node = _parse_or(tokens)
+        node = _parse_or(tokens, depth + 1)
         closing = tokens.next()
         if closing[0] != "RPAREN":
             raise LtlParseError(f"expected ')' at offset {closing[2]}")
@@ -330,6 +338,10 @@ class BuchiAutomaton:
     A run consumes one label set per edge taken, starting from ``initial``
     (the first letter is consumed by the first edge); it accepts when some
     accepting state repeats forever.
+
+    The edge set is fixed at construction: each state's successor list is
+    built once, in ``order`` position, and passes that drop edges return
+    a new automaton.
     """
 
     order: list[str]
@@ -337,28 +349,29 @@ class BuchiAutomaton:
     accepting: frozenset[str]
     transitions: dict[tuple[str, str], Guard]
 
+    def __post_init__(self) -> None:
+        position = {s: i for i, s in enumerate(self.order)}
+        self._successors: dict[str, list[str]] = {s: [] for s in self.order}
+        for (src, dst) in self.transitions:
+            self._successors[src].append(dst)
+        for targets in self._successors.values():
+            targets.sort(key=position.__getitem__)
+
     def successors(self, state: str) -> list[tuple[str, Guard]]:
-        index = {s: i for i, s in enumerate(self.order)}
-        return [
-            (dst, self.transitions[(src, dst)])
-            for (src, dst) in sorted(
-                (e for e in self.transitions if e[0] == state),
-                key=lambda e: index[e[1]],
-            )
-        ]
+        return [(dst, self.transitions[(state, dst)]) for dst in self._successors[state]]
+
+    def edges(self) -> list[tuple[str, str]]:
+        """Every transition, by source then target ``order`` position."""
+        return [(src, dst) for src in self.order for dst in self._successors[src]]
 
     def to_document(self) -> dict:
-        index = {s: i for i, s in enumerate(self.order)}
         return {
             "states": list(self.order),
             "initial": self.initial,
-            "accepting": sorted(self.accepting, key=lambda s: index[s]),
+            "accepting": [s for s in self.order if s in self.accepting],
             "transitions": [
-                {"from": src, "to": dst, "guard": guard.format()}
-                for (src, dst), guard in sorted(
-                    self.transitions.items(),
-                    key=lambda item: (index[item[0][0]], index[item[0][1]]),
-                )
+                {"from": src, "to": dst, "guard": self.transitions[(src, dst)].format()}
+                for (src, dst) in self.edges()
             ],
         }
 
@@ -376,16 +389,13 @@ class BuchiAutomaton:
         )
 
     def to_dot(self) -> str:
-        index = {s: i for i, s in enumerate(self.order)}
         lines = ["digraph buchi {", "  rankdir=LR;", "  node [shape=circle];"]
         for state in self.order:
             shape = ", peripheries=2" if state in self.accepting else ""
             marker = ' style="bold"' if state == self.initial else ""
             lines.append(f'  {state} [label="{state}"{shape}{marker}];'.replace(", p", " p"))
-        for (src, dst), guard in sorted(
-            self.transitions.items(), key=lambda item: (index[item[0][0]], index[item[0][1]])
-        ):
-            lines.append(f'  {src} -> {dst} [label="{guard.format()}"];')
+        for (src, dst) in self.edges():
+            lines.append(f'  {src} -> {dst} [label="{self.transitions[(src, dst)].format()}"];')
         lines.append("}")
         return "\n".join(lines) + "\n"
 
@@ -422,11 +432,12 @@ def to_buchi(formula: LtlFormula) -> BuchiAutomaton:
         for nid, (old, _) in nodes.items()
     }
 
+    # Node ids are numbered in creation order, so each list is id-sorted.
     init = "init"
-    edges: dict[tuple[str, str], Guard] = {}
+    targets: dict[str, list[str]] = {}
     for nid in nodes:
         for src in incoming[nid]:
-            edges[(src, nid)] = guards[nid]
+            targets.setdefault(src, []).append(nid)
 
     def advance(src: str, counter: int) -> int:
         if src != init and src in fairness[counter - 1]:
@@ -441,12 +452,9 @@ def to_buchi(formula: LtlFormula) -> BuchiAutomaton:
         src_state = queue.popleft()
         src, counter = src_state
         nxt = advance(src, counter)
-        targets = sorted(
-            (nid for (s, nid) in edges if s == src), key=_node_sort_key
-        )
-        for nid in targets:
+        for nid in targets.get(src, ()):
             dst_state = (nid, nxt)
-            product_edges.append((src_state, dst_state, edges[(src, nid)]))
+            product_edges.append((src_state, dst_state, guards[nid]))
             if dst_state not in reachable:
                 reachable[dst_state] = None
                 queue.append(dst_state)
@@ -467,10 +475,6 @@ def to_buchi(formula: LtlFormula) -> BuchiAutomaton:
         accepting=accepting,
         transitions=transitions,
     )
-
-
-def _node_sort_key(nid: str) -> int:
-    return int(nid[1:])
 
 
 def _eventualities(formula: LtlFormula) -> list[LtlFormula]:

@@ -6,7 +6,8 @@ with lexicographically minimal cost ``(violations, steps)``, where one
 violation is charged per entry into a labeled region that does not
 satisfy the policy.  ``execute_plan`` chains such paths for a whole plan
 and records the induced label word, which ``check_trace`` replays on a
-Büchi automaton.
+Büchi automaton.  Every search reads one cell index built by
+``region_index`` from the run's regions.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass, field
 
-from .gridworld import Cell, GridMap, cell_regions, extract_regions
+from .gridworld import Cell, GridMap, Region
 from .ltl import BuchiAutomaton, LabelSet, accepts_lasso, empty_word_accepting_states
 
 
@@ -62,28 +63,21 @@ class PolicySpec:
         return self.positives <= labels and not (self.negatives & labels)
 
 
-def region_index(grid: GridMap) -> dict[Cell, tuple[int, LabelSet]]:
+CellIndex = dict[Cell, tuple[int, LabelSet]]
+
+
+def region_index(regions: list[Region]) -> CellIndex:
     """Map every passable cell to its region id and region label set."""
-    regions, _ = extract_regions(grid)
-    of_cell = cell_regions(regions)
-    label_of = {region.id: region.label for region in regions}
-    return {cell: (rid, label_of[rid]) for cell, rid in of_cell.items()}
+    return {cell: (region.id, region.label) for region in regions for cell in region.cells}
 
 
-def mv_path(
-    grid: GridMap,
-    start: Cell,
-    policy: PolicySpec,
-    index: dict[Cell, tuple[int, LabelSet]] | None = None,
-) -> list[Cell]:
+def mv_path(grid: GridMap, start: Cell, policy: PolicySpec, index: CellIndex) -> list[Cell]:
     """Cheapest path from ``start`` into a region satisfying ``policy``.
 
     Cost is compared lexicographically as (violations, steps); among
     equal-cost paths the earliest-queued one wins, so neighbor order
     (up, down, left, right) breaks the remaining ties deterministically.
     """
-    if index is None:
-        index = region_index(grid)
     if start not in index:
         raise ValueError(f"start cell {start} is not passable")
     if policy.satisfied_by(index[start][1]):
@@ -119,18 +113,13 @@ def mv_path(
 
 
 def first_region_change(
-    grid: GridMap,
-    start: Cell,
-    policy: PolicySpec,
-    index: dict[Cell, tuple[int, LabelSet]] | None = None,
+    grid: GridMap, start: Cell, policy: PolicySpec, index: CellIndex
 ) -> int | None:
     """Region id of the first boundary crossed by the policy's path.
 
     Returns ``None`` when the start region already satisfies the policy
     (the path never leaves it).
     """
-    if index is None:
-        index = region_index(grid)
     path = mv_path(grid, start, policy, index)
     start_region = index[start][0]
     for cell in path[1:]:
@@ -202,18 +191,12 @@ class Trace:
         )
 
 
-def trace_word(
-    grid: GridMap,
-    cells: list[Cell],
-    index: dict[Cell, tuple[int, LabelSet]] | None = None,
-) -> tuple[list[LabelSet], list[int]]:
+def trace_word(cells: list[Cell], index: CellIndex) -> tuple[list[LabelSet], list[int]]:
     """Label word induced by a cell path: one letter per region entered.
 
     The first letter is the start region's label; empty label sets are
     kept so the word mirrors every region boundary the path crosses.
     """
-    if index is None:
-        index = region_index(grid)
     word: list[LabelSet] = []
     word_cells: list[int] = []
     previous = None
@@ -231,6 +214,7 @@ def execute_plan(
     start: Cell,
     prefix: list[str],
     cycle: list[str],
+    index: CellIndex,
     cycles: int = 1,
 ) -> Trace:
     """Run a plan's policies in order with minimum-violation paths.
@@ -241,7 +225,6 @@ def execute_plan(
     """
     if cycle and cycles < 1:
         raise ValueError("cyclic plans need at least one cycle repetition")
-    index = region_index(grid)
     if start not in index:
         raise ValueError(f"start cell {start} is not passable")
 
@@ -263,7 +246,7 @@ def execute_plan(
             )
         )
 
-    word, word_cells = trace_word(grid, cells, index)
+    word, word_cells = trace_word(cells, index)
     return Trace(
         cells=cells,
         word=word,
@@ -275,9 +258,7 @@ def execute_plan(
     )
 
 
-def _count_violations(
-    index: dict[Cell, tuple[int, LabelSet]], path: list[Cell], policy: PolicySpec
-) -> int:
+def _count_violations(index: CellIndex, path: list[Cell], policy: PolicySpec) -> int:
     count = 0
     for prev, cell in zip(path, path[1:]):
         pregion = index[prev][0]
@@ -287,7 +268,7 @@ def _count_violations(
     return count
 
 
-def unsafe_report(grid: GridMap, trace: Trace) -> dict:
+def unsafe_report(grid: GridMap, trace: Trace, index: CellIndex) -> dict:
     """Count label entries that violate their segment's policy.
 
     Each segment's terminal region entry (the task being completed) is
@@ -296,7 +277,6 @@ def unsafe_report(grid: GridMap, trace: Trace) -> dict:
     ``unforced`` is whatever the trace incurred beyond that (zero for
     traces produced by ``execute_plan``).
     """
-    index = region_index(grid)
     entries: list[dict] = []
     count = 0
     forced_total = 0
@@ -332,7 +312,7 @@ def _forced_violations(
     trace: Trace,
     seg: TraceSegment,
     policy: PolicySpec,
-    index: dict[Cell, tuple[int, LabelSet]],
+    index: CellIndex,
 ) -> int:
     try:
         optimal = mv_path(grid, trace.cells[seg.start], policy, index)

@@ -16,7 +16,7 @@ from collections import deque
 from dataclasses import dataclass
 
 from .ltl import BuchiAutomaton, empty_word_accepting_states
-from .tsys import TransitionSystem, sort_symbols
+from .tsys import TransitionSystem
 
 PAState = tuple[int, str]
 
@@ -82,9 +82,6 @@ def build_product(ts: TransitionSystem, aut: BuchiAutomaton) -> ProductAutomaton
                         f"guard references symbol {name!r} absent from the transition system"
                     )
 
-    buchi_index = {state: i for i, state in enumerate(aut.order)}
-    ts_index = {state: i for i, state in enumerate(ts.order)}
-
     initial: list[PAState] = []
     for dst, guard in aut.successors(aut.initial):
         if guard.satisfied_by(ts.labels[ts.initial]):
@@ -102,18 +99,12 @@ def build_product(ts: TransitionSystem, aut: BuchiAutomaton) -> ProductAutomaton
         states.append(src)
         s, q = src
         out: list[PAState] = []
-        moves = [
-            (ts_index[t], t, ts.transitions[(s, t)]) for (_, t) in ts.out_edges(s)
-        ]
-        hops = sorted(
-            ((dst, guard) for dst, guard in aut.successors(q)),
-            key=lambda item: buchi_index[item[0]],
-        )
-        for _, t, symbols in sorted(moves, key=lambda m: m[0]):
+        hops = aut.successors(q)
+        for (_, t) in ts.out_edges(s):
             for q2, guard in hops:
                 if guard.satisfied_by(ts.labels[t]):
                     dst = (t, q2)
-                    edges[(src, dst)] = sort_symbols(symbols)
+                    edges[(src, dst)] = sorted(ts.transitions[(s, t)])
                     out.append(dst)
                     if dst not in seen:
                         seen.add(dst)
@@ -169,12 +160,10 @@ def find_plan(pa: ProductAutomaton) -> Plan | None:
     smaller policy sequence wins and results are deterministic.
     """
     rank_of = {state: i for i, state in enumerate(pa.states)}
-
-    def expansion_order(state: PAState) -> list[PAState]:
-        return sorted(
-            pa.successors[state],
-            key=lambda nxt: (pa.edges[(state, nxt)][0], rank_of[nxt]),
-        )
+    expansion = {
+        state: sorted(nexts, key=lambda nxt: (pa.edges[(state, nxt)][0], rank_of[nxt]))
+        for state, nexts in pa.successors.items()
+    }
 
     dist: dict[PAState, int] = {}
     parent: dict[PAState, PAState | None] = {}
@@ -187,7 +176,7 @@ def find_plan(pa: ProductAutomaton) -> Plan | None:
     while queue:
         state = queue.popleft()
         reach_order.append(state)
-        for nxt in expansion_order(state):
+        for nxt in expansion[state]:
             if nxt not in dist:
                 dist[nxt] = dist[state] + 1
                 parent[nxt] = state
@@ -204,7 +193,7 @@ def find_plan(pa: ProductAutomaton) -> Plan | None:
             continue
         if state not in pa.accepting:
             continue
-        cycle = _shortest_cycle(pa, state)
+        cycle = _shortest_cycle(expansion, state)
         if cycle is None:
             continue
         candidate = (dist[state] + len(cycle), rank)
@@ -229,23 +218,17 @@ def find_plan(pa: ProductAutomaton) -> Plan | None:
     )
 
 
-def _shortest_cycle(pa: ProductAutomaton, state: PAState) -> list[PAState] | None:
+def _shortest_cycle(
+    expansion: dict[PAState, list[PAState]], state: PAState
+) -> list[PAState] | None:
     """Shortest non-empty path from ``state`` back to itself (BFS).
 
-    Expands cheaper policy symbols first, mirroring ``find_plan``.
+    Follows ``find_plan``'s expansion order: cheaper policy symbols first.
     """
-    rank_of = {st: i for i, st in enumerate(pa.states)}
-
-    def expansion_order(src: PAState) -> list[PAState]:
-        return sorted(
-            pa.successors[src],
-            key=lambda nxt: (pa.edges[(src, nxt)][0], rank_of[nxt]),
-        )
-
     dist: dict[PAState, int] = {}
     parent: dict[PAState, PAState] = {}
     queue = deque()
-    for nxt in expansion_order(state):
+    for nxt in expansion[state]:
         if nxt == state:
             return [state]
         if nxt not in dist:
@@ -254,7 +237,7 @@ def _shortest_cycle(pa: ProductAutomaton, state: PAState) -> list[PAState] | Non
             queue.append(nxt)
     while queue:
         current = queue.popleft()
-        for nxt in expansion_order(current):
+        for nxt in expansion[current]:
             if nxt == state:
                 path = [current]
                 while path[-1] != state:

@@ -21,10 +21,10 @@ replay the reduction on the original system.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .gridworld import bfs_hops
-from .tsys import EMPTY_LABEL, TransitionSystem, sort_symbols
+from .tsys import EMPTY_LABEL, TransitionSystem
 
 CASE1 = "case1"
 CASE2 = "case2"
@@ -71,10 +71,10 @@ class PruneReport:
         for (src, dst, sym, case) in self.removed_symbols:
             if case in cases and (src, dst) in out.transitions:
                 out.transitions[(src, dst)].discard(sym)
-        for (src, dst, case) in self.removed_transitions:
-            if case in cases:
-                out.transitions.pop((src, dst), None)
-        return out
+        dropped = {(src, dst) for (src, dst, case) in self.removed_transitions if case in cases}
+        return replace(out, transitions={
+            edge: syms for edge, syms in out.transitions.items() if edge not in dropped
+        })
 
 
 def prune(
@@ -83,54 +83,47 @@ def prune(
     """Run all reduction passes; returns the reduced system and its report."""
     report = PruneReport()
     out = case1_merge_equivalent(ts, report)
-    hops = {state: bfs_hops(out.graph(), state) for state in out.order}
+    graph = out.graph()
+    hops = {state: bfs_hops(graph, state) for state in out.order}
     for state in out.order:
         case2_disambiguate(out, state, hops, report, alphabet)
         case3_remove_ineffectual(out, state, report)
-    empty_cleanup(out, report)
+    out = empty_cleanup(out, report)
     report.unreachable_states = _unreachable_states(out)
     return out, report
 
 
 def case1_merge_equivalent(ts: TransitionSystem, report: PruneReport) -> TransitionSystem:
     """Collapse equivalence classes of duplicate states."""
-    index = {s: i for i, s in enumerate(ts.order)}
+    outgoing: dict[int, list[tuple[frozenset[str], int]]] = {s: [] for s in ts.order}
+    incoming: dict[int, list[tuple[frozenset[str], int]]] = {s: [] for s in ts.order}
+    for (src, dst), syms in ts.transitions.items():
+        label = frozenset(syms)
+        outgoing[src].append((label, dst))
+        incoming[dst].append((label, src))
     block_of = _initial_partition(ts)
     while True:
-        signature = {}
-        for state in ts.order:
-            out_sig = frozenset(
-                (frozenset(syms), block_of[dst])
-                for (src, dst), syms in ts.transitions.items()
-                if src == state
-            )
-            in_sig = frozenset(
-                (frozenset(syms), block_of[src])
-                for (src, dst), syms in ts.transitions.items()
-                if dst == state
-            )
-            signature[state] = (block_of[state], out_sig, in_sig)
         groups: dict[tuple, list[int]] = {}
         for state in ts.order:
-            groups.setdefault(signature[state], []).append(state)
+            signature = (
+                block_of[state],
+                frozenset((syms, block_of[dst]) for syms, dst in outgoing[state]),
+                frozenset((syms, block_of[src]) for syms, src in incoming[state]),
+            )
+            groups.setdefault(signature, []).append(state)
         if len(groups) == len(set(block_of.values())):
             break
         for block_id, members in enumerate(groups.values()):
             for state in members:
                 block_of[state] = block_id
 
+    # A stable round leaves one group per block, members in ``order`` order.
     mapping = {s: s for s in ts.order}
-    members_of: dict[int, list[int]] = {}
-    for state in ts.order:
-        members_of.setdefault(block_of[state], []).append(state)
-    for members in members_of.values():
+    for members in groups.values():
         if len(members) > 1:
-            members = sorted(members, key=lambda s: index[s])
-            rep = members[0]
             for other in members[1:]:
-                mapping[other] = rep
+                mapping[other] = members[0]
             report.merged_state_groups.append(tuple(members))
-    report.merged_state_groups.sort(key=lambda g: index[g[0]])
     return _apply_quotient(ts, mapping)
 
 
@@ -179,7 +172,7 @@ def case2_disambiguate(
             if alphabet is not None and symbol not in alphabet:
                 continue
             carriers.setdefault(symbol, []).append(edge)
-    for symbol in sort_symbols(carriers):
+    for symbol in sorted(carriers):
         edges = carriers[symbol]
         if len(edges) < 2:
             continue
@@ -217,36 +210,39 @@ def case3_remove_ineffectual(
     if not own:
         return
     for edge in ts.out_edges(state):
-        for symbol in sort_symbols(own & ts.transitions[edge]):
+        for symbol in sorted(own & ts.transitions[edge]):
             ts.transitions[edge].discard(symbol)
             report.removed_symbols.append((edge[0], edge[1], symbol, CASE3))
 
 
-def empty_cleanup(ts: TransitionSystem, report: PruneReport) -> None:
-    """Strip the empty-label sentinel, then drop transitions left unlabeled."""
-    index = {s: i for i, s in enumerate(ts.order)}
-    edges = sorted(ts.transitions, key=lambda e: (index[e[0]], index[e[1]]))
-    for edge in edges:
-        if EMPTY_LABEL in ts.transitions[edge]:
-            ts.transitions[edge].discard(EMPTY_LABEL)
-            report.removed_symbols.append((edge[0], edge[1], EMPTY_LABEL, EMPTY_CLEANUP))
-    for edge in edges:
-        if not ts.transitions[edge]:
-            del ts.transitions[edge]
-            report.removed_transitions.append((edge[0], edge[1], EMPTY_CLEANUP))
+def empty_cleanup(ts: TransitionSystem, report: PruneReport) -> TransitionSystem:
+    """Strip the empty-label sentinel, then drop transitions left unlabeled.
+
+    Returns a new system; ``ts`` is left as it was.
+    """
+    edges = ts.edges()
+    for (src, dst) in edges:
+        if EMPTY_LABEL in ts.transitions[(src, dst)]:
+            report.removed_symbols.append((src, dst, EMPTY_LABEL, EMPTY_CLEANUP))
+    kept: dict[tuple[int, int], set[str]] = {}
+    for (src, dst) in edges:
+        symbols = ts.transitions[(src, dst)] - {EMPTY_LABEL}
+        if symbols:
+            kept[(src, dst)] = symbols
+        else:
+            report.removed_transitions.append((src, dst, EMPTY_CLEANUP))
+    return replace(ts, transitions=kept)
 
 
 def _unreachable_states(ts: TransitionSystem) -> list[int]:
     reached = {ts.initial}
     frontier = [ts.initial]
     while frontier:
-        state = frontier.pop()
-        for (src, dst) in ts.transitions:
-            if src == state and dst not in reached:
+        for (_, dst) in ts.out_edges(frontier.pop()):
+            if dst not in reached:
                 reached.add(dst)
                 frontier.append(dst)
-    index = {s: i for i, s in enumerate(ts.order)}
-    return sorted((s for s in ts.order if s not in reached), key=lambda s: index[s])
+    return [s for s in ts.order if s not in reached]
 
 
 def drop_unreachable(ts: TransitionSystem) -> TransitionSystem:

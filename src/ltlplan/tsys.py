@@ -10,10 +10,12 @@ distinguished empty-label sentinel instead of a symbol.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .gridworld import Region, bfs_hops
 
+# "{" sorts after every symbol character (letters, digits, "_", "&"), so
+# plain ``sorted`` puts the empty-label sentinel last.
 EMPTY_LABEL = "{}"
 
 PRIMITIVE = "primitive"
@@ -31,11 +33,6 @@ def format_labelset(labelset: frozenset[str]) -> str:
     return "{" + ",".join(sorted(labelset)) + "}"
 
 
-def sort_symbols(symbols) -> list[str]:
-    """Canonical symbol order; the empty-label sentinel sorts last."""
-    return sorted(symbols)
-
-
 @dataclass
 class TransitionSystem:
     """A finite transition system over region states.
@@ -44,6 +41,10 @@ class TransitionSystem:
     id for abstracted maps).  ``transitions`` maps ordered state pairs to
     the set of task symbols labeling that edge; the set may contain the
     empty-label sentinel before cleanup.  Self-loops are never stored.
+
+    The edge set is fixed at construction: each state's successor list is
+    built once, in ``order`` position, and passes that drop edges return
+    a new system.  Label sets on existing edges may still shrink in place.
     """
 
     order: list[int]
@@ -53,9 +54,14 @@ class TransitionSystem:
     mode: str = PRIMITIVE
 
     def __post_init__(self) -> None:
+        position = {s: i for i, s in enumerate(self.order)}
+        self._successors: dict[int, list[int]] = {s: [] for s in self.order}
         for (src, dst) in self.transitions:
             if src == dst:
                 raise ValueError(f"self-loop stored on state {src}")
+            self._successors[src].append(dst)
+        for targets in self._successors.values():
+            targets.sort(key=position.__getitem__)
 
     def states(self) -> list[int]:
         return list(self.order)
@@ -64,11 +70,11 @@ class TransitionSystem:
         return f"q{state}"
 
     def out_edges(self, state: int) -> list[tuple[int, int]]:
-        index = {s: i for i, s in enumerate(self.order)}
-        return sorted(
-            (edge for edge in self.transitions if edge[0] == state),
-            key=lambda e: index[e[1]],
-        )
+        return [(state, dst) for dst in self._successors[state]]
+
+    def edges(self) -> list[tuple[int, int]]:
+        """Every transition, by source then target ``order`` position."""
+        return [(src, dst) for src in self.order for dst in self._successors[src]]
 
     def graph(self) -> dict[int, tuple[int, ...]]:
         """Undirected adjacency view used for hop distances."""
@@ -104,7 +110,6 @@ class TransitionSystem:
         )
 
     def to_document(self) -> dict:
-        index = {s: i for i, s in enumerate(self.order)}
         return {
             "states": [
                 {"id": self.state_name(s), "label": sorted(self.labels[s])}
@@ -114,12 +119,9 @@ class TransitionSystem:
                 {
                     "from": self.state_name(src),
                     "to": self.state_name(dst),
-                    "label": sort_symbols(syms),
+                    "label": sorted(self.transitions[(src, dst)]),
                 }
-                for (src, dst), syms in sorted(
-                    self.transitions.items(),
-                    key=lambda item: (index[item[0][0]], index[item[0][1]]),
-                )
+                for (src, dst) in self.edges()
             ],
             "initial": self.state_name(self.initial),
             "mode": self.mode,
@@ -152,11 +154,8 @@ class TransitionSystem:
             lines.append(
                 f'  {name} [label="{name}" xlabel="{format_labelset(self.labels[state])}"];'
             )
-        index = {s: i for i, s in enumerate(self.order)}
-        for (src, dst), syms in sorted(
-            self.transitions.items(), key=lambda item: (index[item[0][0]], index[item[0][1]])
-        ):
-            label = ",".join(sort_symbols(syms))
+        for (src, dst) in self.edges():
+            label = ",".join(sorted(self.transitions[(src, dst)]))
             lines.append(f'  {self.state_name(src)} -> {self.state_name(dst)} [label="{label}"];')
         lines.append("}")
         return "\n".join(lines) + "\n"
@@ -230,7 +229,7 @@ def is_deterministic(
         for (_, dst) in ts.out_edges(state):
             for symbol in ts.transitions[(state, dst)]:
                 targets_by_symbol.setdefault(symbol, set()).add(dst)
-        for symbol in sort_symbols(targets_by_symbol):
+        for symbol in sorted(targets_by_symbol):
             targets = targets_by_symbol[symbol]
             if len(targets) > 1:
                 violations.append((state, symbol, frozenset(targets)))

@@ -145,7 +145,7 @@ def test_criterion_4__pruned_transitions_are_realizable():
         for group in report.merged_state_groups:
             for other in group[1:]:
                 rep_of[other] = group[0]
-        index = region_index(grid)
+        index = region_index(extract_regions(grid)[0])
         cells_of: dict[int, list] = {}
         for cell, (region, _) in index.items():
             cells_of.setdefault(region, []).append(cell)
@@ -199,11 +199,12 @@ def test_criterion_6__open_room_single_goal_case_study(open_room_grid):
     assert plan is not None
     assert plan.prefix == ["b&square"]
     assert plan.cycle == []
+    index = region_index(extract_regions(open_room_grid)[0])
     trace = execute_plan(
-        open_room_grid, open_room_grid.resolved_start(), plan.prefix, plan.cycle
+        open_room_grid, open_room_grid.resolved_start(), plan.prefix, plan.cycle, index
     )
     assert check_trace(aut, trace)
-    assert unsafe_report(open_room_grid, trace)["count"] == 0
+    assert unsafe_report(open_room_grid, trace, index)["count"] == 0
 
 
 def test_criterion_7__obstacle_course_two_goal_case_study(obstacle_course_grid):
@@ -217,15 +218,15 @@ def test_criterion_7__obstacle_course_two_goal_case_study(obstacle_course_grid):
         ["b&circle", "b&square", "p&square"],
         ["circle&p", "b&square", "b&circle"],
     )
-    trace = execute_plan(grid, grid.resolved_start(), plan.prefix, plan.cycle)
+    index = region_index(extract_regions(grid)[0])
+    trace = execute_plan(grid, grid.resolved_start(), plan.prefix, plan.cycle, index)
     assert check_trace(aut, trace)
-    assert unsafe_report(grid, trace)["count"] == 0
+    assert unsafe_report(grid, trace, index)["count"] == 0
 
     # The first policy must go around the center block without clipping
     # any labeled region other than its own target.
     first = trace.segments[0]
     policy = PolicySpec.from_symbol(first.symbol)
-    index = region_index(grid)
     for cell in trace.cells[first.start : first.end + 1]:
         labels = index[cell][1]
         assert not labels or policy.satisfied_by(labels), cell

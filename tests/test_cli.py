@@ -150,6 +150,15 @@ def test_syntax_error_exits_2():
     assert main(["plan", "--map", RING, "--ltl", "F ("]) == 2
 
 
+@pytest.mark.parametrize(
+    "formula",
+    ["F " * 3000 + "a", "(" * 3000 + "a" + ")" * 3000, "!a U " * 3000 + "b"],
+    ids=["eventually", "parentheses", "until_chain"],
+)
+def test_deeply_nested_formula_exits_2(formula):
+    assert main(["compile", "--ltl", formula]) == 2
+
+
 def test_missing_map_exits_2(tmp_path):
     assert main(["abstract", "--map", str(tmp_path / "nope.txt")]) == 2
 

@@ -14,10 +14,16 @@ from ltlplan.gridworld import (
     bfs_hops,
     cell_regions,
     extract_regions,
-    hop_distance,
     map_from_document,
     parse_map,
 )
+
+
+def hop_distance(adjacency: dict[int, tuple[int, ...]], s1: int, s2: int) -> int | None:
+    """Fewest hops between two nodes, or None when unreachable."""
+    if s1 == s2:
+        return 0
+    return bfs_hops(adjacency, s1).get(s2)
 
 
 # ---------------------------------------------------------------------------

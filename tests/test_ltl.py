@@ -14,6 +14,7 @@ from ltlplan.ltl import (
     BuchiAutomaton,
     Eventually,
     Guard,
+    MAX_NESTING,
     LtlParseError,
     NotAtom,
     Or,
@@ -77,6 +78,23 @@ def test_alphabet_restriction_flags_unknown_atoms():
 def test_atoms_collected():
     assert parse_ltl("F (a & !b) | c U a").atoms() == frozenset({"a", "b", "c"})
     assert parse_ltl("true").atoms() == frozenset()
+
+
+NESTED_SHAPES = {
+    "eventually": lambda n: "F " * n + "a",
+    "parentheses": lambda n: "(" * n + "a" + ")" * n,
+    "until_chain": lambda n: "!a U " * n + "b",
+    "conjunction_chain": lambda n: " & ".join(["a"] * (n + 1)),
+}
+
+
+@pytest.mark.parametrize("shape", sorted(NESTED_SHAPES))
+def test_nesting_bound_is_exact(shape):
+    # Only parse: compiling F^k at this depth would take far too long.
+    at_bound = parse_ltl(NESTED_SHAPES[shape](MAX_NESTING), alphabet=frozenset({"a", "b"}))
+    assert parse_ltl(to_text(at_bound)) == at_bound
+    with pytest.raises(LtlParseError, match="nests deeper"):
+        parse_ltl(NESTED_SHAPES[shape](MAX_NESTING + 1))
 
 
 @st.composite

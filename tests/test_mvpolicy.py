@@ -7,7 +7,7 @@ import random
 import pytest
 
 from envgen import harsh_map, oracle_mv_cost
-from ltlplan.gridworld import parse_map
+from ltlplan.gridworld import extract_regions, parse_map
 from ltlplan.ltl import parse_ltl, to_buchi
 from ltlplan.mvpolicy import (
     PolicySpec,
@@ -25,6 +25,10 @@ from ltlplan.mvpolicy import (
 
 STRIP = ".a.b."  # one row: free, a, free, b, free
 BYPASS = ".ab\n...\n"  # direct route crosses a; the detour row is violation-free
+
+
+def index_of(grid):
+    return region_index(extract_regions(grid)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -61,19 +65,20 @@ def test_policy_validation():
 
 def test_path_through_unavoidable_label_counts_one_violation():
     grid = parse_map(STRIP)
-    path = mv_path(grid, (0, 0), PolicySpec.from_symbol("b"))
+    path = mv_path(grid, (0, 0), PolicySpec.from_symbol("b"), index_of(grid))
     assert path == [(0, 0), (1, 0), (2, 0), (3, 0)]
 
 
 def test_start_region_satisfying_policy_is_a_fixpoint():
     grid = parse_map(STRIP)
-    assert mv_path(grid, (1, 0), PolicySpec.from_symbol("a")) == [(1, 0)]
-    assert first_region_change(grid, (1, 0), PolicySpec.from_symbol("a")) is None
+    index = index_of(grid)
+    assert mv_path(grid, (1, 0), PolicySpec.from_symbol("a"), index) == [(1, 0)]
+    assert first_region_change(grid, (1, 0), PolicySpec.from_symbol("a"), index) is None
 
 
 def test_longer_clean_detour_beats_short_violating_route():
     grid = parse_map(BYPASS)
-    path = mv_path(grid, (0, 0), PolicySpec.from_symbol("b"))
+    path = mv_path(grid, (0, 0), PolicySpec.from_symbol("b"), index_of(grid))
     assert (1, 0) not in path
     assert path == [(0, 0), (0, 1), (1, 1), (2, 1), (2, 0)]
 
@@ -81,23 +86,23 @@ def test_longer_clean_detour_beats_short_violating_route():
 def test_unreachable_policy_raises():
     grid = parse_map(".#b")
     with pytest.raises(UnreachableTargetError):
-        mv_path(grid, (0, 0), PolicySpec.from_symbol("b"))
+        mv_path(grid, (0, 0), PolicySpec.from_symbol("b"), index_of(grid))
     grid2 = parse_map("..a")
     with pytest.raises(UnreachableTargetError):
-        mv_path(grid2, (0, 0), PolicySpec.from_symbol("b"))
+        mv_path(grid2, (0, 0), PolicySpec.from_symbol("b"), index_of(grid2))
 
 
 def test_path_rejects_impassable_start():
     grid = parse_map(".#b")
     with pytest.raises(ValueError):
-        mv_path(grid, (1, 0), PolicySpec.from_symbol("b"))
+        mv_path(grid, (1, 0), PolicySpec.from_symbol("b"), index_of(grid))
 
 
 def test_first_region_change_reports_first_boundary():
     grid = parse_map(STRIP)
-    index = region_index(grid)
+    index = index_of(grid)
     a_region = index[(1, 0)][0]
-    assert first_region_change(grid, (0, 0), PolicySpec.from_symbol("b")) == a_region
+    assert first_region_change(grid, (0, 0), PolicySpec.from_symbol("b"), index) == a_region
 
 
 def test_path_cost_matches_exhaustive_search():
@@ -107,7 +112,7 @@ def test_path_cost_matches_exhaustive_search():
         grid = harsh_map(rng, max_side=8)
         if grid is None:
             continue
-        index = region_index(grid)
+        index = index_of(grid)
         symbols = sorted({s for (_, labels) in index.values() for s in labels})
         if not symbols:
             continue
@@ -135,7 +140,7 @@ def test_path_cost_matches_exhaustive_search():
 
 def test_trace_word_keeps_empty_letters():
     grid = parse_map(STRIP)
-    word, word_cells = trace_word(grid, [(0, 0), (1, 0), (2, 0), (3, 0)])
+    word, word_cells = trace_word([(0, 0), (1, 0), (2, 0), (3, 0)], index_of(grid))
     assert word == [
         frozenset(),
         frozenset({"a"}),
@@ -147,23 +152,23 @@ def test_trace_word_keeps_empty_letters():
 
 def test_execute_plan_chains_segments():
     grid = parse_map(STRIP)
-    trace = execute_plan(grid, (0, 0), ["a", "b", "a"], [])
+    trace = execute_plan(grid, (0, 0), ["a", "b", "a"], [], index_of(grid))
     assert [seg.symbol for seg in trace.segments] == ["a", "b", "a"]
     assert trace.segments[0].start == 0
     for left, right in zip(trace.segments, trace.segments[1:]):
         assert left.end == right.start
     assert trace.segments[-1].end == len(trace.cells) - 1
-    index = region_index(grid)
+    index = index_of(grid)
     for seg in trace.segments:
         policy = PolicySpec.from_symbol(seg.symbol)
         assert policy.satisfied_by(index[trace.cells[seg.end]][1])
-    assert (trace.word, trace.word_cells) == trace_word(grid, trace.cells, index)
+    assert (trace.word, trace.word_cells) == trace_word(trace.cells, index)
 
 
 def test_execute_plan_unrolls_cycles():
     grid = parse_map(STRIP)
-    once = execute_plan(grid, (2, 0), ["a"], ["b", "a"], cycles=1)
-    twice = execute_plan(grid, (2, 0), ["a"], ["b", "a"], cycles=2)
+    once = execute_plan(grid, (2, 0), ["a"], ["b", "a"], index_of(grid), cycles=1)
+    twice = execute_plan(grid, (2, 0), ["a"], ["b", "a"], index_of(grid), cycles=2)
     assert once.prefix_segments == 1
     assert once.cycle_length == 2
     assert (once.cycles, twice.cycles) == (1, 2)
@@ -174,14 +179,14 @@ def test_execute_plan_unrolls_cycles():
 def test_execute_plan_validates_inputs():
     grid = parse_map(STRIP)
     with pytest.raises(ValueError):
-        execute_plan(grid, (0, 0), ["a"], ["b"], cycles=0)
+        execute_plan(grid, (0, 0), ["a"], ["b"], index_of(grid), cycles=0)
     with pytest.raises(UnreachableTargetError):
-        execute_plan(grid, (0, 0), ["ghost"], [])
+        execute_plan(grid, (0, 0), ["ghost"], [], index_of(grid))
 
 
 def test_trace_document_roundtrip():
     grid = parse_map(STRIP)
-    trace = execute_plan(grid, (0, 0), ["a"], ["b", "a"], cycles=2)
+    trace = execute_plan(grid, (0, 0), ["a"], ["b", "a"], index_of(grid), cycles=2)
     doc = trace.to_document()
     again = Trace.from_document(doc)
     assert again == trace
@@ -194,8 +199,8 @@ def test_trace_document_roundtrip():
 
 def test_forced_violation_reported_but_not_unforced():
     grid = parse_map(STRIP)
-    trace = execute_plan(grid, (0, 0), ["b"], [])
-    report = unsafe_report(grid, trace)
+    trace = execute_plan(grid, (0, 0), ["b"], [], index_of(grid))
+    report = unsafe_report(grid, trace, index_of(grid))
     assert report["count"] == 1
     assert report["forced"] == 1
     assert report["unforced"] == 0
@@ -206,8 +211,8 @@ def test_forced_violation_reported_but_not_unforced():
 
 def test_terminal_region_entry_is_exempt():
     grid = parse_map(".b")
-    trace = execute_plan(grid, (0, 0), ["b"], [])
-    report = unsafe_report(grid, trace)
+    trace = execute_plan(grid, (0, 0), ["b"], [], index_of(grid))
+    report = unsafe_report(grid, trace, index_of(grid))
     assert report == {"count": 0, "forced": 0, "unforced": 0, "entries": []}
 
 
@@ -219,7 +224,7 @@ def test_needless_detour_counts_as_unforced():
         word_cells=[0, 1, 2],
         segments=[TraceSegment(symbol="b", start=0, end=2, forced_violations=0)],
     )
-    report = unsafe_report(grid, sloppy)
+    report = unsafe_report(grid, sloppy, index_of(grid))
     assert report["count"] == 1
     assert report["forced"] == 0
     assert report["unforced"] == 1
@@ -233,16 +238,16 @@ def test_executed_traces_never_have_unforced_violations():
         grid = harsh_map(rng, max_side=8)
         if grid is None:
             continue
-        index = region_index(grid)
+        index = index_of(grid)
         symbols = sorted({s for (_, labels) in index.values() for s in labels})
         if not symbols:
             continue
         plan = [rng.choice(symbols) for _ in range(rng.randint(1, 3))]
         try:
-            trace = execute_plan(grid, grid.resolved_start(), plan, [])
+            trace = execute_plan(grid, grid.resolved_start(), plan, [], index)
         except UnreachableTargetError:
             continue
-        report = unsafe_report(grid, trace)
+        report = unsafe_report(grid, trace, index)
         assert report["unforced"] == 0
         assert report["count"] == report["forced"]
         checked += 1
@@ -254,7 +259,7 @@ def test_executed_traces_never_have_unforced_violations():
 
 def test_finite_trace_checked_as_park_forever():
     grid = parse_map(STRIP)
-    trace = execute_plan(grid, (0, 0), ["b"], [])
+    trace = execute_plan(grid, (0, 0), ["b"], [], index_of(grid))
     assert check_trace(to_buchi(parse_ltl("F b")), trace)
     assert check_trace(to_buchi(parse_ltl("F a")), trace)  # crossed a on the way
     assert not check_trace(to_buchi(parse_ltl("G F b & G F a")), trace)
@@ -262,12 +267,12 @@ def test_finite_trace_checked_as_park_forever():
 
 def test_cyclic_trace_checked_as_lasso():
     grid = parse_map(STRIP)
-    trace = execute_plan(grid, (2, 0), [], ["b", "a"], cycles=2)
+    trace = execute_plan(grid, (2, 0), [], ["b", "a"], index_of(grid), cycles=2)
     assert check_trace(to_buchi(parse_ltl("G F b & G F a")), trace)
     assert not check_trace(to_buchi(parse_ltl("G !a")), trace)
 
 
 def test_failed_goal_detected():
     grid = parse_map(STRIP)
-    trace = execute_plan(grid, (0, 0), ["a"], [])
+    trace = execute_plan(grid, (0, 0), ["a"], [], index_of(grid))
     assert not check_trace(to_buchi(parse_ltl("F b")), trace)

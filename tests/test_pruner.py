@@ -224,8 +224,9 @@ def test_empty_cleanup_strips_sentinel_then_deletes_bare_edges():
         initial=0,
     )
     report = PruneReport()
-    empty_cleanup(ts, report)
-    assert edge_labels(ts) == {(0, 1): frozenset({"a"}), (2, 0): frozenset({"a"})}
+    cleaned = empty_cleanup(ts, report)
+    assert edge_labels(cleaned) == {(0, 1): frozenset({"a"}), (2, 0): frozenset({"a"})}
+    assert cleaned.out_edges(1) == []
     assert (1, 2, "emptyCleanup") in report.removed_transitions
 
 

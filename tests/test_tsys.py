@@ -17,7 +17,6 @@ from ltlplan.tsys import (
     composite_symbol,
     generate_ts_labels,
     is_deterministic,
-    sort_symbols,
 )
 from conftest import labeled_ts_for
 
@@ -84,8 +83,9 @@ def test_composite_symbol_sorts_parts():
     assert composite_symbol(frozenset({"a"})) == "a"
 
 
-def test_sort_symbols_puts_empty_sentinel_last():
-    assert sort_symbols({EMPTY_LABEL, "b", "a"}) == ["a", "b", EMPTY_LABEL]
+def test_sorted_puts_empty_sentinel_last():
+    symbols = {EMPTY_LABEL, "b", "a", "b&square", "z", "Z", "_x", "a1", "z9"}
+    assert sorted(symbols)[-1] == EMPTY_LABEL
 
 
 # ---------------------------------------------------------------------------
