@@ -20,7 +20,7 @@ import sys
 import time
 from pathlib import Path
 
-from .gridworld import GridMap, MapParseError, cell_regions, extract_regions, parse_map
+from .gridworld import GridMap, MapParseError, extract_regions, parse_map
 from .ltl import LtlParseError, parse_ltl, to_buchi
 from .mvpolicy import (
     Trace,
@@ -95,7 +95,7 @@ def _parse_start(text: str) -> tuple[int, int]:
 
 
 def _abstract(grid: GridMap, mode: str):
-    """Labeled transition system plus the region decomposition behind it."""
+    """Labeled transition system plus the run's cell index."""
 
     def stage():
         regions, adjacency = extract_regions(grid)
@@ -103,9 +103,9 @@ def _abstract(grid: GridMap, mode: str):
             start_cell = grid.resolved_start()
         except MapParseError as exc:
             raise CliError(str(exc), EXIT_BAD_INPUT)
-        initial_region = cell_regions(regions)[start_cell]
-        ts = build_initial_ts(regions, adjacency, initial_region, mode)
-        return generate_ts_labels(ts), regions, start_cell
+        index = region_index(regions)
+        ts = build_initial_ts(regions, adjacency, index[start_cell][0], mode)
+        return generate_ts_labels(ts), index, start_cell
 
     return _timed("abstract", stage)
 
@@ -120,7 +120,7 @@ def _compile_formula(formula_text: str, alphabet: frozenset[str] | None):
 
 def _prepare_product(args):
     grid = _load_map(args)
-    labeled, regions, start_cell = _abstract(grid, args.mode)
+    labeled, index, start_cell = _abstract(grid, args.mode)
     pruned, report = _timed("prune", prune, labeled)
     aut = _compile_formula(args.ltl, grid.symbols())
     pa = _timed("product", build_product, pruned, aut)
@@ -130,7 +130,7 @@ def _prepare_product(args):
         for name, artifact in (("pruned", pruned), ("buchi", aut), ("product", pa)):
             _write_json(str(directory / f"{name}.json"), artifact.to_document())
             _write_text(str(directory / f"{name}.dot"), artifact.to_dot())
-    return grid, regions, start_cell, aut, pa
+    return grid, index, start_cell, aut, pa
 
 
 def _emit_prune_stages(directory: Path, labeled, report) -> None:
@@ -198,12 +198,11 @@ def cmd_plan(args) -> int:
 def cmd_run(args) -> int:
     if args.cycles < 1:
         raise CliError("--cycles must be at least 1", EXIT_BAD_INPUT)
-    grid, regions, start_cell, aut, pa = _prepare_product(args)
+    grid, index, start_cell, aut, pa = _prepare_product(args)
     plan = _timed("plan", find_plan, pa)
     if plan is None:
         print("no satisfying plan exists", file=sys.stderr)
         return EXIT_INFEASIBLE
-    index = region_index(regions)
     try:
         trace = _timed(
             "execute", execute_plan,
@@ -233,7 +232,7 @@ def cmd_check(args) -> int:
         if isinstance(doc, dict) and isinstance(doc.get("trace"), dict):
             doc = doc["trace"]
         trace = Trace.from_document(doc)
-    except (OSError, json.JSONDecodeError, KeyError, TypeError) as exc:
+    except (OSError, ValueError, KeyError, TypeError) as exc:
         raise CliError(f"cannot load trace: {exc}", EXIT_BAD_INPUT)
     index = region_index(extract_regions(grid)[0])
     if any(cell not in index for cell in trace.cells):

@@ -20,6 +20,9 @@ SYMBOL_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 ASCII_FREE = "."
 ASCII_OBSTACLE = "#"
 
+# Largest accepted width * height; every region pass walks all cells.
+MAX_CELLS = 1 << 20
+
 
 class MapParseError(ValueError):
     """Raised when a map document is malformed; carries row/col context."""
@@ -131,6 +134,7 @@ def _parse_ascii(text: str) -> GridMap:
     if not lines:
         raise MapParseError("empty map")
     width = len(lines[0])
+    _check_size(width, len(lines))
     labels: dict[Cell, frozenset[str]] = {}
     obstacles: set[Cell] = set()
     for y, line in enumerate(lines):
@@ -165,6 +169,7 @@ def _parse_structured(text: str) -> GridMap:
 def map_from_document(doc: dict) -> GridMap:
     width = _require_dim(doc, "width")
     height = _require_dim(doc, "height")
+    _check_size(width, height)
 
     obstacles: set[Cell] = set()
     for i, entry in enumerate(doc.get("obstacles", [])):
@@ -201,6 +206,11 @@ def _require_dim(doc: dict, key: str) -> int:
     if not isinstance(value, int) or isinstance(value, bool) or value <= 0:
         raise MapParseError(f"'{key}' must be a positive integer")
     return value
+
+
+def _check_size(width: int, height: int) -> None:
+    if width * height > MAX_CELLS:
+        raise MapParseError(f"map has {width * height} cells, more than the {MAX_CELLS} allowed")
 
 
 def _require_cell(entry, width: int, height: int, where: str) -> Cell:
@@ -280,19 +290,10 @@ def _flood_fill(
     return component
 
 
-def cell_regions(regions: list[Region]) -> dict[Cell, int]:
-    """Map each cell to the id of the region containing it."""
-    out: dict[Cell, int] = {}
-    for region in regions:
-        for cell in region.cells:
-            out[cell] = region.id
-    return out
-
-
-def bfs_hops(adjacency: dict[int, tuple[int, ...]], source: int) -> dict[int, int]:
-    """Hop count from ``source`` to every reachable node."""
-    dist = {source: 0}
-    queue = deque([source])
+def bfs_hops(adjacency: dict[int, tuple[int, ...]], sources: list[int]) -> dict[int, int]:
+    """Hop count from the nearest of ``sources`` to every reachable node."""
+    dist = dict.fromkeys(sources, 0)
+    queue = deque(dist)
     while queue:
         node = queue.popleft()
         for nxt in adjacency.get(node, ()):

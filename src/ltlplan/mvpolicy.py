@@ -16,7 +16,7 @@ import heapq
 from dataclasses import dataclass, field
 
 from .gridworld import Cell, GridMap, Region
-from .ltl import BuchiAutomaton, LabelSet, accepts_lasso, empty_word_accepting_states
+from .ltl import BuchiAutomaton, LabelSet, accepts_lasso
 
 
 class UnreachableTargetError(ValueError):
@@ -172,23 +172,37 @@ class Trace:
 
     @classmethod
     def from_document(cls, doc: dict) -> "Trace":
+        """Rebuild a trace; raises ``ValueError`` on malformed counts."""
+        segments = [
+            TraceSegment(
+                symbol=seg["policy"],
+                start=_require_count(seg, "start_index"),
+                end=_require_count(seg, "end_index"),
+                forced_violations=_require_count(seg, "forced_violations"),
+            )
+            for seg in doc["segments"]
+        ]
+        cycle_length = _require_count(doc, "cycle_length")
+        if cycle_length > len(segments):
+            raise ValueError(
+                f"'cycle_length' {cycle_length} exceeds the {len(segments)} segments"
+            )
         return cls(
             cells=[(cell["x"], cell["y"]) for cell in doc["cells"]],
             word=[frozenset(letter) for letter in doc["word"]],
             word_cells=list(doc["word_cells"]),
-            segments=[
-                TraceSegment(
-                    symbol=seg["policy"],
-                    start=seg["start_index"],
-                    end=seg["end_index"],
-                    forced_violations=seg["forced_violations"],
-                )
-                for seg in doc["segments"]
-            ],
-            prefix_segments=doc["prefix_segments"],
-            cycle_length=doc["cycle_length"],
-            cycles=doc["cycles"],
+            segments=segments,
+            prefix_segments=_require_count(doc, "prefix_segments"),
+            cycle_length=cycle_length,
+            cycles=_require_count(doc, "cycles"),
         )
+
+
+def _require_count(doc: dict, key: str) -> int:
+    value = doc[key]
+    if not isinstance(value, int) or isinstance(value, bool) or value < 0:
+        raise ValueError(f"{key!r} must be a non-negative integer, got {value!r}")
+    return value
 
 
 def trace_word(cells: list[Cell], index: CellIndex) -> tuple[list[LabelSet], list[int]]:
@@ -326,9 +340,8 @@ def check_trace(aut: BuchiAutomaton, trace: Trace) -> bool:
 
     Cyclic traces are checked as lassos whose period is the word emitted
     by the last executed cycle repetition.  Finite traces (empty plan
-    cycle) model the robot parking forever: the word is extended with
-    empty label sets, so acceptance asks whether some run over the word
-    can continue to acceptance while no further task completions occur.
+    cycle) model the robot parking forever: the word is checked as the
+    lasso ``word . {}^ω``, with no further task completions.
     """
     if trace.cycle_length and trace.cycles:
         rep_segments = trace.segments[-trace.cycle_length:]
@@ -341,18 +354,4 @@ def check_trace(aut: BuchiAutomaton, trace: Trace) -> bool:
         if cycle_letters:
             split = len(trace.word) - len(cycle_letters)
             return accepts_lasso(aut, trace.word[:split], cycle_letters)
-    return _accepts_then_idles(aut, trace.word)
-
-
-def _accepts_then_idles(aut: BuchiAutomaton, word: list[LabelSet]) -> bool:
-    current = {aut.initial}
-    for letter in word:
-        current = {
-            dst
-            for state in current
-            for (dst, guard) in aut.successors(state)
-            if guard.satisfied_by(letter)
-        }
-        if not current:
-            return False
-    return bool(current & empty_word_accepting_states(aut))
+    return accepts_lasso(aut, trace.word, [frozenset()])

@@ -77,16 +77,18 @@ class PruneReport:
         })
 
 
-def prune(
-    ts: TransitionSystem, alphabet: frozenset[str] | None = None
-) -> tuple[TransitionSystem, PruneReport]:
+def prune(ts: TransitionSystem) -> tuple[TransitionSystem, PruneReport]:
     """Run all reduction passes; returns the reduced system and its report."""
     report = PruneReport()
     out = case1_merge_equivalent(ts, report)
-    graph = out.graph()
-    hops = {state: bfs_hops(graph, state) for state in out.order}
+    completers: dict[str, list[int]] = {}
     for state in out.order:
-        case2_disambiguate(out, state, hops, report, alphabet)
+        for symbol in out.task_symbols_of_state(state):
+            completers.setdefault(symbol, []).append(state)
+    graph = out.graph()
+    distance_to = {symbol: bfs_hops(graph, sources) for symbol, sources in completers.items()}
+    for state in out.order:
+        case2_disambiguate(out, state, distance_to, report)
         case3_remove_ineffectual(out, state, report)
     out = empty_cleanup(out, report)
     report.unreachable_states = _unreachable_states(out)
@@ -158,25 +160,25 @@ def _apply_quotient(ts: TransitionSystem, mapping: dict[int, int]) -> Transition
 def case2_disambiguate(
     ts: TransitionSystem,
     state: int,
-    hops: dict[int, dict[int, int]],
+    distance_to: dict[str, dict[int, int]],
     report: PruneReport,
-    alphabet: frozenset[str] | None = None,
 ) -> None:
-    """Keep each shared symbol only on the transition nearest to completing it."""
-    out_edges = ts.out_edges(state)
+    """Keep each shared symbol only on the transition nearest to completing it.
+
+    ``distance_to[symbol]`` maps each state to its hop count to the
+    nearest state completing ``symbol``; missing entries are unreachable.
+    """
     carriers: dict[str, list[tuple[int, int]]] = {}
-    for edge in out_edges:
+    for edge in ts.out_edges(state):
         for symbol in ts.transitions[edge]:
-            if symbol == EMPTY_LABEL:
-                continue
-            if alphabet is not None and symbol not in alphabet:
-                continue
-            carriers.setdefault(symbol, []).append(edge)
+            if symbol != EMPTY_LABEL:
+                carriers.setdefault(symbol, []).append(edge)
     for symbol in sorted(carriers):
         edges = carriers[symbol]
         if len(edges) < 2:
             continue
-        scores = [_symbol_distance(ts, hops, edge[1], symbol) for edge in edges]
+        dist = distance_to.get(symbol, {})
+        scores = [dist.get(end, float("inf")) for (_, end) in edges]
         best = min(scores)
         if scores.count(best) == 1:
             keeper = edges[scores.index(best)]
@@ -186,20 +188,6 @@ def case2_disambiguate(
         for (src, dst) in removals:
             ts.transitions[(src, dst)].discard(symbol)
             report.removed_symbols.append((src, dst, symbol, CASE2))
-
-
-def _symbol_distance(
-    ts: TransitionSystem, hops: dict[int, dict[int, int]], end: int, symbol: str
-) -> float:
-    """Hops from ``end`` to the nearest state completing ``symbol``."""
-    if symbol in ts.task_symbols_of_state(end):
-        return 0
-    dist = hops[end]
-    best = float("inf")
-    for x in ts.order:
-        if symbol in ts.task_symbols_of_state(x):
-            best = min(best, dist.get(x, float("inf")))
-    return best
 
 
 def case3_remove_ineffectual(

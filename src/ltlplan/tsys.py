@@ -187,10 +187,7 @@ def build_initial_ts(
     return TransitionSystem(order, labels, transitions, initial_region, mode)
 
 
-def generate_ts_labels(
-    ts: TransitionSystem,
-    hop_distances: dict[int, dict[int, int]] | None = None,
-) -> TransitionSystem:
+def generate_ts_labels(ts: TransitionSystem) -> TransitionSystem:
     """Label every transition with the tasks it makes progress toward.
 
     A state ``x`` contributes its task symbols (or the empty-label
@@ -198,20 +195,13 @@ def generate_ts_labels(
     the crossing strictly reduces the hop distance to ``x``.
     """
     graph = ts.graph()
-    if hop_distances is None:
-        hop_distances = {state: bfs_hops(graph, state) for state in ts.order}
     labeled = ts.copy()
-    inf = float("inf")
-    for (start, end), symbols in labeled.transitions.items():
-        d_start = hop_distances[start]
-        d_end = hop_distances[end]
-        for x in labeled.order:
-            if d_start.get(x, inf) > d_end.get(x, inf):
-                contributed = labeled.task_symbols_of_state(x)
-                if contributed:
-                    symbols |= contributed
-                else:
-                    symbols.add(EMPTY_LABEL)
+    for x in labeled.order:
+        dist = bfs_hops(graph, [x])
+        contributed = labeled.task_symbols_of_state(x) or {EMPTY_LABEL}
+        for (start, end), symbols in labeled.transitions.items():
+            if start in dist and dist[start] > dist[end]:
+                symbols |= contributed
     return labeled
 
 

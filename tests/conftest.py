@@ -9,7 +9,8 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from ltlplan.gridworld import cell_regions, extract_regions, parse_map
+from ltlplan.gridworld import extract_regions, parse_map
+from ltlplan.mvpolicy import region_index
 from ltlplan.tsys import COMPOSITE, PRIMITIVE, build_initial_ts, generate_ts_labels
 
 REPO = Path(__file__).resolve().parent.parent
@@ -41,7 +42,7 @@ def obstacle_course_grid():
 
 def labeled_ts_for(grid, mode=PRIMITIVE):
     regions, adjacency = extract_regions(grid)
-    initial = cell_regions(regions)[grid.resolved_start()]
+    initial = region_index(regions)[grid.resolved_start()][0]
     return generate_ts_labels(build_initial_ts(regions, adjacency, initial, mode))
 
 

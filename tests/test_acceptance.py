@@ -21,7 +21,7 @@ from envgen import (
     random_product,
     sea_with_islands,
 )
-from ltlplan.gridworld import cell_regions, extract_regions, parse_map
+from ltlplan.gridworld import extract_regions, parse_map
 from ltlplan.ltl import accepts_lasso, eval_ltl_on_lasso, parse_ltl, to_buchi, to_text
 from ltlplan.mvpolicy import (
     PolicySpec,
@@ -47,7 +47,7 @@ from conftest import labeled_ts_for
 def pipeline(grid, mode):
     """labeled system, pruned system, and prune report for a map."""
     regions, adjacency = extract_regions(grid)
-    initial = cell_regions(regions)[grid.resolved_start()]
+    initial = region_index(regions)[grid.resolved_start()][0]
     labeled = generate_ts_labels(build_initial_ts(regions, adjacency, initial, mode))
     pruned, report = prune(labeled)
     return labeled, pruned, report

@@ -169,6 +169,17 @@ def test_malformed_map_exits_2(tmp_path):
     assert main(["abstract", "--map", str(bad)]) == 2
 
 
+def test_oversized_map_exits_2(monkeypatch, tmp_path):
+    def walk_cells(grid):
+        raise AssertionError("an oversized map reached region extraction")
+
+    # Without the cap, extraction would walk all 10^18 declared cells.
+    monkeypatch.setattr(cli, "extract_regions", walk_cells)
+    huge = tmp_path / "huge.json"
+    huge.write_text(json.dumps({"width": 1000000000, "height": 1000000000}))
+    assert main(["abstract", "--map", str(huge)]) == 2
+
+
 def test_bad_start_overrides_exit_2():
     assert main(["plan", "--map", RING, "--ltl", "F c", "--start", "banana"]) == 2
     assert main(["plan", "--map", RING, "--ltl", "F c", "--start", "99,99"]) == 2
@@ -255,6 +266,26 @@ def test_check_rejects_offmap_trace(tmp_path):
     assert main(
         ["check", "--map", OPEN_ROOM, "--ltl", "F square", "--trace", str(bogus)]
     ) == 2
+
+
+@pytest.mark.parametrize(
+    "fields",
+    [{"cycle_length": "x"}, {"cycle_length": 2, "segments": []}],
+    ids=["non-integer-cycle-length", "cycle-longer-than-segments"],
+)
+def test_check_malformed_trace_exits_2(tmp_path, fields):
+    run_out = tmp_path / "run.json"
+    main(
+        [
+            "run", "--map", RING, "--ltl", "G F c", "--cycles", "1",
+            "--out", str(run_out),
+        ]
+    )
+    doc = read_json(run_out)["trace"]
+    assert doc["cycles"] == 1
+    bogus = tmp_path / "trace.json"
+    bogus.write_text(json.dumps({**doc, **fields}))
+    assert main(["check", "--map", RING, "--ltl", "G F c", "--trace", str(bogus)]) == 2
 
 
 # ---------------------------------------------------------------------------

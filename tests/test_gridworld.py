@@ -9,21 +9,22 @@ import pytest
 
 from envgen import floyd_warshall_hops, harsh_map, sea_with_islands
 from ltlplan.gridworld import (
+    MAX_CELLS,
     GridMap,
     MapParseError,
     bfs_hops,
-    cell_regions,
     extract_regions,
     map_from_document,
     parse_map,
 )
+from ltlplan.mvpolicy import region_index
 
 
 def hop_distance(adjacency: dict[int, tuple[int, ...]], s1: int, s2: int) -> int | None:
     """Fewest hops between two nodes, or None when unreachable."""
     if s1 == s2:
         return 0
-    return bfs_hops(adjacency, s1).get(s2)
+    return bfs_hops(adjacency, [s1]).get(s2)
 
 
 # ---------------------------------------------------------------------------
@@ -77,6 +78,15 @@ def test_parse_json_validates_cells():
                 "obstacles": [{"x": 0, "y": 0}],
             }
         )
+
+
+def test_declared_map_size_is_capped():
+    # The cap is checked before any cell is visited or stored.
+    assert map_from_document({"width": MAX_CELLS, "height": 1}).width == MAX_CELLS
+    with pytest.raises(MapParseError, match="cells"):
+        map_from_document({"width": MAX_CELLS + 1, "height": 1})
+    with pytest.raises(MapParseError, match="cells"):
+        parse_map("." * (MAX_CELLS + 1))
 
 
 def test_parse_json_duplicate_cell_rejected():
@@ -175,7 +185,7 @@ def test_regions_are_connected_and_maximal():
         if grid is None:
             continue
         regions, _ = extract_regions(grid)
-        of_cell = cell_regions(regions)
+        index = region_index(regions)
         for region in regions:
             frontier = [next(iter(region.cells))]
             seen = {frontier[0]}
@@ -188,7 +198,7 @@ def test_regions_are_connected_and_maximal():
             assert seen == region.cells
             for cell in region.cells:
                 for nb in grid.neighbors4(cell):
-                    if of_cell[nb] != region.id:
+                    if index[nb][0] != region.id:
                         assert grid.label_at(nb) != region.label
 
 
@@ -206,17 +216,23 @@ def test_ring_map_hop_distances(ring_grid):
 
 def test_hop_distance_matches_reference_all_pairs():
     rng = random.Random(13)
+    graphs = []
     for _ in range(20):
-        grid = sea_with_islands(rng, max_side=9)
-        regions, adjacency = extract_regions(grid)
+        graphs.append(extract_regions(sea_with_islands(rng, max_side=9)))
+        grid = harsh_map(rng, max_side=9)
+        if grid is not None:
+            graphs.append(extract_regions(grid))
+    for regions, adjacency in graphs:
         order = [r.id for r in regions]
         reference = floyd_warshall_hops(order, adjacency)
-        for a in order:
-            hops = bfs_hops(adjacency, a)
+        source_sets = [[a] for a in order]
+        source_sets += [rng.sample(order, rng.randint(1, len(order))) for _ in range(5)]
+        source_sets.append([])
+        for sources in source_sets:
+            hops = bfs_hops(adjacency, sources)
             for b in order:
-                want = reference[(a, b)]
-                got = hops.get(b)
-                assert (got if got is not None else float("inf")) == want
+                want = min((reference[(a, b)] for a in sources), default=float("inf"))
+                assert hops.get(b, float("inf")) == want, (sources, b)
 
 
 def test_hop_distance_symmetry_and_triangle():

@@ -6,9 +6,9 @@ import random
 
 import pytest
 
-from envgen import harsh_map, oracle_mv_cost
+from envgen import harsh_map, oracle_mv_cost, random_formula
 from ltlplan.gridworld import extract_regions, parse_map
-from ltlplan.ltl import parse_ltl, to_buchi
+from ltlplan.ltl import eval_ltl_on_lasso, parse_ltl, to_buchi, to_text
 from ltlplan.mvpolicy import (
     PolicySpec,
     Trace,
@@ -276,3 +276,28 @@ def test_failed_goal_detected():
     grid = parse_map(STRIP)
     trace = execute_plan(grid, (0, 0), ["a"], [], index_of(grid))
     assert not check_trace(to_buchi(parse_ltl("F b")), trace)
+
+
+def test_finite_trace_check_matches_semantic_evaluator():
+    # A parked trace means the lasso word . {}^ω.
+    rng = random.Random(63)
+    verdicts = []
+    while len(verdicts) < 150:
+        grid = harsh_map(rng, max_side=8)
+        if grid is None:
+            continue
+        index = index_of(grid)
+        symbols = sorted({s for (_, labels) in index.values() for s in labels})
+        if not symbols:
+            continue
+        plan = [rng.choice(symbols) for _ in range(rng.randint(1, 3))]
+        try:
+            trace = execute_plan(grid, grid.resolved_start(), plan, [], index)
+        except UnreachableTargetError:
+            continue
+        for _ in range(5):
+            formula = random_formula(rng, rng.randint(1, 6), symbols)
+            want = eval_ltl_on_lasso(formula, trace.word, [frozenset()])
+            assert check_trace(to_buchi(formula), trace) is want, (to_text(formula), trace.word)
+            verdicts.append(want)
+    assert True in verdicts and False in verdicts

@@ -14,8 +14,9 @@ from envgen import (
     random_product,
     sea_with_islands,
 )
-from ltlplan.gridworld import cell_regions, extract_regions
+from ltlplan.gridworld import extract_regions
 from ltlplan.ltl import parse_ltl, to_buchi
+from ltlplan.mvpolicy import region_index
 from ltlplan.product import build_product, find_plan
 from ltlplan.pruner import prune
 from ltlplan.tsys import COMPOSITE, PRIMITIVE, build_initial_ts, generate_ts_labels
@@ -24,7 +25,7 @@ from conftest import labeled_ts_for
 
 def pruned_system(grid, mode):
     regions, adjacency = extract_regions(grid)
-    initial = cell_regions(regions)[grid.resolved_start()]
+    initial = region_index(regions)[grid.resolved_start()][0]
     labeled = generate_ts_labels(build_initial_ts(regions, adjacency, initial, mode))
     return prune(labeled)[0]
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 import random
 
 from envgen import harsh_map, sea_with_islands
-from ltlplan.gridworld import bfs_hops, cell_regions, extract_regions
+from ltlplan.gridworld import bfs_hops
 from ltlplan.pruner import (
     ALL_CASES,
     PruneReport,
@@ -22,6 +22,16 @@ from conftest import labeled_ts_for
 
 def edge_labels(ts: TransitionSystem) -> dict[tuple[int, int], frozenset[str]]:
     return {edge: frozenset(syms) for edge, syms in ts.transitions.items()}
+
+
+def distances_to_symbols(ts: TransitionSystem) -> dict[str, dict[int, int]]:
+    """Hops from every state to the nearest completer of each symbol."""
+    return {
+        symbol: bfs_hops(
+            ts.graph(), [s for s in ts.order if symbol in ts.task_symbols_of_state(s)]
+        )
+        for symbol in ts.alphabet()
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -184,14 +194,14 @@ def test_disambiguation_result_independent_of_state_order(ring_ts):
     rng = random.Random(34)
     for _ in range(10):
         scratch = case1_merge_equivalent(ring_ts.copy(), PruneReport())
-        hops = {state: bfs_hops(scratch.graph(), state) for state in scratch.order}
+        distance_to = distances_to_symbols(scratch)
         order2 = list(scratch.order)
         order3 = list(scratch.order)
         rng.shuffle(order2)
         rng.shuffle(order3)
         spare = PruneReport()
         for state in order2:
-            case2_disambiguate(scratch, state, hops, spare)
+            case2_disambiguate(scratch, state, distance_to, spare)
         for state in order3:
             case3_remove_ineffectual(scratch, state, spare)
         assert edge_labels(scratch) == edge_labels(reference)
@@ -238,25 +248,11 @@ def test_case2_tie_deletes_symbol_from_all_carriers():
         transitions={(0, 1): {"a"}, (0, 2): {"a"}, (1, 0): set(), (2, 0): set()},
         initial=0,
     )
-    hops = {state: bfs_hops(ts.graph(), state) for state in ts.order}
     report = PruneReport()
-    case2_disambiguate(ts, 0, hops, report)
+    case2_disambiguate(ts, 0, distances_to_symbols(ts), report)
     assert ts.transitions[(0, 1)] == set()
     assert ts.transitions[(0, 2)] == set()
     assert len(report.removed_symbols) == 2
-
-
-def test_case2_restricted_to_requested_alphabet():
-    ts = TransitionSystem(
-        order=[0, 1, 2],
-        labels={0: frozenset(), 1: frozenset({"a"}), 2: frozenset({"a"})},
-        transitions={(0, 1): {"a"}, (0, 2): {"a"}, (1, 0): set(), (2, 0): set()},
-        initial=0,
-    )
-    hops = {state: bfs_hops(ts.graph(), state) for state in ts.order}
-    case2_disambiguate(ts, 0, hops, PruneReport(), alphabet=frozenset({"b"}))
-    assert ts.transitions[(0, 1)] == {"a"}
-    assert ts.transitions[(0, 2)] == {"a"}
 
 
 def test_drop_unreachable_removes_orphan_states(ring_ts):

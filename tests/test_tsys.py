@@ -7,7 +7,8 @@ import random
 import pytest
 
 from envgen import floyd_warshall_hops, harsh_map, sea_with_islands
-from ltlplan.gridworld import cell_regions, extract_regions
+from ltlplan.gridworld import extract_regions
+from ltlplan.mvpolicy import region_index
 from ltlplan.tsys import (
     COMPOSITE,
     EMPTY_LABEL,
@@ -102,7 +103,7 @@ def test_labels_match_independent_hop_derivation():
     for _ in range(30):
         grid = sea_with_islands(rng, max_side=10)
         regions, adjacency = extract_regions(grid)
-        initial = cell_regions(regions)[grid.resolved_start()]
+        initial = region_index(regions)[grid.resolved_start()][0]
         bare = build_initial_ts(regions, adjacency, initial, PRIMITIVE)
         labeled = generate_ts_labels(bare)
         order = [r.id for r in regions]
@@ -118,7 +119,7 @@ def test_labels_match_independent_hop_derivation():
 
 def test_labeling_preserves_structure(ring_grid):
     regions, adjacency = extract_regions(ring_grid)
-    initial = cell_regions(regions)[ring_grid.resolved_start()]
+    initial = region_index(regions)[ring_grid.resolved_start()][0]
     bare = build_initial_ts(regions, adjacency, initial)
     labeled = generate_ts_labels(bare)
     assert labeled.order == bare.order
@@ -214,7 +215,7 @@ def test_harsh_maps_label_deterministically():
         if grid is None:
             continue
         regions, adjacency = extract_regions(grid)
-        initial = cell_regions(regions)[grid.resolved_start()]
+        initial = region_index(regions)[grid.resolved_start()][0]
         for mode in (PRIMITIVE, COMPOSITE):
             once = generate_ts_labels(build_initial_ts(regions, adjacency, initial, mode))
             twice = generate_ts_labels(build_initial_ts(regions, adjacency, initial, mode))
