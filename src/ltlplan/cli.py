@@ -211,7 +211,7 @@ def cmd_run(args) -> int:
     except UnreachableTargetError as exc:
         print(f"execution failed: {exc}", file=sys.stderr)
         return EXIT_UNREACHABLE
-    report = unsafe_report(grid, trace, index)
+    report = unsafe_report(trace)
     satisfied = _timed("check", check_trace, aut, trace)
     _write_json(
         args.out,

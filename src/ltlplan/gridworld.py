@@ -172,12 +172,12 @@ def map_from_document(doc: dict) -> GridMap:
     _check_size(width, height)
 
     obstacles: set[Cell] = set()
-    for i, entry in enumerate(doc.get("obstacles", [])):
+    for i, entry in enumerate(_require_list(doc, "obstacles")):
         cell = _require_cell(entry, width, height, f"obstacles[{i}]")
         obstacles.add(cell)
 
     labels: dict[Cell, frozenset[str]] = {}
-    for i, entry in enumerate(doc.get("cells", [])):
+    for i, entry in enumerate(_require_list(doc, "cells")):
         where = f"cells[{i}]"
         cell = _require_cell(entry, width, height, where)
         if cell in obstacles:
@@ -205,6 +205,13 @@ def _require_dim(doc: dict, key: str) -> int:
     value = doc.get(key)
     if not isinstance(value, int) or isinstance(value, bool) or value <= 0:
         raise MapParseError(f"'{key}' must be a positive integer")
+    return value
+
+
+def _require_list(doc: dict, key: str) -> list:
+    value = doc.get(key, [])
+    if not isinstance(value, list):
+        raise MapParseError(f"'{key}' must be a list")
     return value
 
 

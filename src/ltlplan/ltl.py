@@ -600,22 +600,20 @@ def accepts_lasso(aut: BuchiAutomaton, prefix, cycle) -> bool:
                 reachable.add(nxt)
                 queue.append(nxt)
 
-    candidates = [n for n in reachable if n[0] in aut.accepting]
-    for cand in candidates:
-        seen = set(succ(cand))
-        queue = deque(seen)
-        if cand in seen:
-            return True
-        while queue:
-            node = queue.popleft()
-            if node == cand:
+    return any(n[0] in aut.accepting and _on_cycle(n, succ) for n in reachable)
+
+
+def _on_cycle(node, succ) -> bool:
+    """Whether a non-empty path of ``succ`` edges leads from ``node`` back to it."""
+    seen = set()
+    queue = deque([node])
+    while queue:
+        for nxt in succ(queue.popleft()):
+            if nxt == node:
                 return True
-            for nxt in succ(node):
-                if nxt == cand:
-                    return True
-                if nxt not in seen:
-                    seen.add(nxt)
-                    queue.append(nxt)
+            if nxt not in seen:
+                seen.add(nxt)
+                queue.append(nxt)
     return False
 
 
@@ -627,23 +625,7 @@ def empty_word_accepting_states(aut: BuchiAutomaton) -> frozenset[str]:
         if guard.satisfied_by(empty):
             adj[src].append(dst)
 
-    good = set()
-    for state in aut.order:
-        if state not in aut.accepting:
-            continue
-        seen: set[str] = set()
-        queue = deque(adj[state])
-        while queue:
-            node = queue.popleft()
-            if node == state:
-                good.add(state)
-                queue.clear()
-                break
-            if node not in seen:
-                seen.add(node)
-                queue.extend(adj[node])
-
-    result = set(good)
+    result = {s for s in aut.order if s in aut.accepting and _on_cycle(s, adj.__getitem__)}
     changed = True
     while changed:
         changed = False

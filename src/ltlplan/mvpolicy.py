@@ -112,23 +112,6 @@ def mv_path(grid: GridMap, start: Cell, policy: PolicySpec, index: CellIndex) ->
     raise UnreachableTargetError(f"no reachable region satisfies policy {policy.symbol!r}")
 
 
-def first_region_change(
-    grid: GridMap, start: Cell, policy: PolicySpec, index: CellIndex
-) -> int | None:
-    """Region id of the first boundary crossed by the policy's path.
-
-    Returns ``None`` when the start region already satisfies the policy
-    (the path never leaves it).
-    """
-    path = mv_path(grid, start, policy, index)
-    start_region = index[start][0]
-    for cell in path[1:]:
-        region = index[cell][0]
-        if region != start_region:
-            return region
-    return None
-
-
 @dataclass
 class TraceSegment:
     """One executed policy: the slice of the trace it produced."""
@@ -172,7 +155,8 @@ class Trace:
 
     @classmethod
     def from_document(cls, doc: dict) -> "Trace":
-        """Rebuild a trace; raises ``ValueError`` on malformed counts."""
+        """Rebuild a trace; raises ``ValueError`` on malformed counts or bounds."""
+        cells = [(_require_count(cell, "x"), _require_count(cell, "y")) for cell in doc["cells"]]
         segments = [
             TraceSegment(
                 symbol=seg["policy"],
@@ -182,13 +166,18 @@ class Trace:
             )
             for seg in doc["segments"]
         ]
+        for seg in segments:
+            if not seg.start <= seg.end < len(cells):
+                raise ValueError(
+                    f"segment [{seg.start}, {seg.end}] lies outside the {len(cells)} cells"
+                )
         cycle_length = _require_count(doc, "cycle_length")
         if cycle_length > len(segments):
             raise ValueError(
                 f"'cycle_length' {cycle_length} exceeds the {len(segments)} segments"
             )
         return cls(
-            cells=[(cell["x"], cell["y"]) for cell in doc["cells"]],
+            cells=cells,
             word=[frozenset(letter) for letter in doc["word"]],
             word_cells=list(doc["word_cells"]),
             segments=segments,
@@ -282,21 +271,18 @@ def _count_violations(index: CellIndex, path: list[Cell], policy: PolicySpec) ->
     return count
 
 
-def unsafe_report(grid: GridMap, trace: Trace, index: CellIndex) -> dict:
+def unsafe_report(trace: Trace) -> dict:
     """Count label entries that violate their segment's policy.
 
     Each segment's terminal region entry (the task being completed) is
-    exempt.  ``forced`` sums the minimum violations any path could have
-    achieved per segment, recomputed from the segment's start cell;
+    exempt.  ``forced`` sums the per-segment minimum over all paths that
+    ``execute_plan`` records as each segment's ``forced_violations``;
     ``unforced`` is whatever the trace incurred beyond that (zero for
     traces produced by ``execute_plan``).
     """
     entries: list[dict] = []
-    count = 0
-    forced_total = 0
     for seg_idx, seg in enumerate(trace.segments):
         policy = PolicySpec.from_symbol(seg.symbol)
-        forced_total += _forced_violations(grid, trace, seg, policy, index)
         in_segment = [
             (letter, cell_idx)
             for letter, cell_idx in zip(trace.word, trace.word_cells)
@@ -304,7 +290,6 @@ def unsafe_report(grid: GridMap, trace: Trace, index: CellIndex) -> dict:
         ]
         for letter, cell_idx in in_segment[:-1]:
             if letter and not policy.satisfied_by(letter):
-                count += 1
                 entries.append(
                     {
                         "segment": seg_idx,
@@ -313,26 +298,13 @@ def unsafe_report(grid: GridMap, trace: Trace, index: CellIndex) -> dict:
                         "labels": sorted(letter),
                     }
                 )
+    forced = sum(seg.forced_violations for seg in trace.segments)
     return {
-        "count": count,
-        "forced": forced_total,
-        "unforced": max(0, count - forced_total),
+        "count": len(entries),
+        "forced": forced,
+        "unforced": max(0, len(entries) - forced),
         "entries": entries,
     }
-
-
-def _forced_violations(
-    grid: GridMap,
-    trace: Trace,
-    seg: TraceSegment,
-    policy: PolicySpec,
-    index: CellIndex,
-) -> int:
-    try:
-        optimal = mv_path(grid, trace.cells[seg.start], policy, index)
-    except UnreachableTargetError:
-        return seg.forced_violations
-    return _count_violations(index, optimal, policy)
 
 
 def check_trace(aut: BuchiAutomaton, trace: Trace) -> bool:

@@ -63,9 +63,6 @@ class TransitionSystem:
         for targets in self._successors.values():
             targets.sort(key=position.__getitem__)
 
-    def states(self) -> list[int]:
-        return list(self.order)
-
     def state_name(self, state: int) -> str:
         return f"q{state}"
 

@@ -13,6 +13,7 @@ from collections import deque
 
 from ltlplan.gridworld import GridMap, extract_regions
 from ltlplan.ltl import And, Atom, Eventually, Always, NotAtom, Or, Top, Until
+from ltlplan.mvpolicy import mv_path
 from ltlplan.product import PAState, ProductAutomaton
 
 ATOMS = ["a", "b", "c"]
@@ -182,6 +183,23 @@ def oracle_mv_cost(grid: GridMap, start, policy, index, max_violations: int = 60
                 if policy.satisfied_by(nlabels):
                     return (nused, depth[nstate])
                 queue.append(nstate)
+    return None
+
+
+def first_region_change(grid: GridMap, start, policy, index) -> int | None:
+    """Region id of the first boundary the executor's ``mv_path`` crosses.
+
+    Unlike the oracles above this reads the executor itself: it answers
+    which region a policy really enters first, for checking the abstract
+    transitions against.  ``None`` when the start region already satisfies
+    the policy (the path never leaves it).
+    """
+    path = mv_path(grid, start, policy, index)
+    start_region = index[start][0]
+    for cell in path[1:]:
+        region = index[cell][0]
+        if region != start_region:
+            return region
     return None
 
 

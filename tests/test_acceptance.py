@@ -16,6 +16,7 @@ import ltlplan.cli as cli
 from envgen import (
     ATOMS,
     brute_min_lasso,
+    first_region_change,
     random_formula,
     random_lasso,
     random_product,
@@ -26,7 +27,6 @@ from ltlplan.ltl import accepts_lasso, eval_ltl_on_lasso, parse_ltl, to_buchi, t
 from ltlplan.mvpolicy import (
     PolicySpec,
     execute_plan,
-    first_region_change,
     region_index,
     unsafe_report,
     check_trace,
@@ -204,7 +204,7 @@ def test_criterion_6__open_room_single_goal_case_study(open_room_grid):
         open_room_grid, open_room_grid.resolved_start(), plan.prefix, plan.cycle, index
     )
     assert check_trace(aut, trace)
-    assert unsafe_report(open_room_grid, trace, index)["count"] == 0
+    assert unsafe_report(trace)["count"] == 0
 
 
 def test_criterion_7__obstacle_course_two_goal_case_study(obstacle_course_grid):
@@ -221,7 +221,7 @@ def test_criterion_7__obstacle_course_two_goal_case_study(obstacle_course_grid):
     index = region_index(extract_regions(grid)[0])
     trace = execute_plan(grid, grid.resolved_start(), plan.prefix, plan.cycle, index)
     assert check_trace(aut, trace)
-    assert unsafe_report(grid, trace, index)["count"] == 0
+    assert unsafe_report(trace)["count"] == 0
 
     # The first policy must go around the center block without clipping
     # any labeled region other than its own target.

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import ltlplan.cli as cli
+import ltlplan.mvpolicy as mvpolicy
 from ltlplan.cli import main
 from ltlplan.mvpolicy import UnreachableTargetError
 
@@ -169,6 +170,14 @@ def test_malformed_map_exits_2(tmp_path):
     assert main(["abstract", "--map", str(bad)]) == 2
 
 
+@pytest.mark.parametrize("key", ["cells", "obstacles"])
+@pytest.mark.parametrize("value", [5, None, ""], ids=["number", "null", "string"])
+def test_non_list_map_entries_exit_2(tmp_path, key, value):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"width": 3, "height": 1, key: value}))
+    assert main(["abstract", "--map", str(bad)]) == 2
+
+
 def test_oversized_map_exits_2(monkeypatch, tmp_path):
     def walk_cells(grid):
         raise AssertionError("an oversized map reached region extraction")
@@ -203,6 +212,30 @@ def test_unreachable_execution_exits_4(monkeypatch, tmp_path):
     )
     assert code == 4
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--map", OBSTACLE_COURSE, "--mode", "composite", "--ltl", "F (b & !square) & F p"],
+        ["--map", RING, "--ltl", "G F a & G F c", "--cycles", "2"],
+    ],
+    ids=["obstacle-course", "ring-cycles-2"],
+)
+def test_run_searches_each_policy_once(monkeypatch, tmp_path, argv):
+    calls = []
+    search = mvpolicy.mv_path
+
+    def counted(*args):
+        calls.append(args)
+        return search(*args)
+
+    monkeypatch.setattr(mvpolicy, "mv_path", counted)
+    out = tmp_path / "run.json"
+    assert main(["run", *argv, "--out", str(out)]) == 0
+    segments = read_json(out)["trace"]["segments"]
+    assert len(segments) >= 3
+    assert len(calls) == len(segments)
 
 
 # ---------------------------------------------------------------------------
@@ -270,8 +303,22 @@ def test_check_rejects_offmap_trace(tmp_path):
 
 @pytest.mark.parametrize(
     "fields",
-    [{"cycle_length": "x"}, {"cycle_length": 2, "segments": []}],
-    ids=["non-integer-cycle-length", "cycle-longer-than-segments"],
+    [
+        lambda doc: {"cycle_length": "x"},
+        lambda doc: {"cycle_length": 2, "segments": []},
+        lambda doc: {"cells": [{"x": [4], "y": 0}, *doc["cells"][1:]]},
+        lambda doc: {"cells": [{"x": 4.0, "y": 0}, *doc["cells"][1:]]},
+        lambda doc: {
+            "segments": [{**doc["segments"][0], "end_index": 1000000}, *doc["segments"][1:]]
+        },
+    ],
+    ids=[
+        "non-integer-cycle-length",
+        "cycle-longer-than-segments",
+        "list-coordinate",
+        "float-coordinate",
+        "segment-past-last-cell",
+    ],
 )
 def test_check_malformed_trace_exits_2(tmp_path, fields):
     run_out = tmp_path / "run.json"
@@ -283,8 +330,9 @@ def test_check_malformed_trace_exits_2(tmp_path, fields):
     )
     doc = read_json(run_out)["trace"]
     assert doc["cycles"] == 1
+    assert doc["cells"][0] == {"x": 4, "y": 0}
     bogus = tmp_path / "trace.json"
-    bogus.write_text(json.dumps({**doc, **fields}))
+    bogus.write_text(json.dumps({**doc, **fields(doc)}))
     assert main(["check", "--map", RING, "--ltl", "G F c", "--trace", str(bogus)]) == 2
 
 

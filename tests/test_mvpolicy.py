@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from envgen import harsh_map, oracle_mv_cost, random_formula
+from envgen import first_region_change, harsh_map, oracle_mv_cost, random_formula
 from ltlplan.gridworld import extract_regions, parse_map
 from ltlplan.ltl import eval_ltl_on_lasso, parse_ltl, to_buchi, to_text
 from ltlplan.mvpolicy import (
@@ -16,7 +16,6 @@ from ltlplan.mvpolicy import (
     UnreachableTargetError,
     check_trace,
     execute_plan,
-    first_region_change,
     mv_path,
     region_index,
     trace_word,
@@ -200,7 +199,7 @@ def test_trace_document_roundtrip():
 def test_forced_violation_reported_but_not_unforced():
     grid = parse_map(STRIP)
     trace = execute_plan(grid, (0, 0), ["b"], [], index_of(grid))
-    report = unsafe_report(grid, trace, index_of(grid))
+    report = unsafe_report(trace)
     assert report["count"] == 1
     assert report["forced"] == 1
     assert report["unforced"] == 0
@@ -212,7 +211,7 @@ def test_forced_violation_reported_but_not_unforced():
 def test_terminal_region_entry_is_exempt():
     grid = parse_map(".b")
     trace = execute_plan(grid, (0, 0), ["b"], [], index_of(grid))
-    report = unsafe_report(grid, trace, index_of(grid))
+    report = unsafe_report(trace)
     assert report == {"count": 0, "forced": 0, "unforced": 0, "entries": []}
 
 
@@ -224,7 +223,7 @@ def test_needless_detour_counts_as_unforced():
         word_cells=[0, 1, 2],
         segments=[TraceSegment(symbol="b", start=0, end=2, forced_violations=0)],
     )
-    report = unsafe_report(grid, sloppy, index_of(grid))
+    report = unsafe_report(sloppy)
     assert report["count"] == 1
     assert report["forced"] == 0
     assert report["unforced"] == 1
@@ -233,8 +232,8 @@ def test_needless_detour_counts_as_unforced():
 
 def test_executed_traces_never_have_unforced_violations():
     rng = random.Random(62)
-    checked = 0
-    while checked < 25:
+    checked = cyclic = 0
+    while checked < 40:
         grid = harsh_map(rng, max_side=8)
         if grid is None:
             continue
@@ -242,15 +241,22 @@ def test_executed_traces_never_have_unforced_violations():
         symbols = sorted({s for (_, labels) in index.values() for s in labels})
         if not symbols:
             continue
-        plan = [rng.choice(symbols) for _ in range(rng.randint(1, 3))]
+        prefix = [rng.choice(symbols) for _ in range(rng.randint(1, 3))]
+        cycle = [rng.choice(symbols) for _ in range(rng.randint(1, 2))] if checked % 2 else []
         try:
-            trace = execute_plan(grid, grid.resolved_start(), plan, [], index)
+            trace = execute_plan(grid, grid.resolved_start(), prefix, cycle, index, cycles=2)
         except UnreachableTargetError:
             continue
-        report = unsafe_report(grid, trace, index)
+        for seg in trace.segments:
+            policy = PolicySpec.from_symbol(seg.symbol)
+            want = oracle_mv_cost(grid, trace.cells[seg.start], policy, index)
+            assert seg.forced_violations == want[0], (seg, want)
+        report = unsafe_report(trace)
         assert report["unforced"] == 0
         assert report["count"] == report["forced"]
         checked += 1
+        cyclic += bool(cycle)
+    assert cyclic >= 15
 
 
 # ---------------------------------------------------------------------------
