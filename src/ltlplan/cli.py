@@ -69,8 +69,8 @@ def _write_json(path: str | None, doc) -> None:
 
 def _load_map(args) -> GridMap:
     try:
-        text = Path(args.map).read_text()
-    except OSError as exc:
+        text = Path(args.map).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         raise CliError(f"cannot read map file: {exc}", EXIT_BAD_INPUT)
     try:
         grid = _timed("parse-map", parse_map, text)
@@ -232,7 +232,7 @@ def cmd_check(args) -> int:
         if isinstance(doc, dict) and isinstance(doc.get("trace"), dict):
             doc = doc["trace"]
         trace = Trace.from_document(doc)
-    except (OSError, ValueError, KeyError, TypeError) as exc:
+    except (OSError, ValueError, KeyError, TypeError, RecursionError) as exc:
         raise CliError(f"cannot load trace: {exc}", EXIT_BAD_INPUT)
     index = region_index(extract_regions(grid)[0])
     if any(cell not in index for cell in trace.cells):

@@ -159,7 +159,7 @@ def _parse_ascii(text: str) -> GridMap:
 def _parse_structured(text: str) -> GridMap:
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # too deep for the decoder
         raise MapParseError(f"invalid JSON map document: {exc}") from exc
     if not isinstance(doc, dict):
         raise MapParseError("map document must be a JSON object")
@@ -308,3 +308,32 @@ def bfs_hops(adjacency: dict[int, tuple[int, ...]], sources: list[int]) -> dict[
                 dist[nxt] = dist[node] + 1
                 queue.append(nxt)
     return dist
+
+
+def bfs_tree(sources, successors, target=None) -> dict:
+    """Breadth-first search tree: every reached node mapped to its parent.
+
+    ``successors(node)`` lists a node's successors; sources map to
+    ``None``.  Dict order is discovery order, which is also queue order,
+    and callers rely on it: ``find_plan`` ranks ties by it,
+    ``build_product`` orders states by it and ``to_buchi`` numbers states
+    by it.  With ``target`` given, no node is expanded once ``target`` is
+    discovered.
+    """
+    parent = dict.fromkeys(sources)
+    queue = deque(parent)
+    while queue and target not in parent:
+        node = queue.popleft()
+        for nxt in successors(node):
+            if nxt not in parent:
+                parent[nxt] = node
+                queue.append(nxt)
+    return parent
+
+
+def tree_path(parent: dict, node) -> list:
+    """Path of ``bfs_tree`` edges from a source to ``node``, both included."""
+    path = [node]
+    while parent[path[-1]] is not None:
+        path.append(parent[path[-1]])
+    return path[::-1]

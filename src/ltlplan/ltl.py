@@ -17,8 +17,9 @@ cross-check the construction.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
+
+from .gridworld import bfs_tree
 
 LabelSet = frozenset[str]
 
@@ -444,21 +445,17 @@ def to_buchi(formula: LtlFormula) -> BuchiAutomaton:
             return counter % k + 1
         return counter
 
-    start = (init, 1)
-    reachable: dict[tuple[str, int], None] = {start: None}
-    queue = deque([start])
     product_edges: list[tuple[tuple[str, int], tuple[str, int], Guard]] = []
-    while queue:
-        src_state = queue.popleft()
+
+    def expand(src_state: tuple[str, int]) -> list[tuple[str, int]]:
         src, counter = src_state
         nxt = advance(src, counter)
-        for nid in targets.get(src, ()):
-            dst_state = (nid, nxt)
-            product_edges.append((src_state, dst_state, guards[nid]))
-            if dst_state not in reachable:
-                reachable[dst_state] = None
-                queue.append(dst_state)
+        out = [(nid, nxt) for nid in targets.get(src, ())]
+        product_edges.extend((src_state, dst, guards[dst[0]]) for dst in out)
+        return out
 
+    start = (init, 1)
+    reachable = list(bfs_tree([start], expand))
     names = {state: f"b{i}" for i, state in enumerate(reachable)}
     accepting = frozenset(
         names[(nid, counter)]
@@ -591,49 +588,30 @@ def accepts_lasso(aut: BuchiAutomaton, prefix, cycle) -> bool:
             successors[node] = cached
         return cached
 
-    start = (aut.initial, 0)
-    reachable = {start}
-    queue = deque([start])
-    while queue:
-        for nxt in succ(queue.popleft()):
-            if nxt not in reachable:
-                reachable.add(nxt)
-                queue.append(nxt)
-
+    reachable = bfs_tree([(aut.initial, 0)], succ)
     return any(n[0] in aut.accepting and _on_cycle(n, succ) for n in reachable)
 
 
 def _on_cycle(node, succ) -> bool:
     """Whether a non-empty path of ``succ`` edges leads from ``node`` back to it."""
-    seen = set()
-    queue = deque([node])
-    while queue:
-        for nxt in succ(queue.popleft()):
-            if nxt == node:
-                return True
-            if nxt not in seen:
-                seen.add(nxt)
-                queue.append(nxt)
-    return False
+    return node in bfs_tree(succ(node), succ, node)
 
 
 def empty_word_accepting_states(aut: BuchiAutomaton) -> frozenset[str]:
-    """States from which consuming empty label sets forever can accept."""
+    """States from which consuming empty label sets forever can accept.
+
+    These are the states with an empty-guard path to an accepting state
+    that lies on an empty-guard cycle.
+    """
     empty: LabelSet = frozenset()
     adj: dict[str, list[str]] = {s: [] for s in aut.order}
+    back: dict[str, list[str]] = {s: [] for s in aut.order}
     for (src, dst), guard in aut.transitions.items():
         if guard.satisfied_by(empty):
             adj[src].append(dst)
-
-    result = {s for s in aut.order if s in aut.accepting and _on_cycle(s, adj.__getitem__)}
-    changed = True
-    while changed:
-        changed = False
-        for state in aut.order:
-            if state not in result and any(dst in result for dst in adj[state]):
-                result.add(state)
-                changed = True
-    return frozenset(result)
+            back[dst].append(src)
+    cyclic = [s for s in aut.order if s in aut.accepting and _on_cycle(s, adj.__getitem__)]
+    return frozenset(bfs_tree(cyclic, back.__getitem__))
 
 
 # ---------------------------------------------------------------------------

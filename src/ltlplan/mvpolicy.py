@@ -155,7 +155,7 @@ class Trace:
 
     @classmethod
     def from_document(cls, doc: dict) -> "Trace":
-        """Rebuild a trace; raises ``ValueError`` on malformed counts or bounds."""
+        """Rebuild a trace; raises ``ValueError`` on malformed counts, bounds or moves."""
         cells = [(_require_count(cell, "x"), _require_count(cell, "y")) for cell in doc["cells"]]
         segments = [
             TraceSegment(
@@ -166,6 +166,11 @@ class Trace:
             )
             for seg in doc["segments"]
         ]
+        for (x0, y0), (x1, y1) in zip(cells, cells[1:]):
+            if abs(x1 - x0) + abs(y1 - y0) != 1:
+                raise ValueError(
+                    f"consecutive cells ({x0}, {y0}) and ({x1}, {y1}) are not 4-neighbours"
+                )
         for seg in segments:
             if not seg.start <= seg.end < len(cells):
                 raise ValueError(

@@ -12,9 +12,9 @@ then on, which models the agent parking after the last task.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
+from .gridworld import bfs_tree, tree_path
 from .ltl import BuchiAutomaton, empty_word_accepting_states
 from .tsys import TransitionSystem
 
@@ -82,21 +82,16 @@ def build_product(ts: TransitionSystem, aut: BuchiAutomaton) -> ProductAutomaton
                         f"guard references symbol {name!r} absent from the transition system"
                     )
 
-    initial: list[PAState] = []
-    for dst, guard in aut.successors(aut.initial):
-        if guard.satisfied_by(ts.labels[ts.initial]):
-            state = (ts.initial, dst)
-            if state not in initial:
-                initial.append(state)
-
-    states: list[PAState] = []
-    seen: set[PAState] = set(initial)
-    queue = deque(initial)
+    # An automaton state's successor list holds each target once.
+    initial = [
+        (ts.initial, dst)
+        for dst, guard in aut.successors(aut.initial)
+        if guard.satisfied_by(ts.labels[ts.initial])
+    ]
     edges: dict[tuple[PAState, PAState], list[str]] = {}
     successors: dict[PAState, list[PAState]] = {}
-    while queue:
-        src = queue.popleft()
-        states.append(src)
+
+    def expand(src: PAState) -> list[PAState]:
         s, q = src
         out: list[PAState] = []
         hops = aut.successors(q)
@@ -106,11 +101,10 @@ def build_product(ts: TransitionSystem, aut: BuchiAutomaton) -> ProductAutomaton
                     dst = (t, q2)
                     edges[(src, dst)] = sorted(ts.transitions[(s, t)])
                     out.append(dst)
-                    if dst not in seen:
-                        seen.add(dst)
-                        queue.append(dst)
         successors[src] = out
+        return out
 
+    states = list(bfs_tree(initial, expand))
     parking_ok = empty_word_accepting_states(aut)
     accepting = frozenset(s for s in states if s[1] in aut.accepting)
     stoppable = frozenset(s for s in states if s[1] in parking_ok)
@@ -165,27 +159,15 @@ def find_plan(pa: ProductAutomaton) -> Plan | None:
         for state, nexts in pa.successors.items()
     }
 
+    parent = bfs_tree(pa.initial, expansion.__getitem__)
     dist: dict[PAState, int] = {}
-    parent: dict[PAState, PAState | None] = {}
-    queue = deque()
-    for state in pa.initial:
-        dist[state] = 0
-        parent[state] = None
-        queue.append(state)
-    reach_order: list[PAState] = []
-    while queue:
-        state = queue.popleft()
-        reach_order.append(state)
-        for nxt in expansion[state]:
-            if nxt not in dist:
-                dist[nxt] = dist[state] + 1
-                parent[nxt] = state
-                queue.append(nxt)
+    for state, prev in parent.items():
+        dist[state] = 0 if prev is None else dist[prev] + 1
 
     best: tuple[int, int] | None = None
     best_target: PAState | None = None
     best_cycle: list[PAState] | None = None
-    for rank, state in enumerate(reach_order):
+    for rank, state in enumerate(parent):
         if state in pa.stoppable:
             candidate = (dist[state], rank)
             if best is None or candidate[0] < best[0]:
@@ -203,10 +185,7 @@ def find_plan(pa: ProductAutomaton) -> Plan | None:
     if best_target is None:
         return None
 
-    prefix_states = [best_target]
-    while parent[prefix_states[-1]] is not None:
-        prefix_states.append(parent[prefix_states[-1]])
-    prefix_states.reverse()
+    prefix_states = tree_path(parent, best_target)
     prefix = _symbols_along(pa, prefix_states)
     cycle_states = best_cycle or []
     cycle = _symbols_along(pa, [best_target] + cycle_states)
@@ -225,33 +204,8 @@ def _shortest_cycle(
 
     Follows ``find_plan``'s expansion order: cheaper policy symbols first.
     """
-    dist: dict[PAState, int] = {}
-    parent: dict[PAState, PAState] = {}
-    queue = deque()
-    for nxt in expansion[state]:
-        if nxt == state:
-            return [state]
-        if nxt not in dist:
-            dist[nxt] = 1
-            parent[nxt] = state
-            queue.append(nxt)
-    while queue:
-        current = queue.popleft()
-        for nxt in expansion[current]:
-            if nxt == state:
-                path = [current]
-                while path[-1] != state:
-                    prev = parent[path[-1]]
-                    if prev == state:
-                        break
-                    path.append(prev)
-                path.reverse()
-                return path + [state]
-            if nxt not in dist:
-                dist[nxt] = dist[current] + 1
-                parent[nxt] = current
-                queue.append(nxt)
-    return None
+    parent = bfs_tree(expansion[state], expansion.__getitem__, state)
+    return tree_path(parent, state) if state in parent else None
 
 
 def _symbols_along(pa: ProductAutomaton, states: list[PAState]) -> list[str]:

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 
-from .gridworld import bfs_hops
+from .gridworld import bfs_hops, bfs_tree
 from .tsys import EMPTY_LABEL, TransitionSystem
 
 CASE1 = "case1"
@@ -223,13 +223,7 @@ def empty_cleanup(ts: TransitionSystem, report: PruneReport) -> TransitionSystem
 
 
 def _unreachable_states(ts: TransitionSystem) -> list[int]:
-    reached = {ts.initial}
-    frontier = [ts.initial]
-    while frontier:
-        for (_, dst) in ts.out_edges(frontier.pop()):
-            if dst not in reached:
-                reached.add(dst)
-                frontier.append(dst)
+    reached = bfs_tree([ts.initial], lambda s: [dst for (_, dst) in ts.out_edges(s)])
     return [s for s in ts.order if s not in reached]
 
 

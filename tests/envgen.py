@@ -139,7 +139,7 @@ def floyd_warshall_hops(order, graph) -> dict[tuple[int, int], float]:
     dist = {(a, b): (0 if a == b else inf) for a in order for b in order}
     for a in order:
         for b in graph.get(a, ()):
-            dist[(a, b)] = 1
+            dist[(a, b)] = min(dist[(a, b)], 1)  # a self-loop keeps (a, a) at 0
     for k in order:
         for a in order:
             for b in order:

@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import json
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import ltlplan.cli as cli
 import ltlplan.mvpolicy as mvpolicy
@@ -170,6 +172,20 @@ def test_malformed_map_exits_2(tmp_path):
     assert main(["abstract", "--map", str(bad)]) == 2
 
 
+def test_non_utf8_map_exits_2(tmp_path):
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(b"\xff\xfe.#")
+    assert main(["abstract", "--map", str(bad)]) == 2
+
+
+def test_deeply_nested_json_exits_2(tmp_path):
+    deep_map, deep_trace = tmp_path / "map.json", tmp_path / "trace.json"
+    deep_map.write_text('{"a":' * 100000 + "1" + "}" * 100000)
+    deep_trace.write_text("[" * 100000)
+    assert main(["abstract", "--map", str(deep_map)]) == 2
+    assert main(["check", "--map", RING, "--ltl", "F c", "--trace", str(deep_trace)]) == 2
+
+
 @pytest.mark.parametrize("key", ["cells", "obstacles"])
 @pytest.mark.parametrize("value", [5, None, ""], ids=["number", "null", "string"])
 def test_non_list_map_entries_exit_2(tmp_path, key, value):
@@ -281,12 +297,13 @@ def test_check_unsatisfied_exits_1(tmp_path):
     assert code == 1
 
 
-def test_check_rejects_offmap_trace(tmp_path):
+def test_check_rejects_offmap_trace(tmp_path, capsys):
     bogus = tmp_path / "trace.json"
     bogus.write_text(
         json.dumps(
             {
-                "cells": [{"x": 0, "y": 0}, {"x": 50, "y": 50}],
+                # A legal move off the 10-cell-wide room's right edge.
+                "cells": [{"x": 9, "y": 0}, {"x": 10, "y": 0}],
                 "word": [[]],
                 "word_cells": [0],
                 "segments": [],
@@ -299,6 +316,7 @@ def test_check_rejects_offmap_trace(tmp_path):
     assert main(
         ["check", "--map", OPEN_ROOM, "--ltl", "F square", "--trace", str(bogus)]
     ) == 2
+    assert "trace leaves the map's passable cells" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
@@ -311,6 +329,8 @@ def test_check_rejects_offmap_trace(tmp_path):
         lambda doc: {
             "segments": [{**doc["segments"][0], "end_index": 1000000}, *doc["segments"][1:]]
         },
+        # From (3, 4) across the a-ring straight into the c-core at (2, 6).
+        lambda doc: {"cells": [*doc["cells"][:6], {"x": 2, "y": 6}, *doc["cells"][7:]]},
     ],
     ids=[
         "non-integer-cycle-length",
@@ -318,6 +338,7 @@ def test_check_rejects_offmap_trace(tmp_path):
         "list-coordinate",
         "float-coordinate",
         "segment-past-last-cell",
+        "wall-jump",
     ],
 )
 def test_check_malformed_trace_exits_2(tmp_path, fields):
@@ -331,6 +352,7 @@ def test_check_malformed_trace_exits_2(tmp_path, fields):
     doc = read_json(run_out)["trace"]
     assert doc["cycles"] == 1
     assert doc["cells"][0] == {"x": 4, "y": 0}
+    assert doc["cells"][5:8] == [{"x": 3, "y": 4}, {"x": 3, "y": 5}, {"x": 3, "y": 6}]
     bogus = tmp_path / "trace.json"
     bogus.write_text(json.dumps({**doc, **fields(doc)}))
     assert main(["check", "--map", RING, "--ltl", "G F c", "--trace", str(bogus)]) == 2
@@ -378,3 +400,126 @@ def test_start_override_changes_trace(tmp_path):
     )
     assert code == 0
     assert read_json(out)["trace"]["cells"][0] == {"x": 5, "y": 1}
+
+
+# ---------------------------------------------------------------------------
+# Hostile input
+
+SMALL = st.integers(-1, 5)
+COORD = st.integers(0, 4)
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | SMALL | st.text("abc", max_size=3),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text("xyabc", max_size=2), inner),
+    max_leaves=6,
+)
+CELL = st.fixed_dictionaries({"x": COORD, "y": COORD}) | st.fixed_dictionaries({"x": SMALL, "y": SMALL})
+SYMBOLS = st.lists(st.sampled_from("abc"), min_size=1, max_size=2) | st.lists(
+    st.sampled_from(["a", "9", ""]), max_size=2
+)
+JSON_MAPS = st.fixed_dictionaries(
+    {"width": st.integers(1, 5) | SMALL, "height": st.integers(1, 5) | SMALL},
+    optional={
+        "cells": st.lists(
+            st.fixed_dictionaries({"x": COORD, "y": COORD, "labels": SYMBOLS}), max_size=6
+        ) | JSON_VALUES,
+        "obstacles": st.lists(CELL, max_size=3) | JSON_VALUES,
+        "start": CELL | JSON_VALUES,
+    },
+)
+RECTANGLES = st.integers(1, 5).flatmap(
+    lambda width: st.lists(
+        st.text(st.sampled_from("....#abc"), min_size=width, max_size=width), min_size=1, max_size=5
+    )
+)
+RAGGED = st.lists(st.text(".#abc?", max_size=5), max_size=5)
+MAP_BYTES = st.one_of(
+    # Rectangular grids weigh double so that most runs get past parsing.
+    RECTANGLES.map(lambda rows: "\n".join(rows).encode()),
+    RECTANGLES.map(lambda rows: "\n".join(rows).encode()),
+    RAGGED.map(lambda rows: "\n".join(rows).encode()),
+    JSON_MAPS.map(lambda doc: json.dumps(doc).encode()),
+    st.binary(max_size=24),
+)
+
+
+def walk(start, moves):
+    cells = [start]
+    for dx, dy in moves:
+        cells.append({"x": cells[-1]["x"] + dx, "y": cells[-1]["y"] + dy})
+    return cells
+
+
+MOVES = st.lists(st.sampled_from([(0, 1), (1, 0), (0, -1), (-1, 0)]), max_size=6)
+INDICES = st.integers(0, 6) | SMALL
+TRACE_DOCS = st.fixed_dictionaries(
+    {
+        "cells": st.builds(walk, CELL, MOVES) | st.lists(CELL, max_size=3),
+        "word": st.lists(SYMBOLS, max_size=4),
+        "word_cells": st.lists(SMALL, max_size=4),
+        "segments": st.lists(
+            st.fixed_dictionaries(
+                {
+                    "policy": st.sampled_from("abc"),
+                    "start_index": INDICES,
+                    "end_index": INDICES,
+                    "forced_violations": SMALL,
+                }
+            ),
+            max_size=3,
+        ),
+        "prefix_segments": SMALL,
+        "cycle_length": SMALL,
+        "cycles": SMALL,
+    }
+)
+TRACE_BYTES = st.one_of(
+    TRACE_DOCS.map(lambda doc: json.dumps(doc).encode()),
+    TRACE_DOCS.map(lambda doc: json.dumps(doc).encode()),
+    JSON_VALUES.map(lambda doc: json.dumps(doc).encode()),
+    st.binary(max_size=24),
+)
+
+
+def formula_texts(depth: int):
+    """Formulas over at most three atoms, nested at most ``depth`` operators deep."""
+    leaf = st.sampled_from(["a", "b", "c", "!a", "!c", "true"])
+    if depth == 0:
+        return leaf
+    sub = formula_texts(depth - 1)
+    unary = st.builds("{} ({})".format, st.sampled_from("FG"), sub)
+    binary = st.builds("({}) {} ({})".format, sub, st.sampled_from("&|U"), sub)
+    return leaf | unary | binary
+
+
+FORMULAS = formula_texts(3) | st.text("FGU&|!() abc", max_size=10)
+
+
+@settings(max_examples=400, derandomize=True, deadline=None)
+@given(
+    command=st.sampled_from(["abstract", "prune", "compile", "run", "check"]),
+    map_bytes=MAP_BYTES,
+    trace_bytes=TRACE_BYTES,
+    formula=FORMULAS,
+    mode=st.sampled_from(["primitive", "composite"]),
+    start=st.sampled_from([None, None, None, "0,0", "1,2", "9,9", "x"]),
+    cycles=st.integers(1, 2),
+)
+def test_hostile_input_yields_only_documented_exit_codes(
+    command, map_bytes, trace_bytes, formula, mode, start, cycles
+):
+    with tempfile.TemporaryDirectory() as tmp:
+        map_path, trace_path = Path(tmp) / "map", Path(tmp) / "trace.json"
+        map_path.write_bytes(map_bytes)
+        trace_path.write_bytes(trace_bytes)
+        argv = [command, "--out", str(Path(tmp) / "out.json")]
+        if command != "compile":
+            argv += ["--map", str(map_path), "--mode", mode]
+            argv += [] if start is None else ["--start", start]
+        if command in ("compile", "run", "check"):
+            argv += ["--ltl", formula]
+        if command == "run":
+            argv += ["--cycles", str(cycles)]
+        if command == "check":
+            argv += ["--trace", str(trace_path)]
+        # An uncaught exception, which a shell would see as exit 1, propagates here.
+        assert main(argv) in (0, 1, 2, 3, 4)

@@ -13,9 +13,11 @@ from ltlplan.gridworld import (
     GridMap,
     MapParseError,
     bfs_hops,
+    bfs_tree,
     extract_regions,
     map_from_document,
     parse_map,
+    tree_path,
 )
 from ltlplan.mvpolicy import region_index
 
@@ -258,3 +260,36 @@ def test_unreachable_regions_have_no_hop_distance():
     grid = parse_map("a#b\n###\n..#\n")
     _, adjacency = extract_regions(grid)
     assert hop_distance(adjacency, 0, 1) is None
+
+
+# ---------------------------------------------------------------------------
+# Search trees
+
+
+def test_bfs_tree_matches_reference_reachability_and_paths():
+    rng = random.Random(23)
+    graphs = []
+    for _ in range(15):
+        grid = harsh_map(rng, max_side=8)
+        if grid is not None:
+            regions, adjacency = extract_regions(grid)
+            graphs.append(([r.id for r in regions], adjacency))
+        n = rng.randint(1, 12)
+        directed = {a: tuple(rng.sample(range(n), rng.randint(0, min(3, n)))) for a in range(n)}
+        graphs.append((list(range(n)), directed))
+    inf = float("inf")
+    for order, graph in graphs:
+        reference = floyd_warshall_hops(order, graph)
+        for sources in ([rng.choice(order)], rng.sample(order, rng.randint(1, len(order))), []):
+            dist = {b: min((reference[(a, b)] for a in sources), default=inf) for b in order}
+            parent = bfs_tree(sources, graph.__getitem__)
+            assert set(parent) == {b for b in order if dist[b] < inf}
+            # Discovery order is breadth-first: distances never decrease.
+            ranks = [dist[node] for node in parent]
+            assert ranks == sorted(ranks)
+            for node in parent:
+                path = tree_path(parent, node)
+                assert path[0] in sources and path[-1] == node
+                assert all(b in graph[a] for a, b in zip(path, path[1:]))
+                assert len(path) - 1 == dist[node]
+                assert tree_path(bfs_tree(sources, graph.__getitem__, node), node) == path
