@@ -46,9 +46,6 @@ class GridMap:
         x, y = cell
         return 0 <= x < self.width and 0 <= y < self.height
 
-    def is_obstacle(self, cell: Cell) -> bool:
-        return cell in self.obstacles
-
     def is_free(self, cell: Cell) -> bool:
         return self.in_bounds(cell) and cell not in self.obstacles
 
@@ -243,58 +240,54 @@ class Region:
     def name(self) -> str:
         return f"q{self.id}"
 
-    def anchor(self) -> Cell:
-        """Topmost-leftmost cell; determines the region's id order."""
-        return min(self.cells, key=lambda c: (c[1], c[0]))
-
 
 def extract_regions(grid: GridMap) -> tuple[list[Region], dict[int, tuple[int, ...]]]:
     """Decompose a map into regions and their adjacency graph.
 
     Region ids are assigned in row-major order of each region's
     topmost-leftmost cell, which makes the decomposition deterministic.
+    Cells are flood-filled breadth-first on the flat index ``y * width + x``.
     """
-    region_of: dict[Cell, int] = {}
-    regions: list[Region] = []
-    for y in range(grid.height):
-        for x in range(grid.width):
-            seed = (x, y)
-            if not grid.is_free(seed) or seed in region_of:
-                continue
-            label = grid.label_at(seed)
-            rid = len(regions)
-            component = _flood_fill(grid, seed, label, region_of, rid)
-            regions.append(Region(rid, frozenset(component), label))
+    width = grid.width
+    size = width * grid.height
+    # Label code per cell: 0 unlabeled, -1 obstacle, else one per label set.
+    codes: dict[frozenset[str], int] = {frozenset(): 0}
+    code_of = [0] * size
+    for (x, y), labelset in grid.labels.items():
+        code_of[y * width + x] = codes.setdefault(labelset, len(codes))
+    for (x, y) in grid.obstacles:
+        code_of[y * width + x] = -1
+    label_of = list(codes)
 
+    rid_of = [-1] * size
+    regions: list[Region] = []
+    for seed in range(size):
+        code = code_of[seed]
+        if code < 0 or rid_of[seed] >= 0:
+            continue
+        rid = len(regions)
+        rid_of[seed] = rid
+        component = [seed]
+        for i in component:  # grows while iterated: a breadth-first queue
+            x = i % width
+            for j in (i - width, i + width, i - 1 if x else -1, i + 1 if x + 1 < width else -1):
+                if 0 <= j < size and rid_of[j] < 0 and code_of[j] == code:
+                    rid_of[j] = rid
+                    component.append(j)
+        cells = frozenset((i % width, i // width) for i in component)
+        regions.append(Region(rid, cells, label_of[code]))
+
+    touching = set(zip(rid_of, rid_of[width:]))
+    for row in range(0, size, width):
+        line = rid_of[row : row + width]
+        touching.update(zip(line, line[1:]))
     neighbors: dict[int, set[int]] = {r.id: set() for r in regions}
-    for (x, y), rid in region_of.items():
-        for other in ((x + 1, y), (x, y + 1)):
-            other_rid = region_of.get(other)
-            if other_rid is not None and other_rid != rid:
-                neighbors[rid].add(other_rid)
-                neighbors[other_rid].add(rid)
+    for a, b in touching:
+        if a != b and a >= 0 and b >= 0:
+            neighbors[a].add(b)
+            neighbors[b].add(a)
     adjacency = {rid: tuple(sorted(adj)) for rid, adj in neighbors.items()}
     return regions, adjacency
-
-
-def _flood_fill(
-    grid: GridMap,
-    seed: Cell,
-    label: frozenset[str],
-    region_of: dict[Cell, int],
-    rid: int,
-) -> list[Cell]:
-    component = [seed]
-    region_of[seed] = rid
-    queue = deque([seed])
-    while queue:
-        cell = queue.popleft()
-        for nxt in grid.neighbors4(cell):
-            if nxt not in region_of and grid.label_at(nxt) == label:
-                region_of[nxt] = rid
-                component.append(nxt)
-                queue.append(nxt)
-    return component
 
 
 def bfs_hops(adjacency: dict[int, tuple[int, ...]], sources: list[int]) -> dict[int, int]:

@@ -164,23 +164,22 @@ def find_plan(pa: ProductAutomaton) -> Plan | None:
     for state, prev in parent.items():
         dist[state] = 0 if prev is None else dist[prev] + 1
 
-    best: tuple[int, int] | None = None
+    best: int | None = None
     best_target: PAState | None = None
     best_cycle: list[PAState] | None = None
-    for rank, state in enumerate(parent):
+    for state in parent:
         if state in pa.stoppable:
-            candidate = (dist[state], rank)
-            if best is None or candidate[0] < best[0]:
-                best, best_target, best_cycle = candidate, state, []
+            if best is None or dist[state] < best:
+                best, best_target, best_cycle = dist[state], state, []
             continue
         if state not in pa.accepting:
             continue
         cycle = _shortest_cycle(expansion, state)
         if cycle is None:
             continue
-        candidate = (dist[state] + len(cycle), rank)
-        if best is None or candidate[0] < best[0]:
-            best, best_target, best_cycle = candidate, state, cycle
+        length = dist[state] + len(cycle)
+        if best is None or length < best:
+            best, best_target, best_cycle = length, state, cycle
 
     if best_target is None:
         return None

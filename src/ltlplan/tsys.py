@@ -12,11 +12,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .gridworld import Region, bfs_hops
+from .gridworld import Region
 
 # "{" sorts after every symbol character (letters, digits, "_", "&"), so
 # plain ``sorted`` puts the empty-label sentinel last.
 EMPTY_LABEL = "{}"
+
+# Sources per multi-source breadth-first pass in ``generate_ts_labels``;
+# bounds its bitsets to (|S| + |E|) * _BATCH bits.
+_BATCH = 1024
 
 PRIMITIVE = "primitive"
 COMPOSITE = "composite"
@@ -189,16 +193,54 @@ def generate_ts_labels(ts: TransitionSystem) -> TransitionSystem:
 
     A state ``x`` contributes its task symbols (or the empty-label
     sentinel when unlabeled) to transition ``(start, end)`` exactly when
-    the crossing strictly reduces the hop distance to ``x``.
+    the crossing strictly reduces the hop distance to ``x``: ``x`` is
+    ``j`` hops from ``end`` and ``j + 1`` from ``start``.
+
+    Hop distance is symmetric, so one breadth-first pass serves a whole
+    batch of states ``x`` at once (Then et al., VLDB 2015): in round
+    ``k``, bit ``i`` of ``front[u]`` is set when batch state ``i`` is
+    exactly ``k`` hops from ``u``, and ``unseen[u]`` holds the batch
+    states more than ``k`` hops away.  Only neighbours of a non-empty
+    front are visited, so the work is the sum over states of
+    eccentricity times degree.
     """
-    graph = ts.graph()
     labeled = ts.copy()
-    for x in labeled.order:
-        dist = bfs_hops(graph, [x])
-        contributed = labeled.task_symbols_of_state(x) or {EMPTY_LABEL}
-        for (start, end), symbols in labeled.transitions.items():
-            if start in dist and dist[start] > dist[end]:
-                symbols |= contributed
+    order = labeled.order
+    edge_index = {edge: e for e, edge in enumerate(labeled.transitions)}
+    position = {s: i for i, s in enumerate(order)}
+    graph = labeled.graph()
+    # pulls[v]: (u, e) per neighbour u of v, e indexing transition (u, v) or None.
+    pulls = [[(position[u], edge_index.get((u, v))) for u in graph[v]] for v in order]
+    contributes = [labeled.task_symbols_of_state(x) or frozenset({EMPTY_LABEL}) for x in order]
+
+    for lo in range(0, len(order), _BATCH):
+        batch = range(lo, min(lo + _BATCH, len(order)))
+        groups: dict[frozenset[str], int] = {}
+        for i in batch:
+            groups[contributes[i]] = groups.get(contributes[i], 0) | 1 << (i - lo)
+        front = {i: 1 << (i - lo) for i in batch}
+        unseen = [(1 << len(batch)) - 1] * len(order)
+        for i, bits in front.items():
+            unseen[i] ^= bits
+        closer = [0] * len(edge_index)
+        while front:
+            grown: dict[int, int] = {}
+            for v, bits in front.items():
+                for u, e in pulls[v]:
+                    # Batch states k hops from v and k + 1 hops from u.
+                    new = bits & unseen[u]
+                    if new:
+                        grown[u] = grown.get(u, 0) | new
+                        if e is not None:
+                            closer[e] |= new
+            for u, bits in grown.items():
+                unseen[u] ^= bits
+            front = grown
+        for hit, symbols in zip(closer, labeled.transitions.values()):
+            if hit:
+                for contributed, mask in groups.items():
+                    if hit & mask:
+                        symbols |= contributed
     return labeled
 
 

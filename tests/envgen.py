@@ -15,6 +15,7 @@ from ltlplan.gridworld import GridMap, extract_regions
 from ltlplan.ltl import And, Atom, Eventually, Always, NotAtom, Or, Top, Until
 from ltlplan.mvpolicy import mv_path
 from ltlplan.product import PAState, ProductAutomaton
+from ltlplan.tsys import COMPOSITE, EMPTY_LABEL, TransitionSystem
 
 ATOMS = ["a", "b", "c"]
 
@@ -94,6 +95,42 @@ def harsh_map(rng: random.Random, max_side: int = 12) -> GridMap | None:
     if not extract_regions(grid)[0]:
         return None
     return grid
+
+
+def walled_hub_map(rng: random.Random, side: int = 32) -> GridMap:
+    """One large unlabeled hub cut by gapped walls, dotted with labeled islands.
+
+    Every sixth row is an obstacle wall with ~10% gaps; 2x2 and single-cell
+    islands of one symbol each may touch one another and the walls.
+    """
+    obstacles = {
+        (x, y) for y in range(5, side - 1, 6) for x in range(side) if rng.random() >= 0.1
+    }
+    labels: dict[tuple[int, int], frozenset[str]] = {}
+    for _ in range(side * side // 8):
+        size = rng.choice((1, 2))
+        x0, y0 = rng.randrange(side - size + 1), rng.randrange(side - size + 1)
+        block = {(x, y) for x in range(x0, x0 + size) for y in range(y0, y0 + size)}
+        if block & obstacles or (0, 0) in block:
+            continue
+        symbol = frozenset(rng.choice("abcdefgh"))
+        for cell in block:
+            labels[cell] = symbol
+    return GridMap(side, side, labels, frozenset(obstacles))
+
+
+def random_grid(rng: random.Random, width: int, height: int) -> GridMap:
+    """Any-shape map over two symbols, dense enough that equal labels touch often."""
+    labels: dict[tuple[int, int], frozenset[str]] = {}
+    obstacles: set[tuple[int, int]] = set()
+    for y in range(height):
+        for x in range(width):
+            roll = rng.random()
+            if roll < 0.1:
+                obstacles.add((x, y))
+            elif roll < 0.7:
+                labels[(x, y)] = frozenset(rng.choice(("a", "b", "ab")))
+    return GridMap(width, height, labels, frozenset(obstacles))
 
 
 # ---------------------------------------------------------------------------
@@ -251,3 +288,77 @@ def brute_min_lasso(pa: ProductAutomaton, cap: int) -> int | None:
             return None
         level = bigger
     return None
+
+
+def reference_regions(grid: GridMap):
+    """Regions and adjacency by union-find over equally-labeled 4-neighbours.
+
+    Returns ``(id, cells, label)`` per region, ids in row-major order of each
+    region's topmost-leftmost cell, and the sorted neighbour ids per region.
+    """
+    label = {
+        (x, y): grid.labels.get((x, y), frozenset())
+        for y in range(grid.height)
+        for x in range(grid.width)
+        if (x, y) not in grid.obstacles
+    }
+    root = {cell: cell for cell in label}
+
+    def find(cell):
+        while root[cell] != cell:
+            root[cell] = root[root[cell]]
+            cell = root[cell]
+        return cell
+
+    for (x, y) in label:
+        for other in ((x + 1, y), (x, y + 1)):
+            if other in label and label[other] == label[(x, y)]:
+                root[find(other)] = find((x, y))
+    members: dict[tuple[int, int], list[tuple[int, int]]] = {}
+    for cell in label:  # row-major, so each list starts with its anchor
+        members.setdefault(find(cell), []).append(cell)
+    regions = [
+        (rid, frozenset(cells), label[cells[0]]) for rid, cells in enumerate(members.values())
+    ]
+    region_of = {cell: rid for rid, cells, _ in regions for cell in cells}
+    adjacency: dict[int, set[int]] = {rid: set() for rid, _, _ in regions}
+    for (x, y), rid in region_of.items():
+        for other in ((x + 1, y), (x - 1, y), (x, y + 1), (x, y - 1)):
+            if other in region_of and region_of[other] != rid:
+                adjacency[rid].add(region_of[other])
+    return regions, {rid: tuple(sorted(adj)) for rid, adj in adjacency.items()}
+
+
+def reference_ts_labels(ts: TransitionSystem) -> dict[tuple[int, int], set[str]]:
+    """Progress labels by one breadth-first search per state (reference answer).
+
+    State ``x`` adds its task symbols, or the empty-label sentinel when
+    unlabeled, to every transition ``(start, end)`` whose ``start`` is
+    strictly more undirected hops from ``x`` than ``end`` is.  Symbols the
+    transitions already carry are kept.
+    """
+    undirected: dict[int, set[int]] = {s: set() for s in ts.order}
+    for (a, b) in ts.transitions:
+        undirected[a].add(b)
+        undirected[b].add(a)
+    labels = {edge: set(symbols) for edge, symbols in ts.transitions.items()}
+    for x in ts.order:
+        hops = {x: 0}
+        queue = deque([x])
+        while queue:
+            node = queue.popleft()
+            for nxt in undirected[node]:
+                if nxt not in hops:
+                    hops[nxt] = hops[node] + 1
+                    queue.append(nxt)
+        own = ts.labels[x]
+        if not own:
+            contributed = {EMPTY_LABEL}
+        elif ts.mode == COMPOSITE:
+            contributed = {"&".join(sorted(own))}
+        else:
+            contributed = set(own)
+        for (start, end), symbols in labels.items():
+            if start in hops and hops[start] > hops[end]:
+                symbols |= contributed
+    return labels

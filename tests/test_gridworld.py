@@ -7,7 +7,13 @@ import random
 
 import pytest
 
-from envgen import floyd_warshall_hops, harsh_map, sea_with_islands
+from envgen import (
+    floyd_warshall_hops,
+    harsh_map,
+    random_grid,
+    reference_regions,
+    sea_with_islands,
+)
 from ltlplan.gridworld import (
     MAX_CELLS,
     GridMap,
@@ -38,7 +44,7 @@ def test_parse_ascii_basic():
     assert (grid.width, grid.height) == (3, 2)
     assert grid.label_at((0, 0)) == frozenset({"a"})
     assert grid.label_at((2, 1)) == frozenset({"b"})
-    assert grid.is_obstacle((2, 0))
+    assert (2, 0) in grid.obstacles
     assert grid.is_free((1, 0))
     assert grid.symbols() == frozenset({"a", "b"})
 
@@ -148,7 +154,7 @@ def test_ring_map_region_decomposition(ring_grid):
 
 def test_region_ids_are_row_major_by_anchor(ring_grid):
     regions, _ = extract_regions(ring_grid)
-    anchors = [r.anchor() for r in regions]
+    anchors = [min(r.cells, key=lambda c: (c[1], c[0])) for r in regions]
     assert anchors == sorted(anchors, key=lambda c: (c[1], c[0]))
     assert [r.id for r in regions] == list(range(len(regions)))
 
@@ -202,6 +208,31 @@ def test_regions_are_connected_and_maximal():
                 for nb in grid.neighbors4(cell):
                     if index[nb][0] != region.id:
                         assert grid.label_at(nb) != region.label
+
+
+def _region_triples(grid):
+    regions, adjacency = extract_regions(grid)
+    return [(r.id, r.cells, r.label) for r in regions], adjacency
+
+
+def test_regions_match_union_find_reference():
+    rng = random.Random(15)
+    shapes = [(1, 1), (1, 9), (9, 1), (1, 2), (2, 1)]
+    shapes += [(rng.randint(1, 11), rng.randint(1, 11)) for _ in range(60)]
+    for width, height in shapes:
+        grid = random_grid(rng, width, height)
+        assert _region_triples(grid) == reference_regions(grid), grid.to_ascii()
+
+
+def test_regions_do_not_wrap_across_rows():
+    # On a flat y * width + x index, (3, 0) and (0, 1) are neighbours; on the
+    # grid they are not, so each "a" stays its own region.
+    for text in ("..aa\na...\n", "..aa\na#..\n", "a\na\n", "aa\naa\n"):
+        grid = parse_map(text)
+        assert _region_triples(grid) == reference_regions(grid), text
+    regions, adjacency = extract_regions(parse_map("..aa\na...\n"))
+    assert [sorted(r.cells) for r in regions if r.label] == [[(2, 0), (3, 0)], [(0, 1)]]
+    assert adjacency == {0: (1, 2), 1: (0,), 2: (0,)}
 
 
 # ---------------------------------------------------------------------------

@@ -6,8 +6,15 @@ import random
 
 import pytest
 
-from envgen import floyd_warshall_hops, harsh_map, sea_with_islands
-from ltlplan.gridworld import extract_regions
+from envgen import (
+    floyd_warshall_hops,
+    harsh_map,
+    reference_ts_labels,
+    sea_with_islands,
+    walled_hub_map,
+)
+from ltlplan import tsys
+from ltlplan.gridworld import extract_regions, parse_map
 from ltlplan.mvpolicy import region_index
 from ltlplan.tsys import (
     COMPOSITE,
@@ -115,6 +122,57 @@ def test_labels_match_independent_hop_derivation():
                     tasks = bare.task_symbols_of_state(x)
                     expected |= tasks if tasks else {EMPTY_LABEL}
             assert symbols == expected, (src, dst)
+
+
+def _bare_systems(grid):
+    regions, adjacency = extract_regions(grid)
+    initial = region_index(regions)[grid.resolved_start()][0]
+    return [build_initial_ts(regions, adjacency, initial, mode) for mode in (PRIMITIVE, COMPOSITE)]
+
+
+def test_labels_match_reference_on_harsh_maps():
+    # Obstacles split harsh maps into components, so some pairs are unreachable.
+    rng = random.Random(24)
+    for _ in range(30):
+        grid = harsh_map(rng)
+        if grid is None:
+            continue
+        for bare in _bare_systems(grid):
+            assert generate_ts_labels(bare).transitions == reference_ts_labels(bare)
+
+
+def test_labels_match_reference_on_walled_hub_map():
+    grid = walled_hub_map(random.Random(25))
+    for bare in _bare_systems(grid):
+        assert len(bare.order) > 50
+        assert generate_ts_labels(bare).transitions == reference_ts_labels(bare)
+
+
+def test_labels_match_reference_across_batches(monkeypatch):
+    # A 1x41 corridor a.a.…a has diameter 40; batches of 8 sources split it
+    # into six passes, the last one partial.
+    monkeypatch.setattr(tsys, "_BATCH", 8)
+    grid = parse_map("".join("a." [i % 2] for i in range(41)))
+    for bare in _bare_systems(grid):
+        assert len(bare.order) == 41
+        assert generate_ts_labels(bare).transitions == reference_ts_labels(bare)
+
+
+def test_labels_match_reference_on_one_way_transitions(monkeypatch):
+    # Transitions need not come in pairs; hops still follow both directions.
+    monkeypatch.setattr(tsys, "_BATCH", 4)
+    rng = random.Random(26)
+    for _ in range(30):
+        n = rng.randint(1, 12)
+        edges = {(a, b) for a in range(n) for b in range(n) if a != b and rng.random() < 0.2}
+        ts = TransitionSystem(
+            order=list(range(n)),
+            labels={s: frozenset(rng.sample("abc", rng.randint(0, 2))) for s in range(n)},
+            transitions={edge: set(rng.sample("ab", rng.randint(0, 1))) for edge in edges},
+            initial=0,
+            mode=rng.choice((PRIMITIVE, COMPOSITE)),
+        )
+        assert generate_ts_labels(ts).transitions == reference_ts_labels(ts)
 
 
 def test_labeling_preserves_structure(ring_grid):
