@@ -59,8 +59,11 @@ def _timed(label: str, fn, *args, **kwargs):
 def _write_text(path: str | None, text: str) -> None:
     if path is None or path == "-":
         sys.stdout.write(text)
-    else:
+        return
+    try:
         Path(path).write_text(text)
+    except OSError as exc:
+        raise CliError(f"cannot write output: {exc}", EXIT_BAD_INPUT)
 
 
 def _write_json(path: str | None, doc) -> None:
@@ -130,12 +133,15 @@ def _prepare_product(args):
         for name, artifact in (("pruned", pruned), ("buchi", aut), ("product", pa)):
             _write_json(str(directory / f"{name}.json"), artifact.to_document())
             _write_text(str(directory / f"{name}.dot"), artifact.to_dot())
-    return grid, index, start_cell, aut, pa
+    return index, start_cell, aut, pa
 
 
 def _emit_prune_stages(directory: Path, labeled, report) -> None:
     """Write the labeled system and each reduction pass's result."""
-    directory.mkdir(parents=True, exist_ok=True)
+    try:
+        directory.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise CliError(f"cannot write output: {exc}", EXIT_BAD_INPUT)
     snapshots = [("labeled", labeled)]
     for i in range(len(ALL_CASES)):
         snapshots.append((f"stage{i + 1}", report.replay(labeled, ALL_CASES[: i + 1])))
@@ -198,7 +204,7 @@ def cmd_plan(args) -> int:
 def cmd_run(args) -> int:
     if args.cycles < 1:
         raise CliError("--cycles must be at least 1", EXIT_BAD_INPUT)
-    grid, index, start_cell, aut, pa = _prepare_product(args)
+    index, start_cell, aut, pa = _prepare_product(args)
     plan = _timed("plan", find_plan, pa)
     if plan is None:
         print("no satisfying plan exists", file=sys.stderr)
@@ -206,7 +212,7 @@ def cmd_run(args) -> int:
     try:
         trace = _timed(
             "execute", execute_plan,
-            grid, start_cell, plan.prefix, plan.cycle, index, args.cycles,
+            start_cell, plan.prefix, plan.cycle, index, args.cycles,
         )
     except UnreachableTargetError as exc:
         print(f"execution failed: {exc}", file=sys.stderr)

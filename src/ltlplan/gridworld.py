@@ -42,12 +42,9 @@ class GridMap:
     obstacles: frozenset[Cell] = frozenset()
     start: Cell | None = None
 
-    def in_bounds(self, cell: Cell) -> bool:
-        x, y = cell
-        return 0 <= x < self.width and 0 <= y < self.height
-
     def is_free(self, cell: Cell) -> bool:
-        return self.in_bounds(cell) and cell not in self.obstacles
+        x, y = cell
+        return 0 <= x < self.width and 0 <= y < self.height and cell not in self.obstacles
 
     def label_at(self, cell: Cell) -> frozenset[str]:
         return self.labels.get(cell, frozenset())
@@ -58,12 +55,6 @@ class GridMap:
         for labelset in self.labels.values():
             out |= labelset
         return frozenset(out)
-
-    def neighbors4(self, cell: Cell) -> list[Cell]:
-        """Passable cardinal neighbors in up, down, left, right order."""
-        x, y = cell
-        candidates = ((x, y - 1), (x, y + 1), (x - 1, y), (x + 1, y))
-        return [c for c in candidates if self.is_free(c)]
 
     def default_start(self) -> Cell:
         """First unlabeled passable cell in row-major order."""
@@ -93,25 +84,6 @@ class GridMap:
         if self.start is not None:
             doc["start"] = {"x": self.start[0], "y": self.start[1]}
         return doc
-
-    def to_ascii(self) -> str:
-        """Render for debugging; multi-symbol cells show as '?'."""
-        rows = []
-        for y in range(self.height):
-            row = []
-            for x in range(self.width):
-                if (x, y) in self.obstacles:
-                    row.append(ASCII_OBSTACLE)
-                    continue
-                labelset = self.label_at((x, y))
-                if not labelset:
-                    row.append(ASCII_FREE)
-                elif len(labelset) == 1 and len(next(iter(labelset))) == 1:
-                    row.append(next(iter(labelset)))
-                else:
-                    row.append("?")
-            rows.append("".join(row))
-        return "\n".join(rows)
 
 
 def parse_map(text: str) -> GridMap:
@@ -325,7 +297,7 @@ def bfs_tree(sources, successors, target=None) -> dict:
 
 
 def tree_path(parent: dict, node) -> list:
-    """Path of ``bfs_tree`` edges from a source to ``node``, both included."""
+    """Path along a parent map from a source to ``node``, both included."""
     path = [node]
     while parent[path[-1]] is not None:
         path.append(parent[path[-1]])

@@ -308,26 +308,6 @@ class Guard:
         return " | ".join(sorted(parts))
 
 
-def parse_guard(text: str) -> Guard:
-    clauses = []
-    for part in text.split("|"):
-        part = part.strip()
-        if part == "true":
-            clauses.append(frozenset())
-            continue
-        literals = []
-        for raw in part.split("&"):
-            raw = raw.strip()
-            if not raw:
-                raise LtlParseError(f"empty literal in guard {text!r}")
-            if raw.startswith("!"):
-                literals.append((raw[1:].strip(), False))
-            else:
-                literals.append((raw, True))
-        clauses.append(frozenset(literals))
-    return Guard(frozenset(clauses))
-
-
 # ---------------------------------------------------------------------------
 # Büchi automata
 
@@ -375,19 +355,6 @@ class BuchiAutomaton:
                 for (src, dst) in self.edges()
             ],
         }
-
-    @classmethod
-    def from_document(cls, doc: dict) -> "BuchiAutomaton":
-        transitions = {
-            (entry["from"], entry["to"]): parse_guard(entry["guard"])
-            for entry in doc["transitions"]
-        }
-        return cls(
-            order=list(doc["states"]),
-            initial=doc["initial"],
-            accepting=frozenset(doc["accepting"]),
-            transitions=transitions,
-        )
 
     def to_dot(self) -> str:
         lines = ["digraph buchi {", "  rankdir=LR;", "  node [shape=circle];"]

@@ -4,10 +4,12 @@ A policy names a task by the labels its goal region must carry (and must
 not carry).  ``mv_path`` finds a path that reaches some satisfying region
 with lexicographically minimal cost ``(violations, steps)``, where one
 violation is charged per entry into a labeled region that does not
-satisfy the policy.  ``execute_plan`` chains such paths for a whole plan
-and records the induced label word, which ``check_trace`` replays on a
-Büchi automaton.  Every search reads one cell index built by
-``region_index`` from the run's regions.
+satisfy the policy, and returns that violation count with the path.
+``execute_plan`` chains such paths for a whole plan, records each count
+as the segment's forced minimum, and records the induced label word,
+which ``check_trace`` replays on a Büchi automaton.  Every search reads
+only the cell index that ``region_index`` builds from the run's regions:
+its keys are the passable cells, and every move goes to one of them.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass, field
 
-from .gridworld import Cell, GridMap, Region
+from .gridworld import Cell, Region, tree_path
 from .ltl import BuchiAutomaton, LabelSet, accepts_lasso
 
 
@@ -71,40 +73,38 @@ def region_index(regions: list[Region]) -> CellIndex:
     return {cell: (region.id, region.label) for region in regions for cell in region.cells}
 
 
-def mv_path(grid: GridMap, start: Cell, policy: PolicySpec, index: CellIndex) -> list[Cell]:
+def mv_path(start: Cell, policy: PolicySpec, index: CellIndex) -> tuple[int, list[Cell]]:
     """Cheapest path from ``start`` into a region satisfying ``policy``.
 
-    Cost is compared lexicographically as (violations, steps); among
-    equal-cost paths the earliest-queued one wins, so neighbor order
-    (up, down, left, right) breaks the remaining ties deterministically.
+    Moves go to the up, down, left and right neighbours that are keys of
+    ``index``.  Cost is compared lexicographically as (violations, steps);
+    among equal-cost paths the earliest-queued one wins, so that neighbour
+    order breaks the remaining ties deterministically.  Returns the
+    path's violation count, the minimum over all paths, with the path.
     """
     if start not in index:
         raise ValueError(f"start cell {start} is not passable")
     if policy.satisfied_by(index[start][1]):
-        return [start]
+        return 0, [start]
 
     tick = 0
     heap: list[tuple[int, int, int, Cell, Cell | None]] = [(0, 0, tick, start, None)]
-    parent: dict[Cell, Cell | None] = {}
-    settled: set[Cell] = set()
+    parent: dict[Cell, Cell | None] = {}  # keys are the settled cells
 
     while heap:
         violations, steps, _, cell, came_from = heapq.heappop(heap)
-        if cell in settled:
+        if cell in parent:
             continue
-        settled.add(cell)
         parent[cell] = came_from
         region, labels = index[cell]
         if policy.satisfied_by(labels):
-            path = [cell]
-            while parent[path[-1]] is not None:
-                path.append(parent[path[-1]])
-            path.reverse()
-            return path
-        for neighbor in grid.neighbors4(cell):
-            if neighbor in settled:
+            return violations, tree_path(parent, cell)
+        x, y = cell
+        for neighbor in ((x, y - 1), (x, y + 1), (x - 1, y), (x + 1, y)):
+            entry = index.get(neighbor)
+            if entry is None or neighbor in parent:
                 continue
-            nregion, nlabels = index[neighbor]
+            nregion, nlabels = entry
             bump = int(nregion != region and bool(nlabels) and not policy.satisfied_by(nlabels))
             tick += 1
             heapq.heappush(heap, (violations + bump, steps + 1, tick, neighbor, cell))
@@ -218,7 +218,6 @@ def trace_word(cells: list[Cell], index: CellIndex) -> tuple[list[LabelSet], lis
 
 
 def execute_plan(
-    grid: GridMap,
     start: Cell,
     prefix: list[str],
     cycle: list[str],
@@ -229,7 +228,8 @@ def execute_plan(
 
     The cycle part is unrolled ``cycles`` times (ignored when empty).
     Each policy contributes the cheapest path from wherever the previous
-    one ended; violation counts per segment are the proven minima.
+    one ended; each segment records ``mv_path``'s violation count, the
+    proven minimum, as its forced violations.
     """
     if cycle and cycles < 1:
         raise ValueError("cyclic plans need at least one cycle repetition")
@@ -243,14 +243,14 @@ def execute_plan(
         policy = PolicySpec.from_symbol(symbol)
         here = cells[-1]
         seg_start = len(cells) - 1
-        path = mv_path(grid, here, policy, index)
+        forced, path = mv_path(here, policy, index)
         cells.extend(path[1:])
         segments.append(
             TraceSegment(
                 symbol=symbol,
                 start=seg_start,
                 end=len(cells) - 1,
-                forced_violations=_count_violations(index, path, policy),
+                forced_violations=forced,
             )
         )
 
@@ -264,16 +264,6 @@ def execute_plan(
         cycle_length=len(cycle),
         cycles=cycles if cycle else 0,
     )
-
-
-def _count_violations(index: CellIndex, path: list[Cell], policy: PolicySpec) -> int:
-    count = 0
-    for prev, cell in zip(path, path[1:]):
-        pregion = index[prev][0]
-        region, labels = index[cell]
-        if region != pregion and labels and not policy.satisfied_by(labels):
-            count += 1
-    return count
 
 
 def unsafe_report(trace: Trace) -> dict:

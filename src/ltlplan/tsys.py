@@ -128,26 +128,6 @@ class TransitionSystem:
             "mode": self.mode,
         }
 
-    @classmethod
-    def from_document(cls, doc: dict) -> "TransitionSystem":
-        order: list[int] = []
-        labels: dict[int, frozenset[str]] = {}
-        for entry in doc["states"]:
-            state = _parse_state_name(entry["id"])
-            order.append(state)
-            labels[state] = frozenset(entry["label"])
-        transitions: dict[tuple[int, int], set[str]] = {}
-        for entry in doc["transitions"]:
-            edge = (_parse_state_name(entry["from"]), _parse_state_name(entry["to"]))
-            transitions[edge] = set(entry["label"])
-        return cls(
-            order=order,
-            labels=labels,
-            transitions=transitions,
-            initial=_parse_state_name(doc["initial"]),
-            mode=doc.get("mode", PRIMITIVE),
-        )
-
     def to_dot(self) -> str:
         lines = ["digraph ts {", "  rankdir=LR;", "  node [shape=circle];"]
         for state in self.order:
@@ -160,12 +140,6 @@ class TransitionSystem:
             lines.append(f'  {self.state_name(src)} -> {self.state_name(dst)} [label="{label}"];')
         lines.append("}")
         return "\n".join(lines) + "\n"
-
-
-def _parse_state_name(name: str) -> int:
-    if not name.startswith("q") or not name[1:].isdigit():
-        raise ValueError(f"state id must look like 'q3', got {name!r}")
-    return int(name[1:])
 
 
 def build_initial_ts(

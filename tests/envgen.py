@@ -3,7 +3,9 @@
 Everything here is deliberately written from first principles rather than
 by calling the code under test: brute-force breadth-first searches,
 exhaustive walk enumeration, and budget-bounded path search act as
-reference answers for the fast implementations in the package.
+reference answers for the fast implementations in the package.  The
+document readers and the ASCII renderer at the end serve round-trip tests
+only, so they live here rather than in the package.
 """
 
 from __future__ import annotations
@@ -11,11 +13,23 @@ from __future__ import annotations
 import random
 from collections import deque
 
-from ltlplan.gridworld import GridMap, extract_regions
-from ltlplan.ltl import And, Atom, Eventually, Always, NotAtom, Or, Top, Until
+from ltlplan.gridworld import ASCII_FREE, ASCII_OBSTACLE, GridMap, extract_regions
+from ltlplan.ltl import (
+    And,
+    Atom,
+    BuchiAutomaton,
+    Eventually,
+    Always,
+    Guard,
+    LtlParseError,
+    NotAtom,
+    Or,
+    Top,
+    Until,
+)
 from ltlplan.mvpolicy import mv_path
 from ltlplan.product import PAState, ProductAutomaton
-from ltlplan.tsys import COMPOSITE, EMPTY_LABEL, TransitionSystem
+from ltlplan.tsys import COMPOSITE, EMPTY_LABEL, PRIMITIVE, TransitionSystem
 
 ATOMS = ["a", "b", "c"]
 
@@ -186,6 +200,30 @@ def floyd_warshall_hops(order, graph) -> dict[tuple[int, int], float]:
     return dist
 
 
+def neighbors4(grid: GridMap, cell) -> list[tuple[int, int]]:
+    """On-map, non-obstacle cardinal neighbours in up, down, left, right order."""
+    x, y = cell
+    return [
+        (nx, ny)
+        for (nx, ny) in ((x, y - 1), (x, y + 1), (x - 1, y), (x + 1, y))
+        if 0 <= nx < grid.width and 0 <= ny < grid.height and (nx, ny) not in grid.obstacles
+    ]
+
+
+def count_violations(index, path, policy) -> int:
+    """Entries along ``path`` into a labeled region that ``policy`` does not accept.
+
+    An entry is a step whose region id differs from the previous cell's.
+    """
+    count = 0
+    for before, after in zip(path, path[1:]):
+        region, labels = index[after]
+        accepted = policy.positives <= labels and not (policy.negatives & labels)
+        if region != index[before][0] and labels and not accepted:
+            count += 1
+    return count
+
+
 def oracle_mv_cost(grid: GridMap, start, policy, index, max_violations: int = 60):
     """Best (violations, steps) over all paths, by budgeted breadth-first search.
 
@@ -203,7 +241,7 @@ def oracle_mv_cost(grid: GridMap, start, policy, index, max_violations: int = 60
         while queue:
             state = queue.popleft()
             cell, used = state
-            for neighbor in grid.neighbors4(cell):
+            for neighbor in neighbors4(grid, cell):
                 nregion, nlabels = index[neighbor]
                 bump = int(
                     nregion != index[cell][0]
@@ -223,7 +261,7 @@ def oracle_mv_cost(grid: GridMap, start, policy, index, max_violations: int = 60
     return None
 
 
-def first_region_change(grid: GridMap, start, policy, index) -> int | None:
+def first_region_change(start, policy, index) -> int | None:
     """Region id of the first boundary the executor's ``mv_path`` crosses.
 
     Unlike the oracles above this reads the executor itself: it answers
@@ -231,7 +269,7 @@ def first_region_change(grid: GridMap, start, policy, index) -> int | None:
     transitions against.  ``None`` when the start region already satisfies
     the policy (the path never leaves it).
     """
-    path = mv_path(grid, start, policy, index)
+    _, path = mv_path(start, policy, index)
     start_region = index[start][0]
     for cell in path[1:]:
         region = index[cell][0]
@@ -362,3 +400,89 @@ def reference_ts_labels(ts: TransitionSystem) -> dict[tuple[int, int], set[str]]
             if start in hops and hops[start] > hops[end]:
                 symbols |= contributed
     return labels
+
+
+# ---------------------------------------------------------------------------
+# Document readers and rendering, for round-trip tests
+
+
+def to_ascii(grid: GridMap) -> str:
+    """Render a map as ASCII art; multi-symbol cells show as '?'."""
+    rows = []
+    for y in range(grid.height):
+        row = []
+        for x in range(grid.width):
+            if (x, y) in grid.obstacles:
+                row.append(ASCII_OBSTACLE)
+                continue
+            labelset = grid.label_at((x, y))
+            if not labelset:
+                row.append(ASCII_FREE)
+            elif len(labelset) == 1 and len(next(iter(labelset))) == 1:
+                row.append(next(iter(labelset)))
+            else:
+                row.append("?")
+        rows.append("".join(row))
+    return "\n".join(rows)
+
+
+def _parse_state_name(name: str) -> int:
+    if not name.startswith("q") or not name[1:].isdigit():
+        raise ValueError(f"state id must look like 'q3', got {name!r}")
+    return int(name[1:])
+
+
+def ts_from_document(doc: dict) -> TransitionSystem:
+    """Rebuild a transition system from ``TransitionSystem.to_document`` output."""
+    order: list[int] = []
+    labels: dict[int, frozenset[str]] = {}
+    for entry in doc["states"]:
+        state = _parse_state_name(entry["id"])
+        order.append(state)
+        labels[state] = frozenset(entry["label"])
+    transitions: dict[tuple[int, int], set[str]] = {}
+    for entry in doc["transitions"]:
+        edge = (_parse_state_name(entry["from"]), _parse_state_name(entry["to"]))
+        transitions[edge] = set(entry["label"])
+    return TransitionSystem(
+        order=order,
+        labels=labels,
+        transitions=transitions,
+        initial=_parse_state_name(doc["initial"]),
+        mode=doc.get("mode", PRIMITIVE),
+    )
+
+
+def parse_guard(text: str) -> Guard:
+    """Read a guard back from ``Guard.format`` text."""
+    clauses = []
+    for part in text.split("|"):
+        part = part.strip()
+        if part == "true":
+            clauses.append(frozenset())
+            continue
+        literals = []
+        for raw in part.split("&"):
+            raw = raw.strip()
+            if not raw:
+                raise LtlParseError(f"empty literal in guard {text!r}")
+            if raw.startswith("!"):
+                literals.append((raw[1:].strip(), False))
+            else:
+                literals.append((raw, True))
+        clauses.append(frozenset(literals))
+    return Guard(frozenset(clauses))
+
+
+def buchi_from_document(doc: dict) -> BuchiAutomaton:
+    """Rebuild an automaton from ``BuchiAutomaton.to_document`` output."""
+    transitions = {
+        (entry["from"], entry["to"]): parse_guard(entry["guard"])
+        for entry in doc["transitions"]
+    }
+    return BuchiAutomaton(
+        order=list(doc["states"]),
+        initial=doc["initial"],
+        accepting=frozenset(doc["accepting"]),
+        transitions=transitions,
+    )

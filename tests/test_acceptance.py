@@ -166,7 +166,7 @@ def test_criterion_4__pruned_transitions_are_realizable():
             for symbol in symbols:
                 policy = PolicySpec.from_symbol(symbol)
                 for cell in samples:
-                    landed = first_region_change(grid, cell, policy, index)
+                    landed = first_region_change(cell, policy, index)
                     assert landed is not None
                     assert rep_of[landed] == dst, (src, dst, symbol, cell)
                     transitions_checked += 1
@@ -200,9 +200,7 @@ def test_criterion_6__open_room_single_goal_case_study(open_room_grid):
     assert plan.prefix == ["b&square"]
     assert plan.cycle == []
     index = region_index(extract_regions(open_room_grid)[0])
-    trace = execute_plan(
-        open_room_grid, open_room_grid.resolved_start(), plan.prefix, plan.cycle, index
-    )
+    trace = execute_plan(open_room_grid.resolved_start(), plan.prefix, plan.cycle, index)
     assert check_trace(aut, trace)
     assert unsafe_report(trace)["count"] == 0
 
@@ -219,7 +217,7 @@ def test_criterion_7__obstacle_course_two_goal_case_study(obstacle_course_grid):
         ["circle&p", "b&square", "b&circle"],
     )
     index = region_index(extract_regions(grid)[0])
-    trace = execute_plan(grid, grid.resolved_start(), plan.prefix, plan.cycle, index)
+    trace = execute_plan(grid.resolved_start(), plan.prefix, plan.cycle, index)
     assert check_trace(aut, trace)
     assert unsafe_report(trace)["count"] == 0
 

@@ -210,6 +210,31 @@ def test_bad_start_overrides_exit_2():
     assert main(["plan", "--map", RING, "--ltl", "F c", "--start", "99,99"]) == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["compile", "--ltl", "F a", "--out"],
+        ["compile", "--ltl", "F a", "--dot"],
+        ["abstract", "--map", RING, "--dot"],
+        ["prune", "--map", RING, "--report"],
+        ["prune", "--map", RING, "--emit-stages"],
+        ["run", "--map", RING, "--ltl", "F c", "--emit-stages"],
+        ["run", "--map", RING, "--ltl", "F c", "--out"],
+    ],
+    ids=[
+        "compile-out", "compile-dot", "abstract-dot", "prune-report", "prune-emit-stages",
+        "run-emit-stages", "run-out",
+    ],
+)
+def test_unwritable_output_path_exits_2(tmp_path, capsys, argv):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    assert main([*argv, str(blocker / "x")]) == 2
+    err = capsys.readouterr().err
+    assert "error: cannot write output" in err
+    assert "Traceback" not in err
+
+
 def test_cycles_below_one_exits_2():
     assert main(["run", "--map", RING, "--ltl", "G F c", "--cycles", "0"]) == 2
 

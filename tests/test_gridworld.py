@@ -10,9 +10,11 @@ import pytest
 from envgen import (
     floyd_warshall_hops,
     harsh_map,
+    neighbors4,
     random_grid,
     reference_regions,
     sea_with_islands,
+    to_ascii,
 )
 from ltlplan.gridworld import (
     MAX_CELLS,
@@ -135,7 +137,7 @@ def test_default_start_is_first_free_unlabeled_cell():
 
 def test_ascii_rendering_roundtrips():
     text = "a.#\n.b.\n"
-    assert parse_map(text).to_ascii() == text.strip("\n")
+    assert to_ascii(parse_map(text)) == text.strip("\n")
 
 
 # ---------------------------------------------------------------------------
@@ -199,13 +201,13 @@ def test_regions_are_connected_and_maximal():
             seen = {frontier[0]}
             while frontier:
                 cell = frontier.pop()
-                for nb in grid.neighbors4(cell):
+                for nb in neighbors4(grid, cell):
                     if nb in region.cells and nb not in seen:
                         seen.add(nb)
                         frontier.append(nb)
             assert seen == region.cells
             for cell in region.cells:
-                for nb in grid.neighbors4(cell):
+                for nb in neighbors4(grid, cell):
                     if index[nb][0] != region.id:
                         assert grid.label_at(nb) != region.label
 
@@ -221,7 +223,7 @@ def test_regions_match_union_find_reference():
     shapes += [(rng.randint(1, 11), rng.randint(1, 11)) for _ in range(60)]
     for width, height in shapes:
         grid = random_grid(rng, width, height)
-        assert _region_triples(grid) == reference_regions(grid), grid.to_ascii()
+        assert _region_triples(grid) == reference_regions(grid), to_ascii(grid)
 
 
 def test_regions_do_not_wrap_across_rows():

@@ -7,7 +7,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from envgen import ATOMS, random_formula, random_lasso
+from envgen import ATOMS, buchi_from_document, parse_guard, random_formula, random_lasso
 from ltlplan.ltl import (
     And,
     Atom,
@@ -23,7 +23,6 @@ from ltlplan.ltl import (
     accepts_lasso,
     empty_word_accepting_states,
     eval_ltl_on_lasso,
-    parse_guard,
     parse_ltl,
     to_buchi,
     to_text,
@@ -202,7 +201,7 @@ def test_automaton_document_roundtrip():
     for text in ("F square", "G F a", "a U b & !c", "F (a & F b)"):
         aut = to_buchi(parse_ltl(text))
         doc = aut.to_document()
-        again = BuchiAutomaton.from_document(doc)
+        again = buchi_from_document(doc)
         assert again.to_document() == doc
         assert again.order == aut.order
         assert again.accepting == aut.accepting

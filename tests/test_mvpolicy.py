@@ -6,7 +6,14 @@ import random
 
 import pytest
 
-from envgen import first_region_change, harsh_map, oracle_mv_cost, random_formula
+from envgen import (
+    count_violations,
+    first_region_change,
+    harsh_map,
+    neighbors4,
+    oracle_mv_cost,
+    random_formula,
+)
 from ltlplan.gridworld import extract_regions, parse_map
 from ltlplan.ltl import eval_ltl_on_lasso, parse_ltl, to_buchi, to_text
 from ltlplan.mvpolicy import (
@@ -64,44 +71,46 @@ def test_policy_validation():
 
 def test_path_through_unavoidable_label_counts_one_violation():
     grid = parse_map(STRIP)
-    path = mv_path(grid, (0, 0), PolicySpec.from_symbol("b"), index_of(grid))
+    violations, path = mv_path((0, 0), PolicySpec.from_symbol("b"), index_of(grid))
     assert path == [(0, 0), (1, 0), (2, 0), (3, 0)]
+    assert violations == 1
 
 
 def test_start_region_satisfying_policy_is_a_fixpoint():
     grid = parse_map(STRIP)
     index = index_of(grid)
-    assert mv_path(grid, (1, 0), PolicySpec.from_symbol("a"), index) == [(1, 0)]
-    assert first_region_change(grid, (1, 0), PolicySpec.from_symbol("a"), index) is None
+    assert mv_path((1, 0), PolicySpec.from_symbol("a"), index) == (0, [(1, 0)])
+    assert first_region_change((1, 0), PolicySpec.from_symbol("a"), index) is None
 
 
 def test_longer_clean_detour_beats_short_violating_route():
     grid = parse_map(BYPASS)
-    path = mv_path(grid, (0, 0), PolicySpec.from_symbol("b"), index_of(grid))
+    violations, path = mv_path((0, 0), PolicySpec.from_symbol("b"), index_of(grid))
     assert (1, 0) not in path
     assert path == [(0, 0), (0, 1), (1, 1), (2, 1), (2, 0)]
+    assert violations == 0
 
 
 def test_unreachable_policy_raises():
     grid = parse_map(".#b")
     with pytest.raises(UnreachableTargetError):
-        mv_path(grid, (0, 0), PolicySpec.from_symbol("b"), index_of(grid))
+        mv_path((0, 0), PolicySpec.from_symbol("b"), index_of(grid))
     grid2 = parse_map("..a")
     with pytest.raises(UnreachableTargetError):
-        mv_path(grid2, (0, 0), PolicySpec.from_symbol("b"), index_of(grid2))
+        mv_path((0, 0), PolicySpec.from_symbol("b"), index_of(grid2))
 
 
 def test_path_rejects_impassable_start():
     grid = parse_map(".#b")
     with pytest.raises(ValueError):
-        mv_path(grid, (1, 0), PolicySpec.from_symbol("b"), index_of(grid))
+        mv_path((1, 0), PolicySpec.from_symbol("b"), index_of(grid))
 
 
 def test_first_region_change_reports_first_boundary():
     grid = parse_map(STRIP)
     index = index_of(grid)
     a_region = index[(1, 0)][0]
-    assert first_region_change(grid, (0, 0), PolicySpec.from_symbol("b"), index) == a_region
+    assert first_region_change((0, 0), PolicySpec.from_symbol("b"), index) == a_region
 
 
 def test_path_cost_matches_exhaustive_search():
@@ -121,14 +130,16 @@ def test_path_cost_matches_exhaustive_search():
             policy = PolicySpec.from_symbol(rng.choice(symbols))
             want = oracle_mv_cost(grid, start, policy, index)
             try:
-                path = mv_path(grid, start, policy, index)
+                violations, path = mv_path(start, policy, index)
             except UnreachableTargetError:
                 assert want is None
                 continue
-            from ltlplan.mvpolicy import _count_violations
-
-            got = (_count_violations(index, path, policy), len(path) - 1)
+            assert path[0] == start
+            for cell, step in zip(path, path[1:]):
+                assert step in neighbors4(grid, cell) and step in index, (cell, step)
+            got = (violations, len(path) - 1)
             assert got == want, (start, policy.symbol)
+            assert count_violations(index, path, policy) == violations, (start, policy.symbol)
             compared += 1
     assert compared >= 60
 
@@ -151,7 +162,7 @@ def test_trace_word_keeps_empty_letters():
 
 def test_execute_plan_chains_segments():
     grid = parse_map(STRIP)
-    trace = execute_plan(grid, (0, 0), ["a", "b", "a"], [], index_of(grid))
+    trace = execute_plan((0, 0), ["a", "b", "a"], [], index_of(grid))
     assert [seg.symbol for seg in trace.segments] == ["a", "b", "a"]
     assert trace.segments[0].start == 0
     for left, right in zip(trace.segments, trace.segments[1:]):
@@ -166,8 +177,8 @@ def test_execute_plan_chains_segments():
 
 def test_execute_plan_unrolls_cycles():
     grid = parse_map(STRIP)
-    once = execute_plan(grid, (2, 0), ["a"], ["b", "a"], index_of(grid), cycles=1)
-    twice = execute_plan(grid, (2, 0), ["a"], ["b", "a"], index_of(grid), cycles=2)
+    once = execute_plan((2, 0), ["a"], ["b", "a"], index_of(grid), cycles=1)
+    twice = execute_plan((2, 0), ["a"], ["b", "a"], index_of(grid), cycles=2)
     assert once.prefix_segments == 1
     assert once.cycle_length == 2
     assert (once.cycles, twice.cycles) == (1, 2)
@@ -178,14 +189,14 @@ def test_execute_plan_unrolls_cycles():
 def test_execute_plan_validates_inputs():
     grid = parse_map(STRIP)
     with pytest.raises(ValueError):
-        execute_plan(grid, (0, 0), ["a"], ["b"], index_of(grid), cycles=0)
+        execute_plan((0, 0), ["a"], ["b"], index_of(grid), cycles=0)
     with pytest.raises(UnreachableTargetError):
-        execute_plan(grid, (0, 0), ["ghost"], [], index_of(grid))
+        execute_plan((0, 0), ["ghost"], [], index_of(grid))
 
 
 def test_trace_document_roundtrip():
     grid = parse_map(STRIP)
-    trace = execute_plan(grid, (0, 0), ["a"], ["b", "a"], index_of(grid), cycles=2)
+    trace = execute_plan((0, 0), ["a"], ["b", "a"], index_of(grid), cycles=2)
     doc = trace.to_document()
     again = Trace.from_document(doc)
     assert again == trace
@@ -198,7 +209,7 @@ def test_trace_document_roundtrip():
 
 def test_forced_violation_reported_but_not_unforced():
     grid = parse_map(STRIP)
-    trace = execute_plan(grid, (0, 0), ["b"], [], index_of(grid))
+    trace = execute_plan((0, 0), ["b"], [], index_of(grid))
     report = unsafe_report(trace)
     assert report["count"] == 1
     assert report["forced"] == 1
@@ -210,7 +221,7 @@ def test_forced_violation_reported_but_not_unforced():
 
 def test_terminal_region_entry_is_exempt():
     grid = parse_map(".b")
-    trace = execute_plan(grid, (0, 0), ["b"], [], index_of(grid))
+    trace = execute_plan((0, 0), ["b"], [], index_of(grid))
     report = unsafe_report(trace)
     assert report == {"count": 0, "forced": 0, "unforced": 0, "entries": []}
 
@@ -244,7 +255,7 @@ def test_executed_traces_never_have_unforced_violations():
         prefix = [rng.choice(symbols) for _ in range(rng.randint(1, 3))]
         cycle = [rng.choice(symbols) for _ in range(rng.randint(1, 2))] if checked % 2 else []
         try:
-            trace = execute_plan(grid, grid.resolved_start(), prefix, cycle, index, cycles=2)
+            trace = execute_plan(grid.resolved_start(), prefix, cycle, index, cycles=2)
         except UnreachableTargetError:
             continue
         for seg in trace.segments:
@@ -265,7 +276,7 @@ def test_executed_traces_never_have_unforced_violations():
 
 def test_finite_trace_checked_as_park_forever():
     grid = parse_map(STRIP)
-    trace = execute_plan(grid, (0, 0), ["b"], [], index_of(grid))
+    trace = execute_plan((0, 0), ["b"], [], index_of(grid))
     assert check_trace(to_buchi(parse_ltl("F b")), trace)
     assert check_trace(to_buchi(parse_ltl("F a")), trace)  # crossed a on the way
     assert not check_trace(to_buchi(parse_ltl("G F b & G F a")), trace)
@@ -273,14 +284,14 @@ def test_finite_trace_checked_as_park_forever():
 
 def test_cyclic_trace_checked_as_lasso():
     grid = parse_map(STRIP)
-    trace = execute_plan(grid, (2, 0), [], ["b", "a"], index_of(grid), cycles=2)
+    trace = execute_plan((2, 0), [], ["b", "a"], index_of(grid), cycles=2)
     assert check_trace(to_buchi(parse_ltl("G F b & G F a")), trace)
     assert not check_trace(to_buchi(parse_ltl("G !a")), trace)
 
 
 def test_failed_goal_detected():
     grid = parse_map(STRIP)
-    trace = execute_plan(grid, (0, 0), ["a"], [], index_of(grid))
+    trace = execute_plan((0, 0), ["a"], [], index_of(grid))
     assert not check_trace(to_buchi(parse_ltl("F b")), trace)
 
 
@@ -298,7 +309,7 @@ def test_finite_trace_check_matches_semantic_evaluator():
             continue
         plan = [rng.choice(symbols) for _ in range(rng.randint(1, 3))]
         try:
-            trace = execute_plan(grid, grid.resolved_start(), plan, [], index)
+            trace = execute_plan(grid.resolved_start(), plan, [], index)
         except UnreachableTargetError:
             continue
         for _ in range(5):

@@ -11,6 +11,7 @@ from envgen import (
     harsh_map,
     reference_ts_labels,
     sea_with_islands,
+    ts_from_document,
     walled_hub_map,
 )
 from ltlplan import tsys
@@ -251,7 +252,7 @@ def test_out_edges_sorted_by_state_order(ring_ts):
 def test_document_roundtrip(ring_ts, open_room_ts):
     for ts in (ring_ts, open_room_ts):
         doc = ts.to_document()
-        again = TransitionSystem.from_document(doc)
+        again = ts_from_document(doc)
         assert again.order == ts.order
         assert again.labels == ts.labels
         assert edge_labels(again) == edge_labels(ts)
