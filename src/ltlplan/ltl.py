@@ -10,7 +10,11 @@ Compilation to a Büchi automaton uses the classic on-the-fly tableau:
 formulas are split into "now" obligations (literals checked on the
 current letter) and "next" obligations carried forward, yielding a
 generalized automaton with one fairness set per eventuality, which a
-counter construction then degeneralizes.  ``eval_ltl_on_lasso`` is an
+counter construction then degeneralizes.  The tableau runs on integer
+bitsets over the formula's closure (its distinct subformulas, numbered
+once in ``to_text`` order, ties in first pre-order discovery), so each
+subformula is rendered once per compilation and the output does not
+depend on the interpreter's hash seed.  ``eval_ltl_on_lasso`` is an
 independent recursive evaluator over ultimately-periodic words used to
 cross-check the construction.
 """
@@ -374,17 +378,21 @@ class BuchiAutomaton:
 
 def to_buchi(formula: LtlFormula) -> BuchiAutomaton:
     """Compile a formula into a language-equivalent Büchi automaton."""
-    nodes, incoming = _expand_tableau(formula)
-    eventualities = _eventualities(formula)
+    closure = _closure(formula)
+    bit = {f: 1 << i for i, f in enumerate(closure)}
+    nodes, incoming = _expand_tableau(formula, bit)
 
     # Fairness sets: per eventuality, the nodes that either discharged its
     # goal now or never promised it in the first place.
     fairness: list[frozenset[str]] = []
-    for ev in eventualities:
-        goal = ev.right if isinstance(ev, Until) else ev.sub
+    for ev in closure:
+        if not isinstance(ev, (Until, Eventually)):
+            continue
+        ev_bit = bit[ev]
+        goal_bit = bit[ev.right if isinstance(ev, Until) else ev.sub]
         fairness.append(
             frozenset(
-                nid for nid, (old, _) in nodes.items() if ev not in old or goal in old
+                nid for nid, (old, _) in nodes.items() if not old & ev_bit or old & goal_bit
             )
         )
 
@@ -392,11 +400,13 @@ def to_buchi(formula: LtlFormula) -> BuchiAutomaton:
     if not fairness:
         fairness = [frozenset(nodes)]
 
+    literals = [
+        (bit[f], (f.name, isinstance(f, Atom)))
+        for f in closure
+        if isinstance(f, (Atom, NotAtom))
+    ]
     guards = {
-        nid: Guard.clause(
-            {(f.name, True) for f in old if isinstance(f, Atom)}
-            | {(f.name, False) for f in old if isinstance(f, NotAtom)}
-        )
+        nid: Guard.clause(lit for lit_bit, lit in literals if old & lit_bit)
         for nid, (old, _) in nodes.items()
     }
 
@@ -441,77 +451,87 @@ def to_buchi(formula: LtlFormula) -> BuchiAutomaton:
     )
 
 
-def _eventualities(formula: LtlFormula) -> list[LtlFormula]:
+def _closure(formula: LtlFormula) -> list[LtlFormula]:
+    """Distinct subformulas sorted by ``to_text``, ties in pre-order discovery."""
     found: dict[LtlFormula, None] = {}
 
     def walk(f: LtlFormula) -> None:
+        if f in found:
+            return
+        found[f] = None
         match f:
-            case Until(left, right):
-                found.setdefault(f)
+            case And(left, right) | Or(left, right) | Until(left, right):
                 walk(left)
                 walk(right)
-            case Eventually(sub):
-                found.setdefault(f)
-                walk(sub)
-            case And(left, right) | Or(left, right):
-                walk(left)
-                walk(right)
-            case Always(sub):
+            case Eventually(sub) | Always(sub):
                 walk(sub)
 
     walk(formula)
     return sorted(found, key=to_text)
 
 
+def _rule(f: LtlFormula, bit: dict[LtlFormula, int]) -> tuple[int, tuple[tuple[int, bool], ...]]:
+    """How expanding ``f`` splits a tableau node.
+
+    Returns the bit of the literal ``f`` contradicts (0 for none), then per
+    branch the obligations added now and whether ``f`` is carried next.
+    """
+    match f:
+        case Atom(name):
+            return bit.get(NotAtom(name), 0), ((0, False),)
+        case NotAtom(name):
+            return bit.get(Atom(name), 0), ((0, False),)
+        case And(left, right):
+            return 0, ((bit[left] | bit[right], False),)
+        case Or(left, right):
+            return 0, ((bit[left], False), (bit[right], False))
+        case Until(left, right):
+            return 0, ((bit[left], True), (bit[right], False))
+        case Eventually(sub):
+            return 0, ((0, True), (bit[sub], False))
+        case Always(sub):
+            return 0, ((bit[sub], True),)
+        case Top():
+            return 0, ((0, False),)
+    raise TypeError(f"not a formula: {f!r}")
+
+
 def _expand_tableau(
-    formula: LtlFormula,
-) -> tuple[dict[str, tuple[frozenset, frozenset]], dict[str, set[str]]]:
-    """Split formulas into tableau nodes keyed by their (now, next) obligations."""
-    by_key: dict[tuple[frozenset, frozenset], str] = {}
-    nodes: dict[str, tuple[frozenset, frozenset]] = {}
+    formula: LtlFormula, bit: dict[LtlFormula, int]
+) -> tuple[dict[str, tuple[int, int]], dict[str, set[str]]]:
+    """Split formulas into tableau nodes keyed by their (now, next) obligations.
+
+    Obligation sets are bitsets over the closure ``bit`` numbers in text
+    order, so the lowest set bit of ``new`` is its textually smallest
+    formula, the one expanded next.
+    """
+    rules = {b: _rule(f, bit) for f, b in bit.items()}
+    by_key: dict[tuple[int, int], str] = {}
     incoming: dict[str, set[str]] = {}
-    pending = [({"init"}, {formula}, set(), set())]
+    pending = [("init", bit[formula], 0, 0)]
 
     while pending:
-        inc, new, old, nxt = pending.pop()
+        src, new, old, nxt = pending.pop()
         if not new:
-            key = (frozenset(old), frozenset(nxt))
+            key = (old, nxt)
             nid = by_key.get(key)
             if nid is not None:
-                incoming[nid] |= inc
+                incoming[nid].add(src)
                 continue
             nid = f"n{len(by_key)}"
             by_key[key] = nid
-            nodes[nid] = key
-            incoming[nid] = set(inc)
-            pending.append(({nid}, set(key[1]), set(), set()))
+            incoming[nid] = {src}
+            pending.append((nid, nxt, 0, 0))
             continue
 
-        eta = min(new, key=to_text)
-        new = new - {eta}
-        match eta:
-            case Top():
-                pending.append((inc, new, old | {eta}, nxt))
-            case Atom(name):
-                if NotAtom(name) not in old:
-                    pending.append((inc, new, old | {eta}, nxt))
-            case NotAtom(name):
-                if Atom(name) not in old:
-                    pending.append((inc, new, old | {eta}, nxt))
-            case And(left, right):
-                pending.append((inc, new | ({left, right} - old), old | {eta}, nxt))
-            case Or(left, right):
-                pending.append((inc, new | ({left} - old), old | {eta}, nxt))
-                pending.append((inc, new | ({right} - old), old | {eta}, nxt))
-            case Until(left, right):
-                pending.append((inc, new | ({left} - old), old | {eta}, nxt | {eta}))
-                pending.append((inc, new | ({right} - old), old | {eta}, nxt))
-            case Eventually(sub):
-                pending.append((inc, set(new), old | {eta}, nxt | {eta}))
-                pending.append((inc, new | ({sub} - old), old | {eta}, nxt))
-            case Always(sub):
-                pending.append((inc, new | ({sub} - old), old | {eta}, nxt | {eta}))
-    return nodes, incoming
+        eta = new & -new
+        conflict, branches = rules[eta]
+        if old & conflict:
+            continue
+        new ^= eta
+        for now, carried in branches:
+            pending.append((src, new | (now & ~old), old | eta, nxt | eta if carried else nxt))
+    return {nid: key for key, nid in by_key.items()}, incoming
 
 
 # ---------------------------------------------------------------------------

@@ -90,17 +90,22 @@ def build_product(ts: TransitionSystem, aut: BuchiAutomaton) -> ProductAutomaton
     ]
     edges: dict[tuple[PAState, PAState], list[str]] = {}
     successors: dict[PAState, list[PAState]] = {}
+    # Automaton successors whose guard passes, per (state, letter read).
+    passing: dict[tuple[str, frozenset[str]], list[str]] = {}
 
     def expand(src: PAState) -> list[PAState]:
         s, q = src
         out: list[PAState] = []
-        hops = aut.successors(q)
         for (_, t) in ts.out_edges(s):
-            for q2, guard in hops:
-                if guard.satisfied_by(ts.labels[t]):
-                    dst = (t, q2)
-                    edges[(src, dst)] = sorted(ts.transitions[(s, t)])
-                    out.append(dst)
+            letter = ts.labels[t]
+            hits = passing.get((q, letter))
+            if hits is None:
+                hits = [q2 for q2, guard in aut.successors(q) if guard.satisfied_by(letter)]
+                passing[(q, letter)] = hits
+            for q2 in hits:
+                dst = (t, q2)
+                edges[(src, dst)] = sorted(ts.transitions[(s, t)])
+                out.append(dst)
         successors[src] = out
         return out
 

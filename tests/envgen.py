@@ -3,8 +3,9 @@
 Everything here is deliberately written from first principles rather than
 by calling the code under test: brute-force breadth-first searches,
 exhaustive walk enumeration, and budget-bounded path search act as
-reference answers for the fast implementations in the package.  The
-document readers and the ASCII renderer at the end serve round-trip tests
+reference answers for the fast implementations in the package, and the
+set-based tableau that the bitset Büchi construction replaced stays as its
+byte-for-byte reference.  The document readers and the ASCII renderer at the end serve round-trip tests
 only, so they live here rather than in the package.
 """
 
@@ -13,7 +14,7 @@ from __future__ import annotations
 import random
 from collections import deque
 
-from ltlplan.gridworld import ASCII_FREE, ASCII_OBSTACLE, GridMap, extract_regions
+from ltlplan.gridworld import ASCII_FREE, ASCII_OBSTACLE, GridMap, bfs_tree, extract_regions
 from ltlplan.ltl import (
     And,
     Atom,
@@ -21,11 +22,13 @@ from ltlplan.ltl import (
     Eventually,
     Always,
     Guard,
+    LtlFormula,
     LtlParseError,
     NotAtom,
     Or,
     Top,
     Until,
+    to_text,
 )
 from ltlplan.mvpolicy import mv_path
 from ltlplan.product import PAState, ProductAutomaton
@@ -400,6 +403,156 @@ def reference_ts_labels(ts: TransitionSystem) -> dict[tuple[int, int], set[str]]
             if start in hops and hops[start] > hops[end]:
                 symbols |= contributed
     return labels
+
+
+# ---------------------------------------------------------------------------
+# Reference Büchi construction
+
+
+def reference_buchi(formula: LtlFormula) -> BuchiAutomaton:
+    """The set-based tableau ``ltl.to_buchi`` replaced, kept as its oracle.
+
+    Each pop picks ``min(new, key=to_text)``, so where two distinct
+    subformulas render alike the result depends on set iteration order.
+    """
+    nodes, incoming = _reference_tableau(formula)
+    eventualities = _reference_eventualities(formula)
+
+    # Fairness sets: per eventuality, the nodes that either discharged its
+    # goal now or never promised it in the first place.
+    fairness: list[frozenset[str]] = []
+    for ev in eventualities:
+        goal = ev.right if isinstance(ev, Until) else ev.sub
+        fairness.append(
+            frozenset(
+                nid for nid, (old, _) in nodes.items() if ev not in old or goal in old
+            )
+        )
+
+    k = max(1, len(fairness))
+    if not fairness:
+        fairness = [frozenset(nodes)]
+
+    guards = {
+        nid: Guard.clause(
+            {(f.name, True) for f in old if isinstance(f, Atom)}
+            | {(f.name, False) for f in old if isinstance(f, NotAtom)}
+        )
+        for nid, (old, _) in nodes.items()
+    }
+
+    # Node ids are numbered in creation order, so each list is id-sorted.
+    init = "init"
+    targets: dict[str, list[str]] = {}
+    for nid in nodes:
+        for src in incoming[nid]:
+            targets.setdefault(src, []).append(nid)
+
+    def advance(src: str, counter: int) -> int:
+        if src != init and src in fairness[counter - 1]:
+            return counter % k + 1
+        return counter
+
+    product_edges: list[tuple[tuple[str, int], tuple[str, int], Guard]] = []
+
+    def expand(src_state: tuple[str, int]) -> list[tuple[str, int]]:
+        src, counter = src_state
+        nxt = advance(src, counter)
+        out = [(nid, nxt) for nid in targets.get(src, ())]
+        product_edges.extend((src_state, dst, guards[dst[0]]) for dst in out)
+        return out
+
+    start = (init, 1)
+    reachable = list(bfs_tree([start], expand))
+    names = {state: f"b{i}" for i, state in enumerate(reachable)}
+    accepting = frozenset(
+        names[(nid, counter)]
+        for (nid, counter) in reachable
+        if counter == 1 and nid != init and nid in fairness[0]
+    )
+    transitions: dict[tuple[str, str], Guard] = {}
+    for src_state, dst_state, guard in product_edges:
+        edge = (names[src_state], names[dst_state])
+        transitions[edge] = guard if edge not in transitions else transitions[edge].merged(guard)
+    return BuchiAutomaton(
+        order=[names[s] for s in reachable],
+        initial=names[start],
+        accepting=accepting,
+        transitions=transitions,
+    )
+
+
+def _reference_eventualities(formula: LtlFormula) -> list[LtlFormula]:
+    found: dict[LtlFormula, None] = {}
+
+    def walk(f: LtlFormula) -> None:
+        match f:
+            case Until(left, right):
+                found.setdefault(f)
+                walk(left)
+                walk(right)
+            case Eventually(sub):
+                found.setdefault(f)
+                walk(sub)
+            case And(left, right) | Or(left, right):
+                walk(left)
+                walk(right)
+            case Always(sub):
+                walk(sub)
+
+    walk(formula)
+    return sorted(found, key=to_text)
+
+
+def _reference_tableau(
+    formula: LtlFormula,
+) -> tuple[dict[str, tuple[frozenset, frozenset]], dict[str, set[str]]]:
+    """Split formulas into tableau nodes keyed by their (now, next) obligations."""
+    by_key: dict[tuple[frozenset, frozenset], str] = {}
+    nodes: dict[str, tuple[frozenset, frozenset]] = {}
+    incoming: dict[str, set[str]] = {}
+    pending = [({"init"}, {formula}, set(), set())]
+
+    while pending:
+        inc, new, old, nxt = pending.pop()
+        if not new:
+            key = (frozenset(old), frozenset(nxt))
+            nid = by_key.get(key)
+            if nid is not None:
+                incoming[nid] |= inc
+                continue
+            nid = f"n{len(by_key)}"
+            by_key[key] = nid
+            nodes[nid] = key
+            incoming[nid] = set(inc)
+            pending.append(({nid}, set(key[1]), set(), set()))
+            continue
+
+        eta = min(new, key=to_text)
+        new = new - {eta}
+        match eta:
+            case Top():
+                pending.append((inc, new, old | {eta}, nxt))
+            case Atom(name):
+                if NotAtom(name) not in old:
+                    pending.append((inc, new, old | {eta}, nxt))
+            case NotAtom(name):
+                if Atom(name) not in old:
+                    pending.append((inc, new, old | {eta}, nxt))
+            case And(left, right):
+                pending.append((inc, new | ({left, right} - old), old | {eta}, nxt))
+            case Or(left, right):
+                pending.append((inc, new | ({left} - old), old | {eta}, nxt))
+                pending.append((inc, new | ({right} - old), old | {eta}, nxt))
+            case Until(left, right):
+                pending.append((inc, new | ({left} - old), old | {eta}, nxt | {eta}))
+                pending.append((inc, new | ({right} - old), old | {eta}, nxt))
+            case Eventually(sub):
+                pending.append((inc, set(new), old | {eta}, nxt | {eta}))
+                pending.append((inc, new | ({sub} - old), old | {eta}, nxt))
+            case Always(sub):
+                pending.append((inc, new | ({sub} - old), old | {eta}, nxt | {eta}))
+    return nodes, incoming
 
 
 # ---------------------------------------------------------------------------

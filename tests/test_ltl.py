@@ -2,12 +2,26 @@
 
 from __future__ import annotations
 
+import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from envgen import ATOMS, buchi_from_document, parse_guard, random_formula, random_lasso
+from envgen import (
+    ATOMS,
+    buchi_from_document,
+    parse_guard,
+    random_formula,
+    random_lasso,
+    reference_buchi,
+)
+import ltlplan
+from ltlplan import ltl
 from ltlplan.ltl import (
     And,
     Atom,
@@ -298,3 +312,112 @@ def test_empty_word_acceptance_matches_idling_lasso():
                 transitions=shifted.transitions,
             )
             assert accepts_lasso(rebased, [], [E]) is (state in idle_ok), (text, state)
+
+
+# ---------------------------------------------------------------------------
+# The bitset tableau against the set-based reference
+
+
+def _subformulas(formula) -> set:
+    match formula:
+        case And(left, right) | Or(left, right) | Until(left, right):
+            return {formula} | _subformulas(left) | _subformulas(right)
+        case Eventually(sub) | Always(sub):
+            return {formula} | _subformulas(sub)
+    return {formula}
+
+
+def _renders_alike(formula) -> bool:
+    """Whether two distinct subformulas share one ``to_text`` rendering."""
+    subs = _subformulas(formula)
+    return len({to_text(f) for f in subs}) < len(subs)
+
+
+# The goals benchmark families at k = 4, 5, and the k = 6 sizes on ROADMAP.
+FAMILIES = [
+    *(" & ".join(f"F {a}" for a in "abcdef"[:k]) for k in (4, 5, 6)),
+    *(" & ".join(f"G F {a}" for a in "abcdef"[:k]) for k in (4, 5, 6)),
+    *(" & ".join(f"!{a} U {b}" for a, b in zip("abcdef", "bcdef"[:k])) for k in (4, 5)),
+]
+
+
+@pytest.mark.parametrize("text", FAMILIES)
+def test_family_automaton_matches_reference(text):
+    formula = parse_ltl(text)
+    assert not _renders_alike(formula)
+    assert to_buchi(formula).to_document() == reference_buchi(formula).to_document()
+
+
+def test_random_automata_match_reference_or_semantics():
+    rng = random.Random(8)
+    compared = 0
+    for _ in range(1000):
+        formula = random_formula(rng, rng.randint(1, 9), ATOMS)
+        aut = to_buchi(formula)
+        if not _renders_alike(formula):
+            assert aut.to_document() == reference_buchi(formula).to_document(), to_text(formula)
+            compared += 1
+            continue
+        # The reference breaks text ties by set order; compare languages.
+        for _ in range(20):
+            prefix, cycle = random_lasso(rng, ATOMS)
+            assert accepts_lasso(aut, prefix, cycle) is eval_ltl_on_lasso(
+                formula, prefix, cycle
+            ), (to_text(formula), prefix, cycle)
+    assert compared > 900
+
+
+ALIKE_FORMULAS = [
+    "G ((a | (b | c)) & ((a | b) | c))",
+    "F (a | (b | c)) & F ((a | b) | c)",
+]
+
+_COMPILE_ALL = (
+    "import json, sys\n"
+    "from ltlplan.ltl import parse_ltl, to_buchi\n"
+    "docs = [to_buchi(parse_ltl(text)).to_document() for text in json.loads(sys.argv[1])]\n"
+    "print(json.dumps(docs))\n"
+)
+
+
+def test_compile_output_is_independent_of_hash_seed():
+    package_root = str(Path(ltlplan.__file__).resolve().parent.parent)
+    outputs = set()
+    for seed in ("0", "3", "5"):
+        env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": package_root}
+        done = subprocess.run(
+            [sys.executable, "-c", _COMPILE_ALL, json.dumps(ALIKE_FORMULAS)],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=60,
+            check=True,
+        )
+        outputs.add(done.stdout)
+    assert len(outputs) == 1
+
+    rng = random.Random(43)
+    for text in ALIKE_FORMULAS:
+        formula = parse_ltl(text)
+        assert _renders_alike(formula)
+        aut = to_buchi(formula)
+        for _ in range(300):
+            prefix, cycle = random_lasso(rng, ATOMS)
+            assert accepts_lasso(aut, prefix, cycle) is eval_ltl_on_lasso(
+                formula, prefix, cycle
+            ), (text, prefix, cycle)
+
+
+def test_compile_renders_each_subformula_once(monkeypatch):
+    calls = 0
+    render = ltl._render
+
+    def counted(formula, parent_level):
+        nonlocal calls
+        calls += 1
+        return render(formula, parent_level)
+
+    formula = parse_ltl("G F a & G F b & G F c & G F d & G F e")
+    monkeypatch.setattr(ltl, "_render", counted)
+    to_buchi(formula)
+    assert calls <= 200
