@@ -208,10 +208,6 @@ class Region:
     cells: frozenset[Cell]
     label: frozenset[str]
 
-    @property
-    def name(self) -> str:
-        return f"q{self.id}"
-
 
 def extract_regions(grid: GridMap) -> tuple[list[Region], dict[int, tuple[int, ...]]]:
     """Decompose a map into regions and their adjacency graph.

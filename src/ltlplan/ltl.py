@@ -268,48 +268,28 @@ def _parse_primary(tokens: _Tokenizer, depth: int) -> LtlFormula:
 
 
 # ---------------------------------------------------------------------------
-# Guards: DNF constraints over label sets
+# Guards: literal conjunctions over label sets
 
 
 @dataclass(frozen=True)
 class Guard:
-    """Disjunction of literal conjunctions, evaluated on a label set.
+    """Conjunction of literals, evaluated on a label set.
 
-    Each clause is a set of ``(symbol, positive)`` literals; the empty
-    clause is true everywhere, so ``Guard.true()`` has one empty clause
-    and the unsatisfiable guard has no clauses at all.
+    A label set satisfies the guard when it holds every symbol in
+    ``positives`` and none in ``negatives``; ``Guard()`` is true everywhere.
     """
 
-    clauses: frozenset[frozenset[tuple[str, bool]]]
-
-    @classmethod
-    def true(cls) -> "Guard":
-        return cls(frozenset({frozenset()}))
-
-    @classmethod
-    def clause(cls, literals) -> "Guard":
-        return cls(frozenset({frozenset(literals)}))
-
-    def merged(self, other: "Guard") -> "Guard":
-        return Guard(self.clauses | other.clauses)
+    positives: frozenset[str] = frozenset()
+    negatives: frozenset[str] = frozenset()
 
     def satisfied_by(self, labels: LabelSet) -> bool:
-        return any(
-            all((name in labels) == positive for name, positive in clause)
-            for clause in self.clauses
-        )
+        return self.positives <= labels and not self.negatives & labels
 
     def format(self) -> str:
-        if not self.clauses:
-            raise ValueError("unsatisfiable guard has no textual form")
-        parts = []
-        for clause in self.clauses:
-            if not clause:
-                parts.append("true")
-            else:
-                literals = sorted(clause, key=lambda lit: (lit[0], not lit[1]))
-                parts.append("&".join(name if pos else f"!{name}" for name, pos in literals))
-        return " | ".join(sorted(parts))
+        literals = sorted(
+            [(name, False) for name in self.positives] + [(name, True) for name in self.negatives]
+        )
+        return "&".join(f"!{name}" if negated else name for name, negated in literals) or "true"
 
 
 # ---------------------------------------------------------------------------
@@ -341,9 +321,19 @@ class BuchiAutomaton:
             self._successors[src].append(dst)
         for targets in self._successors.values():
             targets.sort(key=position.__getitem__)
+        self._steps: dict[tuple[str, LabelSet], list[str]] = {}
 
-    def successors(self, state: str) -> list[tuple[str, Guard]]:
-        return [(dst, self.transitions[(state, dst)]) for dst in self._successors[state]]
+    def step(self, state: str, letter: LabelSet) -> list[str]:
+        """Successors of ``state`` whose guard admits ``letter``, in ``order`` position."""
+        hits = self._steps.get((state, letter))
+        if hits is None:
+            hits = [
+                dst
+                for dst in self._successors[state]
+                if self.transitions[(state, dst)].satisfied_by(letter)
+            ]
+            self._steps[(state, letter)] = hits
+        return hits
 
     def edges(self) -> list[tuple[str, str]]:
         """Every transition, by source then target ``order`` position."""
@@ -363,9 +353,9 @@ class BuchiAutomaton:
     def to_dot(self) -> str:
         lines = ["digraph buchi {", "  rankdir=LR;", "  node [shape=circle];"]
         for state in self.order:
-            shape = ", peripheries=2" if state in self.accepting else ""
+            shape = " peripheries=2" if state in self.accepting else ""
             marker = ' style="bold"' if state == self.initial else ""
-            lines.append(f'  {state} [label="{state}"{shape}{marker}];'.replace(", p", " p"))
+            lines.append(f'  {state} [label="{state}"{shape}{marker}];')
         for (src, dst) in self.edges():
             lines.append(f'  {src} -> {dst} [label="{self.transitions[(src, dst)].format()}"];')
         lines.append("}")
@@ -400,13 +390,14 @@ def to_buchi(formula: LtlFormula) -> BuchiAutomaton:
     if not fairness:
         fairness = [frozenset(nodes)]
 
-    literals = [
-        (bit[f], (f.name, isinstance(f, Atom)))
-        for f in closure
-        if isinstance(f, (Atom, NotAtom))
-    ]
+    # A node's guard is the conjunction of the literals in its ``old`` set.
+    atoms = [(bit[f], f.name) for f in closure if isinstance(f, Atom)]
+    negated = [(bit[f], f.name) for f in closure if isinstance(f, NotAtom)]
     guards = {
-        nid: Guard.clause(lit for lit_bit, lit in literals if old & lit_bit)
+        nid: Guard(
+            frozenset(name for b, name in atoms if old & b),
+            frozenset(name for b, name in negated if old & b),
+        )
         for nid, (old, _) in nodes.items()
     }
 
@@ -422,13 +413,15 @@ def to_buchi(formula: LtlFormula) -> BuchiAutomaton:
             return counter % k + 1
         return counter
 
-    product_edges: list[tuple[tuple[str, int], tuple[str, int], Guard]] = []
+    # Each state is expanded once and lists each target once, so every
+    # (source, target) pair is one edge with one guard.
+    product_edges: list[tuple[tuple[str, int], tuple[str, int]]] = []
 
     def expand(src_state: tuple[str, int]) -> list[tuple[str, int]]:
         src, counter = src_state
         nxt = advance(src, counter)
         out = [(nid, nxt) for nid in targets.get(src, ())]
-        product_edges.extend((src_state, dst, guards[dst[0]]) for dst in out)
+        product_edges.extend((src_state, dst) for dst in out)
         return out
 
     start = (init, 1)
@@ -439,15 +432,11 @@ def to_buchi(formula: LtlFormula) -> BuchiAutomaton:
         for (nid, counter) in reachable
         if counter == 1 and nid != init and nid in fairness[0]
     )
-    transitions: dict[tuple[str, str], Guard] = {}
-    for src_state, dst_state, guard in product_edges:
-        edge = (names[src_state], names[dst_state])
-        transitions[edge] = guard if edge not in transitions else transitions[edge].merged(guard)
     return BuchiAutomaton(
         order=[names[s] for s in reachable],
         initial=names[start],
         accepting=accepting,
-        transitions=transitions,
+        transitions={(names[src], names[dst]): guards[dst[0]] for src, dst in product_edges},
     )
 
 
@@ -558,20 +547,13 @@ def accepts_lasso(aut: BuchiAutomaton, prefix, cycle) -> bool:
         nxt = pos + 1
         return nxt if nxt < total else plen
 
-    by_state: dict[str, list[tuple[str, Guard]]] = {
-        state: aut.successors(state) for state in aut.order
-    }
     successors: dict[tuple[str, int], list[tuple[str, int]]] = {}
 
     def succ(node: tuple[str, int]) -> list[tuple[str, int]]:
         cached = successors.get(node)
         if cached is None:
             state, pos = node
-            cached = [
-                (dst, next_pos(pos))
-                for (dst, guard) in by_state[state]
-                if guard.satisfied_by(word[pos])
-            ]
+            cached = [(dst, next_pos(pos)) for dst in aut.step(state, word[pos])]
             successors[node] = cached
         return cached
 
@@ -590,14 +572,15 @@ def empty_word_accepting_states(aut: BuchiAutomaton) -> frozenset[str]:
     These are the states with an empty-guard path to an accepting state
     that lies on an empty-guard cycle.
     """
-    empty: LabelSet = frozenset()
-    adj: dict[str, list[str]] = {s: [] for s in aut.order}
+
+    def idle(state: str) -> list[str]:
+        return aut.step(state, frozenset())
+
     back: dict[str, list[str]] = {s: [] for s in aut.order}
-    for (src, dst), guard in aut.transitions.items():
-        if guard.satisfied_by(empty):
-            adj[src].append(dst)
+    for src in aut.order:
+        for dst in idle(src):
             back[dst].append(src)
-    cyclic = [s for s in aut.order if s in aut.accepting and _on_cycle(s, adj.__getitem__)]
+    cyclic = [s for s in aut.order if s in aut.accepting and _on_cycle(s, idle)]
     return frozenset(bfs_tree(cyclic, back.__getitem__))
 
 

@@ -73,36 +73,23 @@ class ProductAutomaton:
 
 def build_product(ts: TransitionSystem, aut: BuchiAutomaton) -> ProductAutomaton:
     """Reachable synchronous product, explored in deterministic order."""
-    known = frozenset().union(*ts.labels.values()) if ts.labels else frozenset()
+    known = frozenset().union(*ts.labels.values())
     for guard in aut.transitions.values():
-        for clause in guard.clauses:
-            for name, _ in clause:
-                if name not in known:
-                    raise ValueError(
-                        f"guard references symbol {name!r} absent from the transition system"
-                    )
+        unknown = (guard.positives | guard.negatives) - known
+        if unknown:
+            raise ValueError(
+                f"guard references symbol {min(unknown)!r} absent from the transition system"
+            )
 
-    # An automaton state's successor list holds each target once.
-    initial = [
-        (ts.initial, dst)
-        for dst, guard in aut.successors(aut.initial)
-        if guard.satisfied_by(ts.labels[ts.initial])
-    ]
+    initial = [(ts.initial, q) for q in aut.step(aut.initial, ts.labels[ts.initial])]
     edges: dict[tuple[PAState, PAState], list[str]] = {}
     successors: dict[PAState, list[PAState]] = {}
-    # Automaton successors whose guard passes, per (state, letter read).
-    passing: dict[tuple[str, frozenset[str]], list[str]] = {}
 
     def expand(src: PAState) -> list[PAState]:
         s, q = src
         out: list[PAState] = []
         for (_, t) in ts.out_edges(s):
-            letter = ts.labels[t]
-            hits = passing.get((q, letter))
-            if hits is None:
-                hits = [q2 for q2, guard in aut.successors(q) if guard.satisfied_by(letter)]
-                passing[(q, letter)] = hits
-            for q2 in hits:
+            for q2 in aut.step(q, ts.labels[t]):
                 dst = (t, q2)
                 edges[(src, dst)] = sorted(ts.transitions[(s, t)])
                 out.append(dst)

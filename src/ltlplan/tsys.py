@@ -94,13 +94,6 @@ class TransitionSystem:
             return frozenset({composite_symbol(labelset)})
         return labelset
 
-    def alphabet(self) -> frozenset[str]:
-        """All task symbols any state can complete."""
-        out: set[str] = set()
-        for state in self.order:
-            out |= self.task_symbols_of_state(state)
-        return frozenset(out)
-
     def copy(self) -> "TransitionSystem":
         return TransitionSystem(
             order=list(self.order),

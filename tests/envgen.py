@@ -405,6 +405,85 @@ def reference_ts_labels(ts: TransitionSystem) -> dict[tuple[int, int], set[str]]
     return labels
 
 
+def ts_alphabet(ts: TransitionSystem) -> frozenset[str]:
+    """All task symbols any state of ``ts`` can complete."""
+    return frozenset().union(*(ts.task_symbols_of_state(s) for s in ts.order))
+
+
+def reference_product(ts: TransitionSystem, aut: BuchiAutomaton) -> dict:
+    """``build_product(ts, aut).to_document()`` by a plain breadth-first search.
+
+    Guards are read off ``aut.transitions`` with a literal check of their
+    own, and stoppable states come from a naive reachability fixpoint over
+    the automaton edges that admit the empty letter.
+    """
+
+    def admits(guard: Guard, letter: frozenset[str]) -> bool:
+        return all(name in letter for name in guard.positives) and not any(
+            name in letter for name in guard.negatives
+        )
+
+    ts_rank = {s: i for i, s in enumerate(ts.order)}
+    aut_rank = {q: i for i, q in enumerate(aut.order)}
+    ts_out: dict[int, list[int]] = {s: [] for s in ts.order}
+    for src, dst in ts.transitions:
+        ts_out[src].append(dst)
+    aut_out: dict[str, list[tuple[str, Guard]]] = {q: [] for q in aut.order}
+    for (src, dst), guard in aut.transitions.items():
+        aut_out[src].append((dst, guard))
+    for targets in ts_out.values():
+        targets.sort(key=ts_rank.__getitem__)
+    for pairs in aut_out.values():
+        pairs.sort(key=lambda pair: aut_rank[pair[0]])
+
+    def aut_next(q: str, letter: frozenset[str]) -> list[str]:
+        return [dst for dst, guard in aut_out[q] if admits(guard, letter)]
+
+    initial = [(ts.initial, q) for q in aut_next(aut.initial, ts.labels[ts.initial])]
+    states = list(initial)
+    seen = set(initial)
+    queue = deque(initial)
+    rows = []
+    while queue:
+        src = queue.popleft()
+        s, q = src
+        for t in ts_out[s]:
+            for q2 in aut_next(q, ts.labels[t]):
+                dst = (t, q2)
+                rows.append((src, dst, sorted(ts.transitions[(s, t)])))
+                if dst not in seen:
+                    seen.add(dst)
+                    states.append(dst)
+                    queue.append(dst)
+
+    # States reachable in one or more empty-letter steps, grown to a fixpoint.
+    reach = {q: set(aut_next(q, frozenset())) for q in aut.order}
+    changed = True
+    while changed:
+        changed = False
+        for q in aut.order:
+            more = set().union(*(reach[r] for r in reach[q])) - reach[q]
+            if more:
+                reach[q] |= more
+                changed = True
+    live = {a for a in aut.accepting if a in reach[a]}
+    parking = {q for q in aut.order if q in live or reach[q] & live}
+
+    def name(state: PAState) -> str:
+        return f"{ts.state_name(state[0])}|{state[1]}"
+
+    return {
+        "states": [name(x) for x in states],
+        "initial": [name(x) for x in initial],
+        "accepting": [name(x) for x in states if x[1] in aut.accepting],
+        "stoppable": [name(x) for x in states if x[1] in parking],
+        "transitions": [
+            {"from": name(src), "to": name(dst), "symbols": symbols}
+            for src, dst, symbols in rows
+        ],
+    }
+
+
 # ---------------------------------------------------------------------------
 # Reference Büchi construction
 
@@ -434,9 +513,9 @@ def reference_buchi(formula: LtlFormula) -> BuchiAutomaton:
         fairness = [frozenset(nodes)]
 
     guards = {
-        nid: Guard.clause(
-            {(f.name, True) for f in old if isinstance(f, Atom)}
-            | {(f.name, False) for f in old if isinstance(f, NotAtom)}
+        nid: Guard(
+            frozenset(f.name for f in old if isinstance(f, Atom)),
+            frozenset(f.name for f in old if isinstance(f, NotAtom)),
         )
         for nid, (old, _) in nodes.items()
     }
@@ -473,7 +552,8 @@ def reference_buchi(formula: LtlFormula) -> BuchiAutomaton:
     transitions: dict[tuple[str, str], Guard] = {}
     for src_state, dst_state, guard in product_edges:
         edge = (names[src_state], names[dst_state])
-        transitions[edge] = guard if edge not in transitions else transitions[edge].merged(guard)
+        assert edge not in transitions, f"edge {edge} repeats"
+        transitions[edge] = guard
     return BuchiAutomaton(
         order=[names[s] for s in reachable],
         initial=names[start],
@@ -607,24 +687,21 @@ def ts_from_document(doc: dict) -> TransitionSystem:
 
 
 def parse_guard(text: str) -> Guard:
-    """Read a guard back from ``Guard.format`` text."""
-    clauses = []
-    for part in text.split("|"):
-        part = part.strip()
-        if part == "true":
-            clauses.append(frozenset())
-            continue
-        literals = []
-        for raw in part.split("&"):
-            raw = raw.strip()
-            if not raw:
-                raise LtlParseError(f"empty literal in guard {text!r}")
-            if raw.startswith("!"):
-                literals.append((raw[1:].strip(), False))
-            else:
-                literals.append((raw, True))
-        clauses.append(frozenset(literals))
-    return Guard(frozenset(clauses))
+    """Read a guard back from ``Guard.format`` text: one literal conjunction."""
+    if "|" in text:
+        raise LtlParseError(f"a guard is one conjunction, got {text!r}")
+    if text.strip() == "true":
+        return Guard()
+    positives, negatives = set(), set()
+    for raw in text.split("&"):
+        raw = raw.strip()
+        if not raw:
+            raise LtlParseError(f"empty literal in guard {text!r}")
+        if raw.startswith("!"):
+            negatives.add(raw[1:].strip())
+        else:
+            positives.add(raw)
+    return Guard(frozenset(positives), frozenset(negatives))
 
 
 def buchi_from_document(doc: dict) -> BuchiAutomaton:

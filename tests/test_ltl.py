@@ -160,33 +160,32 @@ def test_guard_parsing_and_satisfaction():
     assert guard.satisfied_by(frozenset({"a"}))
     assert not guard.satisfied_by(frozenset({"a", "b"}))
     assert not guard.satisfied_by(frozenset())
-    assert Guard.true().satisfied_by(frozenset())
+    assert Guard().satisfied_by(frozenset())
     assert parse_guard("true").satisfied_by(frozenset({"anything"}))
 
 
 def test_guard_format_roundtrip():
-    for text in ("true", "a", "!a", "a&!b"):
-        assert parse_guard(parse_guard(text).format()).satisfied_by(
-            frozenset({"a"})
-        ) == parse_guard(text).satisfied_by(frozenset({"a"}))
+    atoms = ["a", "b", "c", "d"]
+    letters = [
+        frozenset(x for i, x in enumerate(atoms) if mask >> i & 1) for mask in range(16)
+    ]
+    rng = random.Random(9)
+    for _ in range(200):
+        positives = frozenset(x for x in atoms if rng.random() < 0.3)
+        negatives = frozenset(x for x in atoms if rng.random() < 0.3)
+        guard = Guard(positives, negatives)
+        assert parse_guard(guard.format()) == guard
+        for letter in letters:
+            expected = all(x in letter for x in positives) and all(
+                x not in letter for x in negatives
+            )
+            assert guard.satisfied_by(letter) == expected
 
 
 def test_contradictory_guard_clause_never_satisfied():
-    clause = Guard.clause([("a", True), ("a", False)])
+    clause = Guard(frozenset({"a"}), frozenset({"a"}))
     assert not clause.satisfied_by(frozenset({"a"}))
     assert not clause.satisfied_by(frozenset())
-
-
-def test_guard_with_no_clauses_has_no_textual_form():
-    with pytest.raises(ValueError):
-        Guard(clauses=frozenset()).format()
-
-
-def test_guard_merge_is_disjunction():
-    merged = Guard.clause([("a", True)]).merged(Guard.clause([("b", True)]))
-    assert merged.satisfied_by(frozenset({"a"}))
-    assert merged.satisfied_by(frozenset({"b"}))
-    assert not merged.satisfied_by(frozenset())
 
 
 # ---------------------------------------------------------------------------

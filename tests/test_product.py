@@ -10,12 +10,15 @@ import pytest
 from envgen import (
     ATOMS,
     brute_min_lasso,
+    harsh_map,
     random_formula,
     random_product,
+    reference_product,
     sea_with_islands,
+    ts_alphabet,
 )
 from ltlplan.gridworld import extract_regions
-from ltlplan.ltl import parse_ltl, to_buchi
+from ltlplan.ltl import parse_ltl, to_buchi, to_text
 from ltlplan.mvpolicy import region_index
 from ltlplan.product import build_product, find_plan
 from ltlplan.pruner import prune
@@ -130,6 +133,30 @@ def test_product_dot_output(open_room_grid):
     assert '"q0|b2"' in dot
 
 
+def test_product_matches_reference():
+    rng = random.Random(53)
+    systems = 0
+    while systems < 30:
+        grid = harsh_map(rng, max_side=8) if systems % 2 else sea_with_islands(rng, max_side=10)
+        if grid is None:
+            continue
+        pruned = pruned_system(grid, PRIMITIVE)
+        symbols = sorted(ts_alphabet(pruned))
+        if not symbols:
+            continue
+        systems += 1
+        goals = [symbols[i % len(symbols)] for i in range(5)]
+        texts = [
+            to_text(random_formula(rng, rng.randint(1, 6), symbols)),
+            " & ".join(f"F {x}" for x in goals[:4]),
+            " & ".join(f"G F {x}" for x in goals[:4]),
+            " & ".join(f"(!{x} U {y})" for x, y in zip(goals[:4], goals[1:])),
+        ]
+        for text in texts:
+            aut = to_buchi(parse_ltl(text))
+            assert build_product(pruned, aut).to_document() == reference_product(pruned, aut), text
+
+
 # ---------------------------------------------------------------------------
 # Plan validity properties
 
@@ -155,7 +182,7 @@ def test_plans_on_random_environments_are_valid_walks():
     for _ in range(40):
         grid = sea_with_islands(rng, max_side=10)
         pruned = pruned_system(grid, PRIMITIVE)
-        alphabet = pruned.alphabet()
+        alphabet = ts_alphabet(pruned)
         if not alphabet:
             continue
         formula = random_formula(rng, rng.randint(1, 6), sorted(alphabet))

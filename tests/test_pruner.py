@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import random
 
-from envgen import harsh_map, sea_with_islands
+from envgen import harsh_map, sea_with_islands, ts_alphabet
 from ltlplan.gridworld import bfs_hops
 from ltlplan.pruner import (
     ALL_CASES,
@@ -30,7 +30,7 @@ def distances_to_symbols(ts: TransitionSystem) -> dict[str, dict[int, int]]:
         symbol: bfs_hops(
             ts.graph(), [s for s in ts.order if symbol in ts.task_symbols_of_state(s)]
         )
-        for symbol in ts.alphabet()
+        for symbol in ts_alphabet(ts)
     }
 
 

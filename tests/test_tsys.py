@@ -11,6 +11,7 @@ from envgen import (
     harsh_map,
     reference_ts_labels,
     sea_with_islands,
+    ts_alphabet,
     ts_from_document,
     walled_hub_map,
 )
@@ -58,7 +59,7 @@ def test_ring_map_labeled_transitions(ring_ts):
     }
     assert edge_labels(ring_ts) == {k: frozenset(v) for k, v in expected.items()}
     assert ring_ts.initial == 2
-    assert ring_ts.alphabet() == frozenset({"a", "b", "c"})
+    assert ts_alphabet(ring_ts) == frozenset({"a", "b", "c"})
 
 
 def test_open_room_composite_labels(open_room_ts):
@@ -80,8 +81,8 @@ def test_open_room_composite_labels(open_room_ts):
 def test_primitive_vs_composite_alphabet(open_room_grid):
     primitive = labeled_ts_for(open_room_grid, PRIMITIVE)
     composite = labeled_ts_for(open_room_grid, COMPOSITE)
-    assert primitive.alphabet() == frozenset({"b", "p", "w", "circle", "square"})
-    assert composite.alphabet() == frozenset(
+    assert ts_alphabet(primitive) == frozenset({"b", "p", "w", "circle", "square"})
+    assert ts_alphabet(composite) == frozenset(
         {"circle&w", "circle&p", "b&circle", "b&square"}
     )
 
