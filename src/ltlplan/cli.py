@@ -106,7 +106,7 @@ def _abstract(grid: GridMap, mode: str):
             start_cell = grid.resolved_start()
         except MapParseError as exc:
             raise CliError(str(exc), EXIT_BAD_INPUT)
-        index = region_index(regions)
+        index = region_index(regions, grid.width, grid.height)
         ts = build_initial_ts(regions, adjacency, index[start_cell][0], mode)
         return generate_ts_labels(ts), index, start_cell
 
@@ -240,10 +240,11 @@ def cmd_check(args) -> int:
         trace = Trace.from_document(doc)
     except (OSError, ValueError, KeyError, TypeError, RecursionError) as exc:
         raise CliError(f"cannot load trace: {exc}", EXIT_BAD_INPUT)
-    index = region_index(extract_regions(grid)[0])
-    if any(cell not in index for cell in trace.cells):
+    index = region_index(extract_regions(grid)[0], grid.width, grid.height)
+    try:
+        trace.word, trace.word_cells = trace_word(trace.cells, index)
+    except KeyError:
         raise CliError("trace leaves the map's passable cells", EXIT_BAD_INPUT)
-    trace.word, trace.word_cells = trace_word(trace.cells, index)
     aut = _compile_formula(args.ltl, grid.symbols())
     satisfied = _timed("check", check_trace, aut, trace)
     _write_json(args.out, {"satisfied": satisfied})

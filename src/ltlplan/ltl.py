@@ -558,7 +558,12 @@ def accepts_lasso(aut: BuchiAutomaton, prefix, cycle) -> bool:
         return cached
 
     reachable = bfs_tree([(aut.initial, 0)], succ)
-    return any(n[0] in aut.accepting and _on_cycle(n, succ) for n in reachable)
+    # Positions only move forward through the prefix, so no cycle passes a
+    # node whose position lies in it.
+    return any(
+        pos >= plen and state in aut.accepting and _on_cycle((state, pos), succ)
+        for state, pos in reachable
+    )
 
 
 def _on_cycle(node, succ) -> bool:

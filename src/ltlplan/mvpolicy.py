@@ -10,11 +10,15 @@ as the segment's forced minimum, and records the induced label word,
 which ``check_trace`` replays on a Büchi automaton.  Every search reads
 only the cell index that ``region_index`` builds from the run's regions:
 its keys are the passable cells, and every move goes to one of them.
+The search is a bucket queue over (violations, steps) with one tie rule:
+at equal (violations, steps), the cell pushed first wins; pushes follow
+up, down, left, right order.
 """
 
 from __future__ import annotations
 
-import heapq
+from bisect import bisect_right
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 
 from .gridworld import Cell, Region, tree_path
@@ -65,49 +69,107 @@ class PolicySpec:
         return self.positives <= labels and not (self.negatives & labels)
 
 
-CellIndex = dict[Cell, tuple[int, LabelSet]]
+@dataclass(frozen=True, eq=False)
+class CellIndex(Mapping):
+    """The run's passable cells, each mapped to ``(region id, label set)``.
+
+    Stored flat: ``region_of[y * width + x]`` is the cell's region id, or
+    -1 for an impassable cell, and ``labels_of[rid]`` is region ``rid``'s
+    label set.  The searches read these lists directly; the mapping view
+    serves every other reader.
+    """
+
+    width: int
+    height: int
+    region_of: list[int]
+    labels_of: list[LabelSet]
+
+    def __getitem__(self, cell: Cell) -> tuple[int, LabelSet]:
+        x, y = cell
+        if 0 <= x < self.width and 0 <= y < self.height:
+            rid = self.region_of[y * self.width + x]
+            if rid >= 0:
+                return rid, self.labels_of[rid]
+        raise KeyError(cell)
+
+    def __iter__(self):
+        width = self.width
+        return ((i % width, i // width) for i, rid in enumerate(self.region_of) if rid >= 0)
+
+    def __len__(self) -> int:
+        return len(self.region_of) - self.region_of.count(-1)
 
 
-def region_index(regions: list[Region]) -> CellIndex:
-    """Map every passable cell to its region id and region label set."""
-    return {cell: (region.id, region.label) for region in regions for cell in region.cells}
+def region_index(regions: list[Region], width: int, height: int) -> CellIndex:
+    """Index every passable cell of a ``width`` x ``height`` map by region."""
+    region_of = [-1] * (width * height)
+    for region in regions:
+        rid = region.id
+        for x, y in region.cells:
+            region_of[y * width + x] = rid
+    return CellIndex(width, height, region_of, [region.label for region in regions])
 
 
 def mv_path(start: Cell, policy: PolicySpec, index: CellIndex) -> tuple[int, list[Cell]]:
     """Cheapest path from ``start`` into a region satisfying ``policy``.
 
     Moves go to the up, down, left and right neighbours that are keys of
-    ``index``.  Cost is compared lexicographically as (violations, steps);
-    among equal-cost paths the earliest-queued one wins, so that neighbour
-    order breaks the remaining ties deterministically.  Returns the
-    path's violation count, the minimum over all paths, with the path.
+    ``index``.  Cost is compared lexicographically as (violations, steps)
+    by a bucket queue (Dial, CACM 1969): one dict of FIFO step buckets
+    per violation count.  Every push from a cell popped at (v, s) lands at
+    (v, s + 1) or (v + 1, s + 1), strictly after it, so pops run in cost
+    order.  Tie rule: at equal (violations, steps), the cell pushed first
+    wins; pushes follow up, down, left, right order.  Returns the path's
+    violation count, the minimum over all paths, with the path.
     """
     if start not in index:
         raise ValueError(f"start cell {start} is not passable")
-    if policy.satisfied_by(index[start][1]):
+    region_of, labels_of, width = index.region_of, index.labels_of, index.width
+    size = len(region_of)
+    source = start[1] * width + start[0]
+    if policy.satisfied_by(labels_of[region_of[source]]):
         return 0, [start]
+    # Per region: -1 for a goal; else 1 when entering it is a violation
+    # (it is labeled), 0 when it is free.
+    cost = [-1 if policy.satisfied_by(labels) else int(bool(labels)) for labels in labels_of]
 
-    tick = 0
-    heap: list[tuple[int, int, int, Cell, Cell | None]] = [(0, 0, tick, start, None)]
-    parent: dict[Cell, Cell | None] = {}  # keys are the settled cells
-
-    while heap:
-        violations, steps, _, cell, came_from = heapq.heappop(heap)
-        if cell in parent:
-            continue
-        parent[cell] = came_from
-        region, labels = index[cell]
-        if policy.satisfied_by(labels):
-            return violations, tree_path(parent, cell)
-        x, y = cell
-        for neighbor in ((x, y - 1), (x, y + 1), (x - 1, y), (x + 1, y)):
-            entry = index.get(neighbor)
-            if entry is None or neighbor in parent:
-                continue
-            nregion, nlabels = entry
-            bump = int(nregion != region and bool(nlabels) and not policy.satisfied_by(nlabels))
-            tick += 1
-            heapq.heappush(heap, (violations + bump, steps + 1, tick, neighbor, cell))
+    parent: dict[int, int | None] = {}  # keys are the settled cells
+    # levels[v][s] holds the (cell, came_from) pairs pushed at cost (v, s), flattened.
+    levels: list[dict[int, list]] = [{0: [source, None]}]
+    for violations, level in enumerate(levels):  # grows while iterated
+        steps = min(level)
+        while level:
+            bucket = level.pop(steps, ())
+            steps += 1
+            same = worse = None
+            pairs = iter(bucket)
+            for cell, came_from in zip(pairs, pairs):
+                if cell in parent:
+                    continue
+                parent[cell] = came_from
+                region = region_of[cell]
+                if cost[region] < 0:
+                    path = tree_path(parent, cell)
+                    return violations, [(i % width, i // width) for i in path]
+                x = cell % width
+                left = cell - 1 if x else -1
+                right = cell + 1 if x + 1 < width else -1
+                for n in (cell - width, cell + width, left, right):  # up, down, left, right
+                    if n < 0 or n >= size:
+                        continue
+                    nregion = region_of[n]
+                    if nregion < 0 or n in parent:
+                        continue
+                    if nregion != region and cost[nregion] > 0:
+                        if worse is None:
+                            if violations + 1 == len(levels):
+                                levels.append({})
+                            worse = levels[violations + 1].setdefault(steps, [])
+                        worse += (n, cell)
+                    else:
+                        if same is None:
+                            same = level.setdefault(steps, [])
+                        same += (n, cell)
 
     raise UnreachableTargetError(f"no reachable region satisfies policy {policy.symbol!r}")
 
@@ -204,16 +266,21 @@ def trace_word(cells: list[Cell], index: CellIndex) -> tuple[list[LabelSet], lis
 
     The first letter is the start region's label; empty label sets are
     kept so the word mirrors every region boundary the path crosses.
+    Raises ``KeyError`` on a cell that is not a key of ``index``.
     """
+    region_of, labels_of = index.region_of, index.labels_of
+    width, height = index.width, index.height
     word: list[LabelSet] = []
     word_cells: list[int] = []
-    previous = None
-    for i, cell in enumerate(cells):
-        region, labels = index[cell]
-        if previous is None or region != previous:
-            word.append(labels)
+    previous = -1
+    for i, (x, y) in enumerate(cells):
+        region = region_of[y * width + x] if 0 <= x < width and 0 <= y < height else -1
+        if region < 0:
+            raise KeyError((x, y))
+        if region != previous:
+            word.append(labels_of[region])
             word_cells.append(i)
-        previous = region
+            previous = region
     return word, word_cells
 
 
@@ -278,12 +345,10 @@ def unsafe_report(trace: Trace) -> dict:
     entries: list[dict] = []
     for seg_idx, seg in enumerate(trace.segments):
         policy = PolicySpec.from_symbol(seg.symbol)
-        in_segment = [
-            (letter, cell_idx)
-            for letter, cell_idx in zip(trace.word, trace.word_cells)
-            if seg.start < cell_idx <= seg.end
-        ]
-        for letter, cell_idx in in_segment[:-1]:
+        # word_cells increases, so the segment's entries are one slice of it.
+        first = bisect_right(trace.word_cells, seg.start)
+        last = bisect_right(trace.word_cells, seg.end) - 1  # the exempt terminal entry
+        for letter, cell_idx in zip(trace.word[first:last], trace.word_cells[first:last]):
             if letter and not policy.satisfied_by(letter):
                 entries.append(
                     {

@@ -3,18 +3,28 @@
 Everything here is deliberately written from first principles rather than
 by calling the code under test: brute-force breadth-first searches,
 exhaustive walk enumeration, and budget-bounded path search act as
-reference answers for the fast implementations in the package, and the
+reference answers for the fast implementations in the package.  The
 set-based tableau that the bitset Büchi construction replaced stays as its
-byte-for-byte reference.  The document readers and the ASCII renderer at the end serve round-trip tests
-only, so they live here rather than in the package.
+byte-for-byte reference, and the heap Dijkstra that the bucket-queue
+executor replaced stays as its tie-order reference.  The document readers
+and the ASCII renderer at the end serve round-trip tests only, so they
+live here rather than in the package.
 """
 
 from __future__ import annotations
 
+import heapq
 import random
 from collections import deque
 
-from ltlplan.gridworld import ASCII_FREE, ASCII_OBSTACLE, GridMap, bfs_tree, extract_regions
+from ltlplan.gridworld import (
+    ASCII_FREE,
+    ASCII_OBSTACLE,
+    GridMap,
+    bfs_tree,
+    extract_regions,
+    tree_path,
+)
 from ltlplan.ltl import (
     And,
     Atom,
@@ -30,7 +40,7 @@ from ltlplan.ltl import (
     Until,
     to_text,
 )
-from ltlplan.mvpolicy import mv_path
+from ltlplan.mvpolicy import PolicySpec, UnreachableTargetError, mv_path
 from ltlplan.product import PAState, ProductAutomaton
 from ltlplan.tsys import COMPOSITE, EMPTY_LABEL, PRIMITIVE, TransitionSystem
 
@@ -262,6 +272,78 @@ def oracle_mv_cost(grid: GridMap, start, policy, index, max_violations: int = 60
                     return (nused, depth[nstate])
                 queue.append(nstate)
     return None
+
+
+def reference_region_index(regions) -> dict:
+    """The cell index as a plain dict: cell -> (region id, region label set)."""
+    return {cell: (region.id, region.label) for region in regions for cell in region.cells}
+
+
+def reference_mv_path(start, policy, index) -> tuple[int, list]:
+    """Heap-ordered lexicographic Dijkstra, the executor's tie-order reference.
+
+    ``index`` is a ``reference_region_index`` dict.  Pops run in
+    (violations, steps, push order) order, neighbours are pushed up, down,
+    left, right, and a cell settles when first popped, so equal-cost ties
+    go to the cell pushed first.  Returns ``(violations, path)``.
+    """
+    if start not in index:
+        raise ValueError(f"start cell {start} is not passable")
+    if policy.satisfied_by(index[start][1]):
+        return 0, [start]
+
+    tick = 0
+    heap = [(0, 0, tick, start, None)]
+    parent = {}  # keys are the settled cells
+
+    while heap:
+        violations, steps, _, cell, came_from = heapq.heappop(heap)
+        if cell in parent:
+            continue
+        parent[cell] = came_from
+        region, labels = index[cell]
+        if policy.satisfied_by(labels):
+            return violations, tree_path(parent, cell)
+        x, y = cell
+        for neighbor in ((x, y - 1), (x, y + 1), (x - 1, y), (x + 1, y)):
+            entry = index.get(neighbor)
+            if entry is None or neighbor in parent:
+                continue
+            nregion, nlabels = entry
+            bump = int(nregion != region and bool(nlabels) and not policy.satisfied_by(nlabels))
+            tick += 1
+            heapq.heappush(heap, (violations + bump, steps + 1, tick, neighbor, cell))
+
+    raise UnreachableTargetError(f"no reachable region satisfies policy {policy.symbol!r}")
+
+
+def reference_unsafe_report(trace) -> dict:
+    """``unsafe_report`` by one filter over the whole word per segment."""
+    entries = []
+    for seg_idx, seg in enumerate(trace.segments):
+        policy = PolicySpec.from_symbol(seg.symbol)
+        in_segment = [
+            (letter, cell_idx)
+            for letter, cell_idx in zip(trace.word, trace.word_cells)
+            if seg.start < cell_idx <= seg.end
+        ]
+        for letter, cell_idx in in_segment[:-1]:
+            if letter and not policy.satisfied_by(letter):
+                entries.append(
+                    {
+                        "segment": seg_idx,
+                        "policy": seg.symbol,
+                        "cell": {"x": trace.cells[cell_idx][0], "y": trace.cells[cell_idx][1]},
+                        "labels": sorted(letter),
+                    }
+                )
+    forced = sum(seg.forced_violations for seg in trace.segments)
+    return {
+        "count": len(entries),
+        "forced": forced,
+        "unforced": max(0, len(entries) - forced),
+        "entries": entries,
+    }
 
 
 def first_region_change(start, policy, index) -> int | None:

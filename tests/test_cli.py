@@ -344,6 +344,29 @@ def test_check_rejects_offmap_trace(tmp_path, capsys):
     assert "trace leaves the map's passable cells" in capsys.readouterr().err
 
 
+def test_check_rejects_trace_below_the_last_row(tmp_path, capsys):
+    # A legal move off the 8-row room's bottom edge; on a flat y * width + x
+    # index, (0, 8) lies just past the last cell.
+    bogus = tmp_path / "trace.json"
+    bogus.write_text(
+        json.dumps(
+            {
+                "cells": [{"x": 0, "y": 7}, {"x": 0, "y": 8}],
+                "word": [[]],
+                "word_cells": [0],
+                "segments": [],
+                "prefix_segments": 0,
+                "cycle_length": 0,
+                "cycles": 0,
+            }
+        )
+    )
+    assert main(
+        ["check", "--map", OPEN_ROOM, "--ltl", "F square", "--trace", str(bogus)]
+    ) == 2
+    assert "trace leaves the map's passable cells" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize(
     "fields",
     [

@@ -195,7 +195,7 @@ def test_regions_are_connected_and_maximal():
         if grid is None:
             continue
         regions, _ = extract_regions(grid)
-        index = region_index(regions)
+        index = region_index(regions, grid.width, grid.height)
         for region in regions:
             frontier = [next(iter(region.cells))]
             seen = {frontier[0]}

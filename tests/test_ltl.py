@@ -18,6 +18,7 @@ from envgen import (
     parse_guard,
     random_formula,
     random_lasso,
+    random_letter,
     reference_buchi,
 )
 import ltlplan
@@ -42,6 +43,10 @@ from ltlplan.ltl import (
     to_text,
 )
 from ltlplan.ltl import Always
+from ltlplan.cli import main
+from ltlplan.mvpolicy import Trace, check_trace
+
+RING = str(Path(__file__).resolve().parent.parent / "maps" / "nested_abc.txt")
 
 
 # ---------------------------------------------------------------------------
@@ -281,6 +286,43 @@ def test_automaton_agrees_with_direct_evaluation_on_random_words():
             )
             checked += 1
     assert checked == 400
+
+
+def test_automaton_agrees_with_direct_evaluation_on_long_prefixes():
+    rng = random.Random(44)
+    verdicts = []
+    for _ in range(30):
+        formula = random_formula(rng, rng.randint(1, 8), ATOMS)
+        aut = to_buchi(formula)
+        for _ in range(2):
+            prefix = [random_letter(rng, ATOMS) for _ in range(rng.randint(50, 500))]
+            cycle = [random_letter(rng, ATOMS) for _ in range(rng.randint(1, 4))]
+            want = eval_ltl_on_lasso(formula, prefix, cycle)
+            got = accepts_lasso(aut, prefix, cycle)
+            assert got is want, (to_text(formula), len(prefix), cycle)
+            verdicts.append(want)
+    assert True in verdicts and False in verdicts
+
+
+def test_lasso_check_searches_cycles_from_cycle_positions_only(monkeypatch, tmp_path):
+    # 800 unrolled cycles make a long prefix; no prefix position lies on a cycle.
+    out = tmp_path / "run.json"
+    argv = ["run", "--map", RING, "--ltl", "G F a & G F c", "--cycles", "800"]
+    assert main([*argv, "--out", str(out)]) == 0
+    trace = Trace.from_document(json.loads(out.read_text())["trace"])
+    boundary = trace.segments[-trace.cycle_length].start
+    cycle_letters = sum(1 for cell_idx in trace.word_cells if cell_idx > boundary)
+    aut = to_buchi(parse_ltl("G F a & G F c"))
+    calls = []
+    on_cycle = ltl._on_cycle
+
+    def counted(node, succ):
+        calls.append(node)
+        return on_cycle(node, succ)
+
+    monkeypatch.setattr(ltl, "_on_cycle", counted)
+    assert check_trace(aut, trace)
+    assert 0 < len(calls) <= len(aut.order) * cycle_letters
 
 
 def test_eventually_dual_to_always_not():

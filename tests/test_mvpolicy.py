@@ -13,8 +13,11 @@ from envgen import (
     neighbors4,
     oracle_mv_cost,
     random_formula,
+    reference_mv_path,
+    reference_region_index,
+    reference_unsafe_report,
 )
-from ltlplan.gridworld import extract_regions, parse_map
+from ltlplan.gridworld import GridMap, extract_regions, parse_map
 from ltlplan.ltl import eval_ltl_on_lasso, parse_ltl, to_buchi, to_text
 from ltlplan.mvpolicy import (
     PolicySpec,
@@ -34,7 +37,7 @@ BYPASS = ".ab\n...\n"  # direct route crosses a; the detour row is violation-fre
 
 
 def index_of(grid):
-    return region_index(extract_regions(grid)[0])
+    return region_index(extract_regions(grid)[0], grid.width, grid.height)
 
 
 # ---------------------------------------------------------------------------
@@ -144,6 +147,104 @@ def test_path_cost_matches_exhaustive_search():
     assert compared >= 60
 
 
+def _outcome(search, start, policy, index):
+    try:
+        return search(start, policy, index)
+    except UnreachableTargetError:
+        return "unreachable"
+
+
+def _compare_with_reference(grid, starts=None) -> list:
+    """Every start (default: every passable cell) x every policy on the map."""
+    regions = extract_regions(grid)[0]
+    flat = region_index(regions, grid.width, grid.height)
+    ref = reference_region_index(regions)
+    symbols = sorted({s for labels in grid.labels.values() for s in labels})
+    # A negated literal and a symbol no region carries exercise the other outcomes.
+    policies = symbols + [f"{s}&!{t}" for s, t in zip(symbols, symbols[1:])] + ["ghost"]
+    outcomes = []
+    for start in sorted(ref) if starts is None else starts:
+        for symbol in policies:
+            policy = PolicySpec.from_symbol(symbol)
+            want = _outcome(reference_mv_path, start, policy, ref)
+            assert _outcome(mv_path, start, policy, flat) == want, (grid, start, symbol)
+            outcomes.append(want)
+    return outcomes
+
+
+def _tie_room(rng: random.Random) -> GridMap:
+    """An obstacle-free room with a few labeled cells: many equal-cost paths."""
+    w, h = rng.randint(4, 12), rng.randint(4, 12)
+    labels = {
+        (rng.randrange(w), rng.randrange(h)): frozenset(rng.sample("abc", rng.randint(1, 2)))
+        for _ in range(rng.randint(1, 5))
+    }
+    return GridMap(w, h, labels)
+
+
+def _strip(rng: random.Random, vertical: bool) -> GridMap:
+    n = rng.randint(1, 12)
+    labels, obstacles = {}, set()
+    for i in range(n):
+        cell = (0, i) if vertical else (i, 0)
+        roll = rng.random()
+        if roll < 0.1:
+            obstacles.add(cell)
+        elif roll < 0.5:
+            labels[cell] = frozenset(rng.sample("abc", rng.randint(1, 2)))
+    width, height = (1, n) if vertical else (n, 1)
+    return GridMap(width, height, labels, frozenset(obstacles))
+
+
+def test_mv_path_matches_reference():
+    rng = random.Random(64)
+    outcomes = []
+    for _ in range(40):  # seeded harsh maps, sampled starts
+        grid = harsh_map(rng)
+        if grid is not None:
+            cells = sorted(reference_region_index(extract_regions(grid)[0]))
+            outcomes += _compare_with_reference(grid, rng.sample(cells, min(6, len(cells))))
+    for _ in range(15):
+        outcomes += _compare_with_reference(_tie_room(rng))
+    for _ in range(20):
+        outcomes += _compare_with_reference(_strip(rng, vertical=False))
+        outcomes += _compare_with_reference(_strip(rng, vertical=True))
+    for _ in range(40):  # side <= 6: every start cell x every symbol
+        grid = harsh_map(rng, max_side=6)
+        if grid is not None:
+            outcomes += _compare_with_reference(grid)
+    found = [o for o in outcomes if o != "unreachable"]
+    assert len(found) > 2000 and len(outcomes) > len(found)
+    assert any(violations > 0 for violations, _ in found)
+    assert any(len(path) > 10 for _, path in found)
+
+
+def test_mv_path_never_wraps_across_rows():
+    # On a flat y * width + x index, (width - 1, y) + 1 is (0, y + 1).
+    for text, start in ((".....\nb....", (4, 0)), ("....b\n.....", (0, 1))):
+        grid = parse_map(text)
+        index = index_of(grid)
+        policy = PolicySpec.from_symbol("b")
+        violations, path = mv_path(start, policy, index)
+        assert (violations, len(path) - 1) == oracle_mv_cost(grid, start, policy, index) == (0, 5)
+        for cell, step in zip(path, path[1:]):
+            assert step in neighbors4(grid, cell), (cell, step)
+
+
+def test_cell_index_rejects_cells_off_the_map():
+    grid = parse_map("a.\n.#")
+    index = index_of(grid)
+    assert sorted(index) == [(0, 0), (0, 1), (1, 0)]
+    assert len(index) == 3
+    for cell in ((2, 0), (-1, 1), (0, 2), (1, -1), (1, 1)):
+        assert cell not in index
+        assert index.get(cell) is None
+        with pytest.raises(KeyError):
+            index[cell]
+    assert index[(0, 0)] == (0, frozenset({"a"}))
+    assert dict(index) == reference_region_index(extract_regions(grid)[0])
+
+
 # ---------------------------------------------------------------------------
 # Traces
 
@@ -239,6 +340,28 @@ def test_needless_detour_counts_as_unforced():
     assert report["forced"] == 0
     assert report["unforced"] == 1
     assert report["entries"][0]["cell"] == {"x": 1, "y": 0}
+
+
+def test_unsafe_report_matches_reference():
+    rng = random.Random(65)
+    entries = 0
+    for cycles in range(1, 31):
+        while True:
+            grid = harsh_map(rng, max_side=8)
+            if grid is None or not grid.labels:
+                continue
+            symbols = sorted({s for labels in grid.labels.values() for s in labels})
+            prefix = [rng.choice(symbols) for _ in range(rng.randint(0, 3))]
+            cycle = [rng.choice(symbols) for _ in range(rng.randint(1, 3))]
+            try:
+                trace = execute_plan(grid.resolved_start(), prefix, cycle, index_of(grid), cycles)
+            except UnreachableTargetError:
+                continue
+            break
+        report = unsafe_report(trace)
+        assert report == reference_unsafe_report(trace), cycles
+        entries += report["count"]
+    assert entries > 0
 
 
 def test_executed_traces_never_have_unforced_violations():
