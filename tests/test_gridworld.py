@@ -12,9 +12,11 @@ from envgen import (
     harsh_map,
     neighbors4,
     random_grid,
+    reference_region_index,
     reference_regions,
     sea_with_islands,
     to_ascii,
+    walled_hub_map,
 )
 from ltlplan.gridworld import (
     MAX_CELLS,
@@ -235,6 +237,78 @@ def test_regions_do_not_wrap_across_rows():
     regions, adjacency = extract_regions(parse_map("..aa\na...\n"))
     assert [sorted(r.cells) for r in regions if r.label] == [[(2, 0), (3, 0)], [(0, 1)]]
     assert adjacency == {0: (1, 2), 1: (0,), 2: (0,)}
+
+
+# Shapes that stress labeling on row runs: runs of one row are joined to
+# the overlapping, equally-labeled runs of the row above.
+RUN_SHAPES = {
+    # The arms of one region meet only in a later row, so its id must come
+    # from its first run, whatever run ends up as the union-find root.
+    "u-joins-late": "a.a\na.a\naaa\n",
+    "comb": "a.a.a\na.a.a\na.a.a\naaaaa\n",
+    "comb-hanging": "aaaaa\na.a.a\na.a.a\n",
+    "comb-of-blanks": ".a.a.\n.a.a.\n.....\n",
+    "nested-u": "a.b.a\na.b.a\na.bba\na...a\naaaaa\n",
+    # Runs that touch only at a corner neither merge nor border each other.
+    "diagonal-cells": "ab\nba\n",
+    "diagonal-runs": "aa..\n..aa\n",
+    "diagonal-obstacles": "a#\n#a\n",
+    "diagonal-staircase": "a...\n.a..\n..a.\n...a\n",
+    # One union per row along a corridor that turns at every row.
+    "serpentine": "aaaaa\n####a\naaaaa\na####\naaaaa\n",
+    "serpentine-labeled": "aaaa\nbbba\naaaa\nabbb\naaaa\n",
+    "obstacle-row": "ab\n##\nba\n",
+    "obstacle-rows-only": "###\n###\n",
+    "obstacle-first-last": "##\na.\n##\n",
+    "one-cell-free": ".\n",
+    "one-cell-labeled": "a\n",
+    "one-cell-obstacle": "#\n",
+    "one-row": "a.ab#ba\n",
+    "one-column": "a\n.\na\nb\n#\nb\n",
+    # A run ending at x = width - 1 sits next to x = 0 of the next row only
+    # on the flat index.
+    "no-row-wrap": "..a\na..\n",
+    "no-row-wrap-wide": "b..aa\naa..b\n",
+}
+
+
+def _index_triples(grid):
+    regions, _ = extract_regions(grid)
+    return dict(region_index(regions, grid.width, grid.height)), regions
+
+
+@pytest.mark.parametrize("text", RUN_SHAPES.values(), ids=RUN_SHAPES.keys())
+def test_run_labeling_matches_reference(text):
+    grid = parse_map(text)
+    assert _region_triples(grid) == reference_regions(grid), text
+    index, regions = _index_triples(grid)
+    assert index == reference_region_index(regions)
+    ref_regions, _ = reference_regions(grid)
+    assert index == {c: (rid, label) for rid, cells, label in ref_regions for c in cells}
+
+
+def test_run_labeling_ids_follow_first_run():
+    regions, adjacency = extract_regions(parse_map(RUN_SHAPES["u-joins-late"]))
+    assert [(r.id, r.label) for r in regions] == [(0, frozenset("a")), (1, frozenset())]
+    assert adjacency == {0: (1,), 1: (0,)}
+
+
+def test_diagonal_regions_neither_merge_nor_touch():
+    regions, adjacency = extract_regions(parse_map(RUN_SHAPES["diagonal-cells"]))
+    assert len(regions) == 4
+    assert adjacency == {0: (1, 2), 1: (0, 3), 2: (0, 3), 3: (1, 2)}
+
+
+def test_run_labeling_matches_reference_on_seeded_maps():
+    rng = random.Random(21)
+    grids = [walled_hub_map(rng, side=rng.choice((8, 17, 32))) for _ in range(8)]
+    grids += [sea_with_islands(rng) for _ in range(8)]
+    grids += [g for g in (harsh_map(rng) for _ in range(16)) if g is not None]
+    grids += [random_grid(rng, rng.randint(1, 24), rng.randint(1, 24)) for _ in range(24)]
+    for grid in grids:
+        assert _region_triples(grid) == reference_regions(grid), to_ascii(grid)
+        index, regions = _index_triples(grid)
+        assert index == reference_region_index(regions)
 
 
 # ---------------------------------------------------------------------------
