@@ -251,12 +251,28 @@ def cmd_check(args) -> int:
     return EXIT_OK if satisfied else EXIT_CHECK_FAILED
 
 
-def build_parser() -> argparse.ArgumentParser:
+COMMANDS = ("abstract", "prune", "compile", "product", "plan", "run", "check")
+
+
+def build_parser(argv: list[str] | None = None) -> argparse.ArgumentParser:
+    """The CLI parser; given ``argv``, only the subcommand it names gets arguments.
+
+    Every subcommand is registered with its help string, so the top-level
+    usage and help stay whole.  Without a valid command in ``argv`` (e.g.
+    ``--help`` or an unknown name), every subcommand is filled.
+    """
+    named = next((arg for arg in argv or () if not arg.startswith("-")), None)
+    wanted = named if named in COMMANDS else None
     parser = argparse.ArgumentParser(
         prog="ltlplan",
         description="Plan and execute temporal-logic tasks on labeled grid maps.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+
+    def command(name, help_text):
+        """Register ``name``; return its parser only if it is to be filled."""
+        p = sub.add_parser(name, help=help_text)
+        return p if wanted in (None, name) else None
 
     def add_map_opts(p):
         p.add_argument("--map", required=True, help="map file (ASCII art or JSON)")
@@ -266,68 +282,69 @@ def build_parser() -> argparse.ArgumentParser:
     def add_out(p):
         p.add_argument("--out", default=None, help="output file (default: stdout)")
 
-    p = sub.add_parser("abstract", help="map -> labeled transition system")
-    add_map_opts(p)
-    add_out(p)
-    p.add_argument("--dot", default=None, help="also write Graphviz output here")
-    p.set_defaults(handler=cmd_abstract)
+    if p := command("abstract", "map -> labeled transition system"):
+        add_map_opts(p)
+        add_out(p)
+        p.add_argument("--dot", default=None, help="also write Graphviz output here")
+        p.set_defaults(handler=cmd_abstract)
 
-    p = sub.add_parser("prune", help="map -> reduced transition system")
-    add_map_opts(p)
-    add_out(p)
-    p.add_argument("--dot", default=None)
-    p.add_argument("--report", default=None, help="write the reduction report here")
-    p.add_argument(
-        "--emit-stages", default=None, metavar="DIR", help="write per-pass snapshots"
-    )
-    p.add_argument("--drop-unreachable", action="store_true")
-    p.set_defaults(handler=cmd_prune)
+    if p := command("prune", "map -> reduced transition system"):
+        add_map_opts(p)
+        add_out(p)
+        p.add_argument("--dot", default=None)
+        p.add_argument("--report", default=None, help="write the reduction report here")
+        p.add_argument(
+            "--emit-stages", default=None, metavar="DIR", help="write per-pass snapshots"
+        )
+        p.add_argument("--drop-unreachable", action="store_true")
+        p.set_defaults(handler=cmd_prune)
 
-    p = sub.add_parser("compile", help="formula -> Büchi automaton")
-    p.add_argument("--ltl", required=True)
-    add_out(p)
-    p.add_argument("--dot", default=None)
-    p.set_defaults(handler=cmd_compile)
+    if p := command("compile", "formula -> Büchi automaton"):
+        p.add_argument("--ltl", required=True)
+        add_out(p)
+        p.add_argument("--dot", default=None)
+        p.set_defaults(handler=cmd_compile)
 
-    p = sub.add_parser("product", help="map + formula -> product automaton")
-    add_map_opts(p)
-    p.add_argument("--ltl", required=True)
-    add_out(p)
-    p.add_argument("--dot", default=None)
-    p.set_defaults(handler=cmd_product)
+    if p := command("product", "map + formula -> product automaton"):
+        add_map_opts(p)
+        p.add_argument("--ltl", required=True)
+        add_out(p)
+        p.add_argument("--dot", default=None)
+        p.set_defaults(handler=cmd_product)
 
-    p = sub.add_parser("plan", help="map + formula -> shortest policy sequence")
-    add_map_opts(p)
-    p.add_argument("--ltl", required=True)
-    add_out(p)
-    p.add_argument(
-        "--emit-stages", default=None, metavar="DIR", help="dump intermediate artifacts"
-    )
-    p.set_defaults(handler=cmd_plan)
+    if p := command("plan", "map + formula -> shortest policy sequence"):
+        add_map_opts(p)
+        p.add_argument("--ltl", required=True)
+        add_out(p)
+        p.add_argument(
+            "--emit-stages", default=None, metavar="DIR", help="dump intermediate artifacts"
+        )
+        p.set_defaults(handler=cmd_plan)
 
-    p = sub.add_parser("run", help="plan, then execute with minimum violations")
-    add_map_opts(p)
-    p.add_argument("--ltl", required=True)
-    p.add_argument("--cycles", type=int, default=1, help="cycle repetitions to unroll")
-    add_out(p)
-    p.add_argument(
-        "--emit-stages", default=None, metavar="DIR", help="dump intermediate artifacts"
-    )
-    p.set_defaults(handler=cmd_run)
+    if p := command("run", "plan, then execute with minimum violations"):
+        add_map_opts(p)
+        p.add_argument("--ltl", required=True)
+        p.add_argument("--cycles", type=int, default=1, help="cycle repetitions to unroll")
+        add_out(p)
+        p.add_argument(
+            "--emit-stages", default=None, metavar="DIR", help="dump intermediate artifacts"
+        )
+        p.set_defaults(handler=cmd_run)
 
-    p = sub.add_parser("check", help="validate a stored trace against a formula")
-    add_map_opts(p)
-    p.add_argument("--ltl", required=True)
-    p.add_argument("--trace", required=True, help="trace JSON produced by 'run'")
-    add_out(p)
-    p.set_defaults(handler=cmd_check)
+    if p := command("check", "validate a stored trace against a formula"):
+        add_map_opts(p)
+        p.add_argument("--ltl", required=True)
+        p.add_argument("--trace", required=True, help="trace JSON produced by 'run'")
+        add_out(p)
+        p.set_defaults(handler=cmd_check)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = build_parser(argv).parse_args(argv)
     try:
         return args.handler(args)
     except CliError as exc:

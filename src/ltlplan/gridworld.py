@@ -3,7 +3,8 @@
 A grid map assigns each cell a (possibly empty) set of symbols; obstacle
 cells are impassable.  Maximal 4-connected groups of cells that share the
 exact same label set form *regions*; the region adjacency graph is the
-abstraction every later stage works on.
+abstraction every later stage works on.  A region is stored as its row
+runs, not as a set of cells.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ import json
 import re
 from collections import deque
 from dataclasses import dataclass, field
+from itertools import groupby
 
 Cell = tuple[int, int]
 
@@ -202,10 +204,14 @@ def _require_cell(entry, width: int, height: int, where: str) -> Cell:
 
 @dataclass(frozen=True)
 class Region:
-    """A maximal 4-connected component of equally-labeled cells."""
+    """A maximal 4-connected component of equally-labeled cells.
+
+    ``runs`` holds the region's row runs ``(y, x_start, x_stop)``, stop
+    exclusive, in row-major order.
+    """
 
     id: int
-    cells: frozenset[Cell]
+    runs: tuple[tuple[int, int, int], ...]
     label: frozenset[str]
 
 
@@ -214,47 +220,82 @@ def extract_regions(grid: GridMap) -> tuple[list[Region], dict[int, tuple[int, .
 
     Region ids are assigned in row-major order of each region's
     topmost-leftmost cell, which makes the decomposition deterministic.
-    Cells are flood-filled breadth-first on the flat index ``y * width + x``.
+    Components are labeled on row runs, not cells (two-pass run labeling:
+    Rosenfeld & Pfaltz, JACM 1966): each row splits into maximal runs of
+    one label set, and a union-find joins the runs that overlap an
+    equally-labeled run of the row above.  Runs that abut in a row, or
+    overlap across rows with different labels, make the adjacency.
     """
     width = grid.width
-    size = width * grid.height
     # Label code per cell: 0 unlabeled, -1 obstacle, else one per label set.
     codes: dict[frozenset[str], int] = {frozenset(): 0}
-    code_of = [0] * size
+    code_of = [0] * (width * grid.height)
     for (x, y), labelset in grid.labels.items():
         code_of[y * width + x] = codes.setdefault(labelset, len(codes))
     for (x, y) in grid.obstacles:
         code_of[y * width + x] = -1
     label_of = list(codes)
 
-    rid_of = [-1] * size
-    regions: list[Region] = []
-    for seed in range(size):
-        code = code_of[seed]
-        if code < 0 or rid_of[seed] >= 0:
-            continue
-        rid = len(regions)
-        rid_of[seed] = rid
-        component = [seed]
-        for i in component:  # grows while iterated: a breadth-first queue
-            x = i % width
-            for j in (i - width, i + width, i - 1 if x else -1, i + 1 if x + 1 < width else -1):
-                if 0 <= j < size and rid_of[j] < 0 and code_of[j] == code:
-                    rid_of[j] = rid
-                    component.append(j)
-        cells = frozenset((i % width, i // width) for i in component)
-        regions.append(Region(rid, cells, label_of[code]))
+    runs: list[tuple[int, int, int]] = []  # passable runs in row-major order
+    run_code: list[int] = []
+    parent: list[int] = []  # union-find forest over run indices
+    touching: set[tuple[int, int]] = set()  # differently-labeled run pairs
 
-    touching = set(zip(rid_of, rid_of[width:]))
-    for row in range(0, size, width):
-        line = rid_of[row : row + width]
-        touching.update(zip(line, line[1:]))
-    neighbors: dict[int, set[int]] = {r.id: set() for r in regions}
-    for a, b in touching:
-        if a != b and a >= 0 and b >= 0:
-            neighbors[a].add(b)
-            neighbors[b].add(a)
-    adjacency = {rid: tuple(sorted(adj)) for rid, adj in neighbors.items()}
+    def find(i: int) -> int:
+        while parent[i] != i:
+            parent[i] = i = parent[parent[i]]
+        return i
+
+    above: list[tuple[int, int, int, int]] = []  # (start, stop, code, run) per row
+    for y in range(grid.height):
+        row: list[tuple[int, int, int, int]] = []
+        start = 0
+        for code, group in groupby(code_of[y * width : (y + 1) * width]):
+            stop = start + len(list(group))
+            if code >= 0:
+                run = len(runs)
+                runs.append((y, start, stop))
+                run_code.append(code)
+                parent.append(run)
+                if row and row[-1][1] == start:
+                    touching.add((row[-1][3], run))
+                row.append((start, stop, code, run))
+            start = stop
+        i = j = 0
+        n_above, n_row = len(above), len(row)
+        while i < n_above and j < n_row:
+            a_start, a_stop, a_code, a_run = above[i]
+            b_start, b_stop, b_code, b_run = row[j]
+            if a_start < b_stop and b_start < a_stop:
+                if a_code != b_code:
+                    touching.add((a_run, b_run))
+                else:
+                    a_root, b_root = find(a_run), find(b_run)
+                    if a_root != b_root:
+                        parent[b_root] = a_root
+            if a_stop <= b_stop:
+                i += 1
+            if b_stop <= a_stop:
+                j += 1
+        above = row
+
+    # Each region takes its id from its first run, not from its root.
+    rid_of_root: dict[int, int] = {}
+    run_rid = [rid_of_root.setdefault(find(run), len(rid_of_root)) for run in range(len(runs))]
+    members: list[list[tuple[int, int, int]]] = [[] for _ in rid_of_root]
+    for rid, run in zip(run_rid, runs):
+        members[rid].append(run)
+    regions = [
+        Region(rid, tuple(members[rid]), label_of[run_code[root]])
+        for root, rid in rid_of_root.items()
+    ]
+
+    neighbors: list[set[int]] = [set() for _ in regions]
+    for a_run, b_run in touching:
+        a, b = run_rid[a_run], run_rid[b_run]
+        neighbors[a].add(b)
+        neighbors[b].add(a)
+    adjacency = {rid: tuple(sorted(adj)) for rid, adj in enumerate(neighbors)}
     return regions, adjacency
 
 

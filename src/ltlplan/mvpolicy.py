@@ -105,8 +105,9 @@ def region_index(regions: list[Region], width: int, height: int) -> CellIndex:
     region_of = [-1] * (width * height)
     for region in regions:
         rid = region.id
-        for x, y in region.cells:
-            region_of[y * width + x] = rid
+        for y, start, stop in region.runs:
+            row = y * width
+            region_of[row + start : row + stop] = [rid] * (stop - start)
     return CellIndex(width, height, region_of, [region.label for region in regions])
 
 
@@ -296,7 +297,8 @@ def execute_plan(
     The cycle part is unrolled ``cycles`` times (ignored when empty).
     Each policy contributes the cheapest path from wherever the previous
     one ended; each segment records ``mv_path``'s violation count, the
-    proven minimum, as its forced violations.
+    proven minimum, as its forced violations.  A search depends only on
+    its start cell and symbol, so repeated cycles reuse earlier results.
     """
     if cycle and cycles < 1:
         raise ValueError("cyclic plans need at least one cycle repetition")
@@ -306,11 +308,13 @@ def execute_plan(
     symbols = list(prefix) + list(cycle) * (cycles if cycle else 0)
     cells: list[Cell] = [start]
     segments: list[TraceSegment] = []
+    searched: dict[tuple[Cell, str], tuple[int, list[Cell]]] = {}
     for symbol in symbols:
-        policy = PolicySpec.from_symbol(symbol)
         here = cells[-1]
         seg_start = len(cells) - 1
-        forced, path = mv_path(here, policy, index)
+        if (here, symbol) not in searched:
+            searched[here, symbol] = mv_path(here, PolicySpec.from_symbol(symbol), index)
+        forced, path = searched[here, symbol]
         cells.extend(path[1:])
         segments.append(
             TraceSegment(

@@ -274,9 +274,16 @@ def oracle_mv_cost(grid: GridMap, start, policy, index, max_violations: int = 60
     return None
 
 
+def region_cells(region) -> frozenset[tuple[int, int]]:
+    """A region's cells, expanded from its row runs."""
+    return frozenset((x, y) for y, start, stop in region.runs for x in range(start, stop))
+
+
 def reference_region_index(regions) -> dict:
     """The cell index as a plain dict: cell -> (region id, region label set)."""
-    return {cell: (region.id, region.label) for region in regions for cell in region.cells}
+    return {
+        cell: (region.id, region.label) for region in regions for cell in region_cells(region)
+    }
 
 
 def reference_mv_path(start, policy, index) -> tuple[int, list]:

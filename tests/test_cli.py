@@ -12,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 import ltlplan.cli as cli
 import ltlplan.mvpolicy as mvpolicy
 from ltlplan.cli import main
+from ltlplan.gridworld import extract_regions, parse_map
 from ltlplan.mvpolicy import UnreachableTargetError
 
 MAPS = Path(__file__).resolve().parent.parent / "maps"
@@ -268,15 +269,64 @@ def test_run_searches_each_policy_once(monkeypatch, tmp_path, argv):
     search = mvpolicy.mv_path
 
     def counted(*args):
-        calls.append(args)
+        calls.append(args[:2])
         return search(*args)
 
     monkeypatch.setattr(mvpolicy, "mv_path", counted)
     out = tmp_path / "run.json"
     assert main(["run", *argv, "--out", str(out)]) == 0
-    segments = read_json(out)["trace"]["segments"]
+    trace = read_json(out)["trace"]
+    segments = trace["segments"]
     assert len(segments) >= 3
-    assert len(calls) == len(segments)
+    # One search per distinct (start cell, policy) among the segments.
+    starts = [trace["cells"][seg["start_index"]] for seg in segments]
+    pairs = {
+        ((cell["x"], cell["y"]), mvpolicy.PolicySpec.from_symbol(seg["policy"]))
+        for cell, seg in zip(starts, segments)
+    }
+    assert len(calls) == len(set(calls)) == len(pairs)
+    assert set(calls) == pairs
+
+
+def _unshared_trace(start, prefix, cycle, index, cycles):
+    """``execute_plan`` with one fresh search per segment."""
+    cells, segments = [start], []
+    for symbol in prefix + cycle * cycles:
+        policy = mvpolicy.PolicySpec.from_symbol(symbol)
+        forced, path = mvpolicy.mv_path(cells[-1], policy, index)
+        end = len(cells) + len(path) - 2
+        segments.append(mvpolicy.TraceSegment(symbol, len(cells) - 1, end, forced))
+        cells.extend(path[1:])
+    word, word_cells = mvpolicy.trace_word(cells, index)
+    return mvpolicy.Trace(cells, word, word_cells, segments, len(prefix), len(cycle), cycles)
+
+
+def test_long_cyclic_run_reuses_searches(monkeypatch, tmp_path):
+    argv = ["run", "--map", RING, "--ltl", "G F a & G F c", "--cycles", "800"]
+    calls = []
+    search = mvpolicy.mv_path
+
+    def counted(*args):
+        calls.append(args[:2])
+        return search(*args)
+
+    monkeypatch.setattr(mvpolicy, "mv_path", counted)
+    out = tmp_path / "run.json"
+    assert main([*argv, "--out", str(out)]) == 0
+    monkeypatch.setattr(mvpolicy, "mv_path", search)
+
+    doc = read_json(out)
+    grid = parse_map(Path(RING).read_text())
+    index = mvpolicy.region_index(extract_regions(grid)[0], grid.width, grid.height)
+    plan = doc["plan"]
+    unshared = _unshared_trace(grid.resolved_start(), plan["prefix"], plan["cycle"], index, 800)
+    pairs = {(unshared.cells[seg.start], seg.symbol) for seg in unshared.segments}
+    assert len(unshared.segments) == 1601
+    assert len(calls) <= len(pairs) == 4
+    expected = unshared.to_document()
+    assert json.dumps(doc["trace"], indent=2, sort_keys=True) == json.dumps(
+        expected, indent=2, sort_keys=True
+    )
 
 
 # ---------------------------------------------------------------------------

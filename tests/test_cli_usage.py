@@ -12,6 +12,7 @@ To record the snapshot (only ever for an intended output change)::
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import io
 import json
@@ -21,10 +22,9 @@ from pathlib import Path
 
 import pytest
 
-from ltlplan.cli import main
+from ltlplan.cli import COMMANDS, build_parser, main
 
 SNAPSHOT = Path(__file__).resolve().parent / "golden" / "cli_usage.json"
-COMMANDS = ("abstract", "prune", "compile", "product", "plan", "run", "check")
 
 CASES = {
     "help": ["--help"],
@@ -57,6 +57,20 @@ def test_cli_usage_matches_snapshot(monkeypatch, name):
         pytest.skip(f"snapshot recorded with Python {snapshot['python']}")
     monkeypatch.setenv("COLUMNS", "80")
     assert _invoke(CASES[name]) == snapshot["cases"][name]
+
+
+def _filled(parser: argparse.ArgumentParser) -> set[str]:
+    """Subcommands that got arguments beyond ``--help``."""
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return {name for name, p in sub.choices.items() if len(p._actions) > 1}
+
+
+def test_only_the_named_subcommand_gets_arguments():
+    for command in COMMANDS:
+        assert _filled(build_parser([command, "--map", "m.txt"])) == {command}
+    assert _filled(build_parser(["--", "check"])) == {"check"}
+    for argv in (None, [], ["--help"], ["bogus"], ["-h", "--map"]):
+        assert _filled(build_parser(argv)) == set(COMMANDS)
 
 
 if __name__ == "__main__":

@@ -12,6 +12,7 @@ from envgen import (
     harsh_map,
     neighbors4,
     random_grid,
+    region_cells,
     reference_region_index,
     reference_regions,
     sea_with_islands,
@@ -158,7 +159,7 @@ def test_ring_map_region_decomposition(ring_grid):
 
 def test_region_ids_are_row_major_by_anchor(ring_grid):
     regions, _ = extract_regions(ring_grid)
-    anchors = [min(r.cells, key=lambda c: (c[1], c[0])) for r in regions]
+    anchors = [min(region_cells(r), key=lambda c: (c[1], c[0])) for r in regions]
     assert anchors == sorted(anchors, key=lambda c: (c[1], c[0]))
     assert [r.id for r in regions] == list(range(len(regions)))
 
@@ -172,9 +173,10 @@ def test_regions_partition_passable_cells():
         regions, adjacency = extract_regions(grid)
         seen: set[tuple[int, int]] = set()
         for region in regions:
-            assert not (region.cells & seen)
-            seen |= region.cells
-            for cell in region.cells:
+            cells = region_cells(region)
+            assert not (cells & seen)
+            seen |= cells
+            for cell in cells:
                 assert grid.is_free(cell)
                 assert grid.label_at(cell) == region.label
         passable = {
@@ -199,16 +201,17 @@ def test_regions_are_connected_and_maximal():
         regions, _ = extract_regions(grid)
         index = region_index(regions, grid.width, grid.height)
         for region in regions:
-            frontier = [next(iter(region.cells))]
+            cells = region_cells(region)
+            frontier = [next(iter(cells))]
             seen = {frontier[0]}
             while frontier:
                 cell = frontier.pop()
                 for nb in neighbors4(grid, cell):
-                    if nb in region.cells and nb not in seen:
+                    if nb in cells and nb not in seen:
                         seen.add(nb)
                         frontier.append(nb)
-            assert seen == region.cells
-            for cell in region.cells:
+            assert seen == cells
+            for cell in cells:
                 for nb in neighbors4(grid, cell):
                     if index[nb][0] != region.id:
                         assert grid.label_at(nb) != region.label
@@ -216,7 +219,7 @@ def test_regions_are_connected_and_maximal():
 
 def _region_triples(grid):
     regions, adjacency = extract_regions(grid)
-    return [(r.id, r.cells, r.label) for r in regions], adjacency
+    return [(r.id, region_cells(r), r.label) for r in regions], adjacency
 
 
 def test_regions_match_union_find_reference():
@@ -235,7 +238,7 @@ def test_regions_do_not_wrap_across_rows():
         grid = parse_map(text)
         assert _region_triples(grid) == reference_regions(grid), text
     regions, adjacency = extract_regions(parse_map("..aa\na...\n"))
-    assert [sorted(r.cells) for r in regions if r.label] == [[(2, 0), (3, 0)], [(0, 1)]]
+    assert [sorted(region_cells(r)) for r in regions if r.label] == [[(2, 0), (3, 0)], [(0, 1)]]
     assert adjacency == {0: (1, 2), 1: (0,), 2: (0,)}
 
 
@@ -272,19 +275,17 @@ RUN_SHAPES = {
 }
 
 
-def _index_triples(grid):
+def _index_matches_reference(grid) -> bool:
     regions, _ = extract_regions(grid)
-    return dict(region_index(regions, grid.width, grid.height)), regions
+    index = region_index(regions, grid.width, grid.height)
+    return dict(index) == reference_region_index(regions)
 
 
 @pytest.mark.parametrize("text", RUN_SHAPES.values(), ids=RUN_SHAPES.keys())
 def test_run_labeling_matches_reference(text):
     grid = parse_map(text)
     assert _region_triples(grid) == reference_regions(grid), text
-    index, regions = _index_triples(grid)
-    assert index == reference_region_index(regions)
-    ref_regions, _ = reference_regions(grid)
-    assert index == {c: (rid, label) for rid, cells, label in ref_regions for c in cells}
+    assert _index_matches_reference(grid), text
 
 
 def test_run_labeling_ids_follow_first_run():
@@ -307,8 +308,7 @@ def test_run_labeling_matches_reference_on_seeded_maps():
     grids += [random_grid(rng, rng.randint(1, 24), rng.randint(1, 24)) for _ in range(24)]
     for grid in grids:
         assert _region_triples(grid) == reference_regions(grid), to_ascii(grid)
-        index, regions = _index_triples(grid)
-        assert index == reference_region_index(regions)
+        assert _index_matches_reference(grid), to_ascii(grid)
 
 
 # ---------------------------------------------------------------------------
