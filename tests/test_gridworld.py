@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import random
+import re
 
 import pytest
 
@@ -50,6 +51,9 @@ def test_parse_ascii_basic():
     assert grid.label_at((0, 0)) == frozenset({"a"})
     assert grid.label_at((2, 1)) == frozenset({"b"})
     assert (2, 0) in grid.obstacles
+    assert grid.obstacles == frozenset({(2, 0)})
+    assert not grid.is_free((2, 0))
+    assert grid.label_at((2, 0)) == frozenset()
     assert grid.is_free((1, 0))
     assert grid.symbols() == frozenset({"a", "b"})
 
@@ -64,6 +68,20 @@ def test_parse_ascii_rejects_bad_character():
         parse_map("a$\n..\n")
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("a$%\n..\n", "row 1, col 2: invalid cell character '$'"),
+        ("a.$\n%..\n", "row 1, col 3: invalid cell character '$'"),
+        ("ab.\n.%$\n", "row 2, col 2: invalid cell character '%'"),
+        ("...\n...\n..?\n?!.\n", "row 3, col 3: invalid cell character '?'"),
+    ],
+)
+def test_parse_ascii_names_first_bad_character(text, message):
+    with pytest.raises(MapParseError, match=re.escape(message) + r"\Z"):
+        parse_map(text)
+
+
 def test_parse_ascii_rejects_empty():
     with pytest.raises(MapParseError):
         parse_map("   \n  \n")
@@ -73,6 +91,51 @@ def test_parse_json_roundtrip(open_room_grid):
     doc = open_room_grid.to_document()
     again = map_from_document(json.loads(json.dumps(doc)))
     assert again == open_room_grid
+
+
+def test_equal_label_sets_in_any_order_form_one_region():
+    grid = map_from_document(
+        {
+            "width": 3,
+            "height": 1,
+            "cells": [
+                {"x": 0, "y": 0, "labels": ["b", "square"]},
+                {"x": 1, "y": 0, "labels": ["square", "b"]},
+            ],
+        }
+    )
+    assert grid.symbols() == frozenset({"b", "square"})
+    regions, adjacency = extract_regions(grid)
+    assert [(region_cells(r), r.label) for r in regions] == [
+        ({(0, 0), (1, 0)}, frozenset({"b", "square"})),
+        ({(2, 0)}, frozenset()),
+    ]
+    assert adjacency == {0: (1,), 1: (0,)}
+
+
+def test_ascii_and_document_parse_to_the_same_map():
+    rng = random.Random(31)
+    grids = [sea_with_islands(rng) for _ in range(10)]
+    grids += [walled_hub_map(rng, side=rng.choice((6, 11, 16))) for _ in range(10)]
+    for grid in grids:
+        from_ascii = parse_map(to_ascii(grid))
+        from_doc = map_from_document(json.loads(json.dumps(grid.to_document())))
+        assert from_ascii == from_doc, to_ascii(grid)
+        assert extract_regions(from_ascii) == extract_regions(from_doc), to_ascii(grid)
+
+
+def test_off_map_cells_are_blocked_and_unlabeled():
+    # On a flat y * width + x index, (3, 0) and (-1, 1) would read "b" and
+    # "a" from a neighbouring row, and (2, -1) would wrap to the last row's "b".
+    grid = parse_map("..a\nb..\n.ab\n")
+    w, h = grid.width, grid.height
+    off_map = [(-1, 0), (-1, 1), (-1, 2), (w, 0), (w, 1), (w, 2), (0, -1), (2, -1), (0, h), (2, h)]
+    for cell in off_map:
+        assert grid.label_at(cell) == frozenset(), cell
+        assert not grid.is_free(cell), cell
+    assert grid.label_at((0, 1)) == frozenset({"b"})
+    assert grid.label_at((2, 0)) == frozenset({"a"})
+    assert grid.is_free((2, 2)) and grid.is_free((0, 0))
 
 
 def test_parse_json_validates_cells():
