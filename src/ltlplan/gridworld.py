@@ -1,10 +1,11 @@
 """Labeled grid environments and their decomposition into regions.
 
 A grid map assigns each cell a (possibly empty) set of symbols; obstacle
-cells are impassable.  Maximal 4-connected groups of cells that share the
-exact same label set form *regions*; the region adjacency graph is the
-abstraction every later stage works on.  A region is stored as its row
-runs, not as a set of cells.
+cells are impassable.  The map is one flat row-major tuple of label sets,
+``None`` marking an obstacle, from parsing through region labeling.
+Maximal 4-connected groups of cells that share the exact same label set
+form *regions*; the region adjacency graph is the abstraction every later
+stage works on.  A region is stored as its row runs, not as a set of cells.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from __future__ import annotations
 import json
 import re
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import groupby
 
 Cell = tuple[int, int]
@@ -32,55 +33,66 @@ class MapParseError(ValueError):
 
 @dataclass(frozen=True)
 class GridMap:
-    """A rectangular grid of labeled cells.
+    """A rectangular grid of labeled cells, stored flat in row-major order.
 
-    ``labels`` holds entries only for cells with a non-empty label set.
-    ``start`` is an optional designated start cell for plan execution.
+    ``cells[y * width + x]`` is the label set of cell ``(x, y)``: empty when
+    the cell is unlabeled, ``None`` when it is an obstacle.  ``start`` is an
+    optional designated start cell for plan execution.
     """
 
     width: int
     height: int
-    labels: dict[Cell, frozenset[str]] = field(default_factory=dict)
-    obstacles: frozenset[Cell] = frozenset()
+    cells: tuple[frozenset[str] | None, ...]
     start: Cell | None = None
 
-    def is_free(self, cell: Cell) -> bool:
+    @property
+    def obstacles(self) -> frozenset[Cell]:
+        """The obstacle cells; a view built anew on every access."""
+        w = self.width
+        return frozenset(
+            (i % w, i // w) for i, labelset in enumerate(self.cells) if labelset is None
+        )
+
+    def _at(self, cell: Cell) -> frozenset[str] | None:
+        """The cell's label set; ``None`` for an obstacle or a cell off the map."""
         x, y = cell
-        return 0 <= x < self.width and 0 <= y < self.height and cell not in self.obstacles
+        on_map = 0 <= x < self.width and 0 <= y < self.height
+        return self.cells[y * self.width + x] if on_map else None
+
+    def is_free(self, cell: Cell) -> bool:
+        return self._at(cell) is not None
 
     def label_at(self, cell: Cell) -> frozenset[str]:
-        return self.labels.get(cell, frozenset())
+        return self._at(cell) or frozenset()
 
     def symbols(self) -> frozenset[str]:
         """All symbols appearing anywhere on the map."""
-        out: set[str] = set()
-        for labelset in self.labels.values():
-            out |= labelset
-        return frozenset(out)
+        return frozenset().union(*set(self.cells).difference({None}))
 
     def default_start(self) -> Cell:
         """First unlabeled passable cell in row-major order."""
-        for y in range(self.height):
-            for x in range(self.width):
-                cell = (x, y)
-                if self.is_free(cell) and not self.label_at(cell):
-                    return cell
-        raise MapParseError("map has no unlabeled passable cell to start from")
+        if frozenset() not in self.cells:
+            raise MapParseError("map has no unlabeled passable cell to start from")
+        i = self.cells.index(frozenset())
+        return (i % self.width, i // self.width)
 
     def resolved_start(self) -> Cell:
         return self.start if self.start is not None else self.default_start()
 
     def to_document(self) -> dict:
+        w = self.width
         doc = {
-            "width": self.width,
+            "width": w,
             "height": self.height,
             "cells": [
-                {"x": x, "y": y, "labels": sorted(self.labels[(x, y)])}
-                for (x, y) in sorted(self.labels, key=lambda c: (c[1], c[0]))
+                {"x": i % w, "y": i // w, "labels": sorted(labelset)}
+                for i, labelset in enumerate(self.cells)
+                if labelset
             ],
             "obstacles": [
-                {"x": x, "y": y}
-                for (x, y) in sorted(self.obstacles, key=lambda c: (c[1], c[0]))
+                {"x": i % w, "y": i // w}
+                for i, labelset in enumerate(self.cells)
+                if labelset is None
             ],
         }
         if self.start is not None:
@@ -106,25 +118,22 @@ def _parse_ascii(text: str) -> GridMap:
         raise MapParseError("empty map")
     width = len(lines[0])
     _check_size(width, len(lines))
-    labels: dict[Cell, frozenset[str]] = {}
-    obstacles: set[Cell] = set()
+    # Cell character -> label set; each new symbol character is checked once.
+    table: dict[str, frozenset[str] | None] = {ASCII_FREE: frozenset(), ASCII_OBSTACLE: None}
+    cells: list[frozenset[str] | None] = []
     for y, line in enumerate(lines):
         if len(line) != width:
             raise MapParseError(
                 f"row {y + 1} has {len(line)} cells, expected {width} (map must be rectangular)"
             )
-        for x, ch in enumerate(line):
-            if ch == ASCII_FREE:
-                continue
-            if ch == ASCII_OBSTACLE:
-                obstacles.add((x, y))
-            elif SYMBOL_RE.match(ch):
-                labels[(x, y)] = frozenset({ch})
-            else:
+        for ch in sorted(set(line).difference(table), key=line.index):
+            if not SYMBOL_RE.match(ch):
                 raise MapParseError(
-                    f"row {y + 1}, col {x + 1}: invalid cell character {ch!r}"
+                    f"row {y + 1}, col {line.index(ch) + 1}: invalid cell character {ch!r}"
                 )
-    return GridMap(width, len(lines), labels, frozenset(obstacles))
+            table[ch] = frozenset(ch)
+        cells.extend(map(table.__getitem__, line))
+    return GridMap(width, len(lines), tuple(cells))
 
 
 def _parse_structured(text: str) -> GridMap:
@@ -142,18 +151,18 @@ def map_from_document(doc: dict) -> GridMap:
     height = _require_dim(doc, "height")
     _check_size(width, height)
 
-    obstacles: set[Cell] = set()
+    cells: list[frozenset[str] | None] = [frozenset()] * (width * height)
     for i, entry in enumerate(_require_list(doc, "obstacles")):
-        cell = _require_cell(entry, width, height, f"obstacles[{i}]")
-        obstacles.add(cell)
+        x, y = _require_cell(entry, width, height, f"obstacles[{i}]")
+        cells[y * width + x] = None
 
-    labels: dict[Cell, frozenset[str]] = {}
     for i, entry in enumerate(_require_list(doc, "cells")):
         where = f"cells[{i}]"
-        cell = _require_cell(entry, width, height, where)
-        if cell in obstacles:
+        x, y = cell = _require_cell(entry, width, height, where)
+        at = y * width + x
+        if cells[at] is None:
             raise MapParseError(f"{where}: cell {cell} is also an obstacle")
-        if cell in labels:
+        if cells[at]:
             raise MapParseError(f"{where}: duplicate entry for cell {cell}")
         raw = entry.get("labels")
         if not isinstance(raw, list) or not raw:
@@ -161,15 +170,15 @@ def map_from_document(doc: dict) -> GridMap:
         for sym in raw:
             if not isinstance(sym, str) or not SYMBOL_RE.match(sym):
                 raise MapParseError(f"{where}: invalid symbol {sym!r}")
-        labels[cell] = frozenset(raw)
+        cells[at] = frozenset(raw)
 
     start: Cell | None = None
     if "start" in doc:
         start = _require_cell(doc["start"], width, height, "start")
-        if start in obstacles:
+        if cells[start[1] * width + start[0]] is None:
             raise MapParseError("start cell is an obstacle")
 
-    return GridMap(width, height, labels, frozenset(obstacles), start)
+    return GridMap(width, height, tuple(cells), start)
 
 
 def _require_dim(doc: dict, key: str) -> int:
@@ -224,20 +233,11 @@ def extract_regions(grid: GridMap) -> tuple[list[Region], dict[int, tuple[int, .
     Rosenfeld & Pfaltz, JACM 1966): each row splits into maximal runs of
     one label set, and a union-find joins the runs that overlap an
     equally-labeled run of the row above.  Runs that abut in a row, or
-    overlap across rows with different labels, make the adjacency.
+    overlap across rows with different labels, make the adjacency.  Label
+    sets are compared by value, never by identity.
     """
-    width = grid.width
-    # Label code per cell: 0 unlabeled, -1 obstacle, else one per label set.
-    codes: dict[frozenset[str], int] = {frozenset(): 0}
-    code_of = [0] * (width * grid.height)
-    for (x, y), labelset in grid.labels.items():
-        code_of[y * width + x] = codes.setdefault(labelset, len(codes))
-    for (x, y) in grid.obstacles:
-        code_of[y * width + x] = -1
-    label_of = list(codes)
-
+    width, cells = grid.width, grid.cells
     runs: list[tuple[int, int, int]] = []  # passable runs in row-major order
-    run_code: list[int] = []
     parent: list[int] = []  # union-find forest over run indices
     touching: set[tuple[int, int]] = set()  # differently-labeled run pairs
 
@@ -246,28 +246,27 @@ def extract_regions(grid: GridMap) -> tuple[list[Region], dict[int, tuple[int, .
             parent[i] = i = parent[parent[i]]
         return i
 
-    above: list[tuple[int, int, int, int]] = []  # (start, stop, code, run) per row
+    above: list[tuple[int, int, frozenset[str], int]] = []  # (start, stop, label, run) per row
     for y in range(grid.height):
-        row: list[tuple[int, int, int, int]] = []
+        row: list[tuple[int, int, frozenset[str], int]] = []
         start = 0
-        for code, group in groupby(code_of[y * width : (y + 1) * width]):
+        for label, group in groupby(cells[y * width : (y + 1) * width]):
             stop = start + len(list(group))
-            if code >= 0:
+            if label is not None:
                 run = len(runs)
                 runs.append((y, start, stop))
-                run_code.append(code)
                 parent.append(run)
                 if row and row[-1][1] == start:
                     touching.add((row[-1][3], run))
-                row.append((start, stop, code, run))
+                row.append((start, stop, label, run))
             start = stop
         i = j = 0
         n_above, n_row = len(above), len(row)
         while i < n_above and j < n_row:
-            a_start, a_stop, a_code, a_run = above[i]
-            b_start, b_stop, b_code, b_run = row[j]
+            a_start, a_stop, a_label, a_run = above[i]
+            b_start, b_stop, b_label, b_run = row[j]
             if a_start < b_stop and b_start < a_stop:
-                if a_code != b_code:
+                if a_label != b_label:
                     touching.add((a_run, b_run))
                 else:
                     a_root, b_root = find(a_run), find(b_run)
@@ -285,9 +284,9 @@ def extract_regions(grid: GridMap) -> tuple[list[Region], dict[int, tuple[int, .
     members: list[list[tuple[int, int, int]]] = [[] for _ in rid_of_root]
     for rid, run in zip(run_rid, runs):
         members[rid].append(run)
-    regions = [
-        Region(rid, tuple(members[rid]), label_of[run_code[root]])
-        for root, rid in rid_of_root.items()
+    regions = [  # labeled by the cell that starts each region's first run
+        Region(rid, tuple(rows), cells[rows[0][0] * width + rows[0][1]])
+        for rid, rows in enumerate(members)
     ]
 
     neighbors: list[set[int]] = [set() for _ in regions]

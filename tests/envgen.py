@@ -51,6 +51,23 @@ ATOMS = ["a", "b", "c"]
 # Grid environments
 
 
+def grid_map(width: int, height: int, labels: dict, obstacles=frozenset()) -> GridMap:
+    """A map from a ``(x, y) -> label set`` dict and a set of obstacle cells.
+
+    The label sets go into ``GridMap.cells`` as given, not interned, so equal
+    sets stay distinct objects, as in a map parsed from JSON.
+    """
+    return GridMap(
+        width,
+        height,
+        tuple(
+            None if (x, y) in obstacles else labels.get((x, y), frozenset())
+            for y in range(height)
+            for x in range(width)
+        ),
+    )
+
+
 def sea_with_islands(rng: random.Random, max_side: int = 12, max_symbols: int = 4) -> GridMap:
     """A connected unlabeled "sea" with pairwise non-adjacent labeled islands.
 
@@ -90,7 +107,7 @@ def sea_with_islands(rng: random.Random, max_side: int = 12, max_symbols: int = 
             cell = (rng.randint(0, w - 1), rng.randint(0, h - 1))
             if cell not in labels:
                 obstacles.add(cell)
-        grid = GridMap(w, h, labels, frozenset(obstacles))
+        grid = grid_map(w, h, labels, obstacles)
         regions, adjacency = extract_regions(grid)
         seas = [r for r in regions if not r.label]
         if len(seas) != 1:
@@ -118,7 +135,7 @@ def harsh_map(rng: random.Random, max_side: int = 12) -> GridMap | None:
                 obstacles.add((x, y))
             elif roll < 0.55:
                 labels[(x, y)] = frozenset(rng.sample("abcd", rng.randint(1, 2)))
-    grid = GridMap(w, h, labels, frozenset(obstacles))
+    grid = grid_map(w, h, labels, obstacles)
     if not extract_regions(grid)[0]:
         return None
     return grid
@@ -143,7 +160,7 @@ def walled_hub_map(rng: random.Random, side: int = 32) -> GridMap:
         symbol = frozenset(rng.choice("abcdefgh"))
         for cell in block:
             labels[cell] = symbol
-    return GridMap(side, side, labels, frozenset(obstacles))
+    return grid_map(side, side, labels, obstacles)
 
 
 def random_grid(rng: random.Random, width: int, height: int) -> GridMap:
@@ -157,7 +174,7 @@ def random_grid(rng: random.Random, width: int, height: int) -> GridMap:
                 obstacles.add((x, y))
             elif roll < 0.7:
                 labels[(x, y)] = frozenset(rng.choice(("a", "b", "ab")))
-    return GridMap(width, height, labels, frozenset(obstacles))
+    return grid_map(width, height, labels, obstacles)
 
 
 # ---------------------------------------------------------------------------
@@ -219,7 +236,7 @@ def neighbors4(grid: GridMap, cell) -> list[tuple[int, int]]:
     return [
         (nx, ny)
         for (nx, ny) in ((x, y - 1), (x, y + 1), (x - 1, y), (x + 1, y))
-        if 0 <= nx < grid.width and 0 <= ny < grid.height and (nx, ny) not in grid.obstacles
+        if grid.is_free((nx, ny))
     ]
 
 
@@ -427,10 +444,10 @@ def reference_regions(grid: GridMap):
     region's topmost-leftmost cell, and the sorted neighbour ids per region.
     """
     label = {
-        (x, y): grid.labels.get((x, y), frozenset())
+        (x, y): grid.label_at((x, y))
         for y in range(grid.height)
         for x in range(grid.width)
-        if (x, y) not in grid.obstacles
+        if grid.is_free((x, y))
     }
     root = {cell: cell for cell in label}
 
@@ -734,7 +751,7 @@ def to_ascii(grid: GridMap) -> str:
     for y in range(grid.height):
         row = []
         for x in range(grid.width):
-            if (x, y) in grid.obstacles:
+            if not grid.is_free((x, y)):
                 row.append(ASCII_OBSTACLE)
                 continue
             labelset = grid.label_at((x, y))

@@ -9,6 +9,7 @@ import pytest
 from envgen import (
     count_violations,
     first_region_change,
+    grid_map,
     harsh_map,
     neighbors4,
     oracle_mv_cost,
@@ -159,7 +160,7 @@ def _compare_with_reference(grid, starts=None) -> list:
     regions = extract_regions(grid)[0]
     flat = region_index(regions, grid.width, grid.height)
     ref = reference_region_index(regions)
-    symbols = sorted({s for labels in grid.labels.values() for s in labels})
+    symbols = sorted(grid.symbols())
     # A negated literal and a symbol no region carries exercise the other outcomes.
     policies = symbols + [f"{s}&!{t}" for s, t in zip(symbols, symbols[1:])] + ["ghost"]
     outcomes = []
@@ -179,7 +180,7 @@ def _tie_room(rng: random.Random) -> GridMap:
         (rng.randrange(w), rng.randrange(h)): frozenset(rng.sample("abc", rng.randint(1, 2)))
         for _ in range(rng.randint(1, 5))
     }
-    return GridMap(w, h, labels)
+    return grid_map(w, h, labels)
 
 
 def _strip(rng: random.Random, vertical: bool) -> GridMap:
@@ -193,7 +194,7 @@ def _strip(rng: random.Random, vertical: bool) -> GridMap:
         elif roll < 0.5:
             labels[cell] = frozenset(rng.sample("abc", rng.randint(1, 2)))
     width, height = (1, n) if vertical else (n, 1)
-    return GridMap(width, height, labels, frozenset(obstacles))
+    return grid_map(width, height, labels, obstacles)
 
 
 def test_mv_path_matches_reference():
@@ -348,9 +349,9 @@ def test_unsafe_report_matches_reference():
     for cycles in range(1, 31):
         while True:
             grid = harsh_map(rng, max_side=8)
-            if grid is None or not grid.labels:
+            if grid is None or not grid.symbols():
                 continue
-            symbols = sorted({s for labels in grid.labels.values() for s in labels})
+            symbols = sorted(grid.symbols())
             prefix = [rng.choice(symbols) for _ in range(rng.randint(0, 3))]
             cycle = [rng.choice(symbols) for _ in range(rng.randint(1, 3))]
             try:
