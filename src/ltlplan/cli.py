@@ -5,6 +5,8 @@ transition system from a map, ``prune`` reduces it, ``compile`` turns a
 formula into a Büchi automaton, ``product`` combines both, ``plan``
 extracts the shortest policy sequence, ``run`` executes it with
 minimum-violation navigation, and ``check`` validates a stored trace.
+Each subcommand is declared once in ``COMMANDS``: its help, handler and
+arguments.
 
 Exit codes: 0 success, 1 check failed, 2 malformed input, 3 no
 satisfying plan exists, 4 a policy target was unreachable during
@@ -70,6 +72,13 @@ def _write_json(path: str | None, doc) -> None:
     _write_text(path, json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
+def _write_artifact(out: str | None, artifact, dot: str | None = None) -> None:
+    """Write ``artifact`` as Graphviz to ``dot`` when given, then as JSON to ``out``."""
+    if dot:
+        _write_text(dot, artifact.to_dot())
+    _write_json(out, artifact.to_document())
+
+
 def _load_map(args) -> GridMap:
     try:
         text = Path(args.map).read_text(encoding="utf-8")
@@ -128,34 +137,28 @@ def _prepare_product(args):
     aut = _compile_formula(args.ltl, grid.symbols())
     pa = _timed("product", build_product, pruned, aut)
     if getattr(args, "emit_stages", None):
-        directory = Path(args.emit_stages)
-        _emit_prune_stages(directory, labeled, report)
-        for name, artifact in (("pruned", pruned), ("buchi", aut), ("product", pa)):
-            _write_json(str(directory / f"{name}.json"), artifact.to_document())
-            _write_text(str(directory / f"{name}.dot"), artifact.to_dot())
+        _emit_stages(args.emit_stages, labeled, report, pruned=pruned, buchi=aut, product=pa)
     return index, start_cell, aut, pa
 
 
-def _emit_prune_stages(directory: Path, labeled, report) -> None:
-    """Write the labeled system and each reduction pass's result."""
+def _emit_stages(directory: str, labeled, report, **artifacts) -> None:
+    """Write the labeled system, each reduction pass's result, then ``artifacts``."""
+    path = Path(directory)
     try:
-        directory.mkdir(parents=True, exist_ok=True)
+        path.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise CliError(f"cannot write output: {exc}", EXIT_BAD_INPUT)
-    snapshots = [("labeled", labeled)]
-    for i in range(len(ALL_CASES)):
-        snapshots.append((f"stage{i + 1}", report.replay(labeled, ALL_CASES[: i + 1])))
-    for name, snapshot in snapshots:
-        _write_json(str(directory / f"{name}.json"), snapshot.to_document())
-        _write_text(str(directory / f"{name}.dot"), snapshot.to_dot())
+    stages = {"labeled": labeled}
+    for i in range(1, len(ALL_CASES) + 1):
+        stages[f"stage{i}"] = report.replay(labeled, ALL_CASES[:i])
+    for name, artifact in {**stages, **artifacts}.items():
+        _write_artifact(str(path / f"{name}.json"), artifact, str(path / f"{name}.dot"))
 
 
 def cmd_abstract(args) -> int:
     grid = _load_map(args)
     ts, _, _ = _abstract(grid, args.mode)
-    if args.dot:
-        _write_text(args.dot, ts.to_dot())
-    _write_json(args.out, ts.to_document())
+    _write_artifact(args.out, ts, args.dot)
     return EXIT_OK
 
 
@@ -164,30 +167,24 @@ def cmd_prune(args) -> int:
     labeled, _, _ = _abstract(grid, args.mode)
     pruned, report = _timed("prune", prune, labeled)
     if args.emit_stages:
-        _emit_prune_stages(Path(args.emit_stages), labeled, report)
+        _emit_stages(args.emit_stages, labeled, report)
     if args.drop_unreachable:
         pruned = drop_unreachable(pruned)
     if args.report:
         _write_json(args.report, report.to_document())
-    if args.dot:
-        _write_text(args.dot, pruned.to_dot())
-    _write_json(args.out, pruned.to_document())
+    _write_artifact(args.out, pruned, args.dot)
     return EXIT_OK
 
 
 def cmd_compile(args) -> int:
     aut = _compile_formula(args.ltl, None)
-    if args.dot:
-        _write_text(args.dot, aut.to_dot())
-    _write_json(args.out, aut.to_document())
+    _write_artifact(args.out, aut, args.dot)
     return EXIT_OK
 
 
 def cmd_product(args) -> int:
     *_, pa = _prepare_product(args)
-    if args.dot:
-        _write_text(args.dot, pa.to_dot())
-    _write_json(args.out, pa.to_document())
+    _write_artifact(args.out, pa, args.dot)
     return EXIT_OK
 
 
@@ -251,7 +248,39 @@ def cmd_check(args) -> int:
     return EXIT_OK if satisfied else EXIT_CHECK_FAILED
 
 
-COMMANDS = ("abstract", "prune", "compile", "product", "plan", "run", "check")
+_MAP = (
+    ("--map", dict(required=True, help="map file (ASCII art or JSON)")),
+    ("--mode", dict(choices=("primitive", "composite"), default=PRIMITIVE)),
+    ("--start", dict(default=None, help="override start cell as 'X,Y'")),
+)
+_LTL = ("--ltl", dict(required=True))
+_OUT = ("--out", dict(default=None, help="output file (default: stdout)"))
+_DOT = ("--dot", dict(default=None))
+_STAGES = ("--emit-stages", dict(default=None, metavar="DIR", help="dump intermediate artifacts"))
+
+# name -> (help, handler, arguments); dict order is the order ``--help`` lists.
+COMMANDS = {
+    "abstract": ("map -> labeled transition system", cmd_abstract, (
+        *_MAP, _OUT, ("--dot", dict(default=None, help="also write Graphviz output here")),
+    )),
+    "prune": ("map -> reduced transition system", cmd_prune, (
+        *_MAP, _OUT, _DOT,
+        ("--report", dict(default=None, help="write the reduction report here")),
+        ("--emit-stages", dict(default=None, metavar="DIR", help="write per-pass snapshots")),
+        ("--drop-unreachable", dict(action="store_true")),
+    )),
+    "compile": ("formula -> Büchi automaton", cmd_compile, (_LTL, _OUT, _DOT)),
+    "product": ("map + formula -> product automaton", cmd_product, (*_MAP, _LTL, _OUT, _DOT)),
+    "plan": ("map + formula -> shortest policy sequence", cmd_plan, (*_MAP, _LTL, _OUT, _STAGES)),
+    "run": ("plan, then execute with minimum violations", cmd_run, (
+        *_MAP, _LTL,
+        ("--cycles", dict(type=int, default=1, help="cycle repetitions to unroll")),
+        _OUT, _STAGES,
+    )),
+    "check": ("validate a stored trace against a formula", cmd_check, (
+        *_MAP, _LTL, ("--trace", dict(required=True, help="trace JSON produced by 'run'")), _OUT,
+    )),
+}
 
 
 def build_parser(argv: list[str] | None = None) -> argparse.ArgumentParser:
@@ -262,82 +291,17 @@ def build_parser(argv: list[str] | None = None) -> argparse.ArgumentParser:
     ``--help`` or an unknown name), every subcommand is filled.
     """
     named = next((arg for arg in argv or () if not arg.startswith("-")), None)
-    wanted = named if named in COMMANDS else None
     parser = argparse.ArgumentParser(
         prog="ltlplan",
         description="Plan and execute temporal-logic tasks on labeled grid maps.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def command(name, help_text):
-        """Register ``name``; return its parser only if it is to be filled."""
+    for name, (help_text, handler, arguments) in COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
-        return p if wanted in (None, name) else None
-
-    def add_map_opts(p):
-        p.add_argument("--map", required=True, help="map file (ASCII art or JSON)")
-        p.add_argument("--mode", choices=["primitive", "composite"], default=PRIMITIVE)
-        p.add_argument("--start", default=None, help="override start cell as 'X,Y'")
-
-    def add_out(p):
-        p.add_argument("--out", default=None, help="output file (default: stdout)")
-
-    if p := command("abstract", "map -> labeled transition system"):
-        add_map_opts(p)
-        add_out(p)
-        p.add_argument("--dot", default=None, help="also write Graphviz output here")
-        p.set_defaults(handler=cmd_abstract)
-
-    if p := command("prune", "map -> reduced transition system"):
-        add_map_opts(p)
-        add_out(p)
-        p.add_argument("--dot", default=None)
-        p.add_argument("--report", default=None, help="write the reduction report here")
-        p.add_argument(
-            "--emit-stages", default=None, metavar="DIR", help="write per-pass snapshots"
-        )
-        p.add_argument("--drop-unreachable", action="store_true")
-        p.set_defaults(handler=cmd_prune)
-
-    if p := command("compile", "formula -> Büchi automaton"):
-        p.add_argument("--ltl", required=True)
-        add_out(p)
-        p.add_argument("--dot", default=None)
-        p.set_defaults(handler=cmd_compile)
-
-    if p := command("product", "map + formula -> product automaton"):
-        add_map_opts(p)
-        p.add_argument("--ltl", required=True)
-        add_out(p)
-        p.add_argument("--dot", default=None)
-        p.set_defaults(handler=cmd_product)
-
-    if p := command("plan", "map + formula -> shortest policy sequence"):
-        add_map_opts(p)
-        p.add_argument("--ltl", required=True)
-        add_out(p)
-        p.add_argument(
-            "--emit-stages", default=None, metavar="DIR", help="dump intermediate artifacts"
-        )
-        p.set_defaults(handler=cmd_plan)
-
-    if p := command("run", "plan, then execute with minimum violations"):
-        add_map_opts(p)
-        p.add_argument("--ltl", required=True)
-        p.add_argument("--cycles", type=int, default=1, help="cycle repetitions to unroll")
-        add_out(p)
-        p.add_argument(
-            "--emit-stages", default=None, metavar="DIR", help="dump intermediate artifacts"
-        )
-        p.set_defaults(handler=cmd_run)
-
-    if p := command("check", "validate a stored trace against a formula"):
-        add_map_opts(p)
-        p.add_argument("--ltl", required=True)
-        p.add_argument("--trace", required=True, help="trace JSON produced by 'run'")
-        add_out(p)
-        p.set_defaults(handler=cmd_check)
-
+        p.set_defaults(handler=handler)
+        if named == name or named not in COMMANDS:
+            for flag, kwargs in arguments:
+                p.add_argument(flag, **kwargs)
     return parser
 
 

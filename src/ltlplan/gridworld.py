@@ -338,3 +338,13 @@ def tree_path(parent: dict, node) -> list:
     while parent[path[-1]] is not None:
         path.append(parent[path[-1]])
     return path[::-1]
+
+
+def cycle_path(node, successors) -> list | None:
+    """Shortest non-empty path from ``node`` back to it, or ``None``.
+
+    The path lists the nodes after ``node``, ending with ``node`` itself;
+    ties follow ``successors`` order, as in ``bfs_tree``.
+    """
+    parent = bfs_tree(successors(node), successors, node)
+    return tree_path(parent, node) if node in parent else None

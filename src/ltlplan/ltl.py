@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .gridworld import bfs_tree
+from .gridworld import bfs_tree, cycle_path
 
 LabelSet = frozenset[str]
 
@@ -561,14 +561,9 @@ def accepts_lasso(aut: BuchiAutomaton, prefix, cycle) -> bool:
     # Positions only move forward through the prefix, so no cycle passes a
     # node whose position lies in it.
     return any(
-        pos >= plen and state in aut.accepting and _on_cycle((state, pos), succ)
+        pos >= plen and state in aut.accepting and cycle_path((state, pos), succ) is not None
         for state, pos in reachable
     )
-
-
-def _on_cycle(node, succ) -> bool:
-    """Whether a non-empty path of ``succ`` edges leads from ``node`` back to it."""
-    return node in bfs_tree(succ(node), succ, node)
 
 
 def empty_word_accepting_states(aut: BuchiAutomaton) -> frozenset[str]:
@@ -585,7 +580,7 @@ def empty_word_accepting_states(aut: BuchiAutomaton) -> frozenset[str]:
     for src in aut.order:
         for dst in idle(src):
             back[dst].append(src)
-    cyclic = [s for s in aut.order if s in aut.accepting and _on_cycle(s, idle)]
+    cyclic = [s for s in aut.order if s in aut.accepting and cycle_path(s, idle) is not None]
     return frozenset(bfs_tree(cyclic, back.__getitem__))
 
 

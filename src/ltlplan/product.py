@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .gridworld import bfs_tree, tree_path
+from .gridworld import bfs_tree, cycle_path, tree_path
 from .ltl import BuchiAutomaton, empty_word_accepting_states
 from .tsys import TransitionSystem
 
@@ -166,7 +166,7 @@ def find_plan(pa: ProductAutomaton) -> Plan | None:
             continue
         if state not in pa.accepting:
             continue
-        cycle = _shortest_cycle(expansion, state)
+        cycle = cycle_path(state, expansion.__getitem__)
         if cycle is None:
             continue
         length = dist[state] + len(cycle)
@@ -186,17 +186,6 @@ def find_plan(pa: ProductAutomaton) -> Plan | None:
         prefix_states=prefix_states,
         cycle_states=cycle_states,
     )
-
-
-def _shortest_cycle(
-    expansion: dict[PAState, list[PAState]], state: PAState
-) -> list[PAState] | None:
-    """Shortest non-empty path from ``state`` back to itself (BFS).
-
-    Follows ``find_plan``'s expansion order: cheaper policy symbols first.
-    """
-    parent = bfs_tree(expansion[state], expansion.__getitem__, state)
-    return tree_path(parent, state) if state in parent else None
 
 
 def _symbols_along(pa: ProductAutomaton, states: list[PAState]) -> list[str]:

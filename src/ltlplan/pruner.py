@@ -103,7 +103,7 @@ def case1_merge_equivalent(ts: TransitionSystem, report: PruneReport) -> Transit
         label = frozenset(syms)
         outgoing[src].append((label, dst))
         incoming[dst].append((label, src))
-    block_of = _initial_partition(ts)
+    block_of = dict(ts.labels)  # label sets are the initial blocks
     while True:
         groups: dict[tuple, list[int]] = {}
         for state in ts.order:
@@ -127,17 +127,6 @@ def case1_merge_equivalent(ts: TransitionSystem, report: PruneReport) -> Transit
                 mapping[other] = members[0]
             report.merged_state_groups.append(tuple(members))
     return _apply_quotient(ts, mapping)
-
-
-def _initial_partition(ts: TransitionSystem) -> dict[int, int]:
-    block_ids: dict[frozenset[str], int] = {}
-    block_of = {}
-    for state in ts.order:
-        label = ts.labels[state]
-        if label not in block_ids:
-            block_ids[label] = len(block_ids)
-        block_of[state] = block_ids[label]
-    return block_of
 
 
 def _apply_quotient(ts: TransitionSystem, mapping: dict[int, int]) -> TransitionSystem:

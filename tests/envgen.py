@@ -68,14 +68,20 @@ def grid_map(width: int, height: int, labels: dict, obstacles=frozenset()) -> Gr
     )
 
 
+# Draws a retrying generator may make before it raises: a wrong
+# ``extract_regions`` then fails a test instead of hanging the suite.
+MAX_ATTEMPTS = 100
+
+
 def sea_with_islands(rng: random.Random, max_side: int = 12, max_symbols: int = 4) -> GridMap:
     """A connected unlabeled "sea" with pairwise non-adjacent labeled islands.
 
     Each island is a single-symbol rectangle separated from every other
     island by at least one sea cell; obstacles may pepper the sea as long
-    as it stays one connected region.
+    as it stays one connected region.  Raises ``RuntimeError`` after
+    ``MAX_ATTEMPTS`` rejected draws.
     """
-    while True:
+    for _ in range(MAX_ATTEMPTS):
         w, h = rng.randint(5, max_side), rng.randint(5, max_side)
         symbols = "abcd"[: rng.randint(1, max_symbols)]
         labels: dict[tuple[int, int], frozenset[str]] = {}
@@ -121,6 +127,7 @@ def sea_with_islands(rng: random.Random, max_side: int = 12, max_symbols: int = 
         except Exception:
             continue
         return grid
+    raise RuntimeError(f"no sea-with-islands map in {MAX_ATTEMPTS} attempts")
 
 
 def harsh_map(rng: random.Random, max_side: int = 12) -> GridMap | None:

@@ -73,6 +73,38 @@ def test_only_the_named_subcommand_gets_arguments():
         assert _filled(build_parser(argv)) == set(COMMANDS)
 
 
+MAP_OPTS = ["--map", "m.txt", "--mode", "composite", "--start", "1,2"]
+EVERY_OPTION = {
+    "abstract": [*MAP_OPTS, "--out", "o.json", "--dot", "o.dot"],
+    "prune": [*MAP_OPTS, "--out", "o.json", "--dot", "o.dot", "--report", "r.json",
+              "--emit-stages", "stages", "--drop-unreachable"],
+    "compile": ["--ltl", "F a", "--out", "o.json", "--dot", "o.dot"],
+    "product": [*MAP_OPTS, "--ltl", "F a", "--out", "o.json", "--dot", "o.dot"],
+    "plan": [*MAP_OPTS, "--ltl", "F a", "--out", "o.json", "--emit-stages", "stages"],
+    "run": [*MAP_OPTS, "--ltl", "F a", "--cycles", "3", "--out", "o.json",
+            "--emit-stages", "stages"],
+    "check": [*MAP_OPTS, "--ltl", "F a", "--trace", "t.json", "--out", "o.json"],
+}
+
+
+@pytest.mark.parametrize("command", EVERY_OPTION)
+def test_lazy_fill_parses_like_the_full_parser(command):
+    argv = [command, *EVERY_OPTION[command]]
+    lazy = vars(build_parser(argv).parse_args(argv))
+    assert lazy == vars(build_parser(None).parse_args(argv))
+    assert lazy["command"] == command
+
+
+def test_every_option_case_sets_every_option():
+    parser = build_parser(None)
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    assert list(EVERY_OPTION) == list(sub.choices)
+    for command, options in EVERY_OPTION.items():
+        parsed = vars(parser.parse_args([command, *options]))
+        for action in sub.choices[command]._actions[1:]:
+            assert parsed[action.dest] != action.default, (command, action.dest)
+
+
 if __name__ == "__main__":
     os.environ["COLUMNS"] = "80"
     cases = {name: _invoke(argv) for name, argv in CASES.items()}

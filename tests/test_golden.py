@@ -26,7 +26,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from envgen import harsh_map, sea_with_islands  # noqa: E402
+from envgen import MAX_ATTEMPTS, harsh_map, sea_with_islands  # noqa: E402
 from ltlplan.cli import main  # noqa: E402
 
 MAPS = Path(__file__).resolve().parent.parent / "maps"
@@ -53,9 +53,10 @@ def _seeded_maps() -> dict[str, object]:
         maps[f"sea{seed}"] = sea_with_islands(random.Random(seed), max_side=12)
     for seed in (4, 5):
         rng = random.Random(seed)
-        grid = None
-        while grid is None:
-            grid = harsh_map(rng, max_side=10)
+        grids = (harsh_map(rng, max_side=10) for _ in range(MAX_ATTEMPTS))
+        grid = next((g for g in grids if g is not None), None)
+        if grid is None:
+            raise RuntimeError(f"no harsh map for seed {seed} in {MAX_ATTEMPTS} attempts")
         maps[f"harsh{seed}"] = grid
     return maps
 

@@ -314,13 +314,13 @@ def test_lasso_check_searches_cycles_from_cycle_positions_only(monkeypatch, tmp_
     cycle_letters = sum(1 for cell_idx in trace.word_cells if cell_idx > boundary)
     aut = to_buchi(parse_ltl("G F a & G F c"))
     calls = []
-    on_cycle = ltl._on_cycle
+    cycle_path = ltl.cycle_path
 
     def counted(node, succ):
         calls.append(node)
-        return on_cycle(node, succ)
+        return cycle_path(node, succ)
 
-    monkeypatch.setattr(ltl, "_on_cycle", counted)
+    monkeypatch.setattr(ltl, "cycle_path", counted)
     assert check_trace(aut, trace)
     assert 0 < len(calls) <= len(aut.order) * cycle_letters
 
