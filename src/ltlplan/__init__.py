@@ -8,8 +8,8 @@ minimum-violation navigation.
 """
 
 from .gridworld import GridMap, MapParseError, Region, extract_regions, parse_map
-from .ltl import BuchiAutomaton, LtlParseError, parse_ltl, to_buchi
-from .mvpolicy import PolicySpec, Trace, UnreachableTargetError, execute_plan, mv_path
+from .ltl import BuchiAutomaton, Guard, LtlParseError, parse_ltl, to_buchi
+from .mvpolicy import Trace, UnreachableTargetError, execute_plan, mv_path, parse_policy
 from .product import Plan, ProductAutomaton, build_product, find_plan
 from .pruner import PruneReport, prune
 from .tsys import TransitionSystem, build_initial_ts, generate_ts_labels, is_deterministic
@@ -19,10 +19,10 @@ __version__ = "0.1.0"
 __all__ = [
     "BuchiAutomaton",
     "GridMap",
+    "Guard",
     "LtlParseError",
     "MapParseError",
     "Plan",
-    "PolicySpec",
     "ProductAutomaton",
     "PruneReport",
     "Region",
@@ -39,6 +39,7 @@ __all__ = [
     "mv_path",
     "parse_ltl",
     "parse_map",
+    "parse_policy",
     "prune",
     "to_buchi",
     "__version__",

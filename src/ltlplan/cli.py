@@ -125,9 +125,9 @@ def _abstract(grid: GridMap, mode: str):
 def _compile_formula(formula_text: str, alphabet: frozenset[str] | None):
     try:
         formula = parse_ltl(formula_text, alphabet)
+        return _timed("compile", to_buchi, formula)
     except LtlParseError as exc:
         raise CliError(f"formula error: {exc}", EXIT_BAD_INPUT)
-    return _timed("compile", to_buchi, formula)
 
 
 def _prepare_product(args):

@@ -79,26 +79,6 @@ class GridMap:
     def resolved_start(self) -> Cell:
         return self.start if self.start is not None else self.default_start()
 
-    def to_document(self) -> dict:
-        w = self.width
-        doc = {
-            "width": w,
-            "height": self.height,
-            "cells": [
-                {"x": i % w, "y": i // w, "labels": sorted(labelset)}
-                for i, labelset in enumerate(self.cells)
-                if labelset
-            ],
-            "obstacles": [
-                {"x": i % w, "y": i // w}
-                for i, labelset in enumerate(self.cells)
-                if labelset is None
-            ],
-        }
-        if self.start is not None:
-            doc["start"] = {"x": self.start[0], "y": self.start[1]}
-        return doc
-
 
 def parse_map(text: str) -> GridMap:
     """Parse a map from ASCII art or from a structured JSON document."""

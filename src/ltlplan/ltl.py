@@ -29,7 +29,7 @@ LabelSet = frozenset[str]
 
 
 class LtlParseError(ValueError):
-    """Raised for syntax errors, undeclared atoms, or grammar violations."""
+    """Raised for syntax errors, undeclared atoms, grammar violations, or too wide a formula."""
 
 
 # ---------------------------------------------------------------------------
@@ -40,9 +40,7 @@ class LtlFormula:
     """Base class for formula nodes; all nodes are immutable and hashable."""
 
     def atoms(self) -> frozenset[str]:
-        out: set[str] = set()
-        _collect_atoms(self, out)
-        return frozenset(out)
+        return frozenset(f.name for f in _subformulas(self) if isinstance(f, (Atom, NotAtom)))
 
 
 @dataclass(frozen=True)
@@ -88,15 +86,23 @@ class Always(LtlFormula):
     sub: LtlFormula
 
 
-def _collect_atoms(formula: LtlFormula, out: set[str]) -> None:
-    match formula:
-        case Atom(name) | NotAtom(name):
-            out.add(name)
-        case And(left, right) | Or(left, right) | Until(left, right):
-            _collect_atoms(left, out)
-            _collect_atoms(right, out)
-        case Eventually(sub) | Always(sub):
-            _collect_atoms(sub, out)
+def _subformulas(formula: LtlFormula) -> list[LtlFormula]:
+    """Distinct subformulas of ``formula`` in pre-order discovery."""
+    found: dict[LtlFormula, None] = {}
+
+    def walk(f: LtlFormula) -> None:
+        if f in found:
+            return
+        found[f] = None
+        match f:
+            case And(left, right) | Or(left, right) | Until(left, right):
+                walk(left)
+                walk(right)
+            case Eventually(sub) | Always(sub):
+                walk(sub)
+
+    walk(formula)
+    return list(found)
 
 
 _LEVEL_OR, _LEVEL_AND, _LEVEL_UNTIL, _LEVEL_UNARY = 1, 2, 3, 4
@@ -145,6 +151,12 @@ _RESERVED = {"F", "G", "U", "true"}
 # the way down.  Parsing costs up to five frames per level and later passes
 # recurse over the tree, so this stays far below Python's recursion limit.
 MAX_NESTING = 100
+
+# Most tableau edges one compilation may record, duplicates included.  This
+# bounds formula width, which MAX_NESTING does not: ``G F a0 & ... & G F a7``
+# needs 131k edges and ``G F a0 & ... & G F a9`` 2.1M (17 s), while every
+# formula the tests and benchmarks compile needs under 10k.
+MAX_TABLEAU_EDGES = 100_000
 
 
 class _Tokenizer:
@@ -367,7 +379,11 @@ class BuchiAutomaton:
 
 
 def to_buchi(formula: LtlFormula) -> BuchiAutomaton:
-    """Compile a formula into a language-equivalent Büchi automaton."""
+    """Compile a formula into a language-equivalent Büchi automaton.
+
+    Raises ``LtlParseError`` when the tableau would record more than
+    ``MAX_TABLEAU_EDGES`` edges.
+    """
     closure = _closure(formula)
     bit = {f: 1 << i for i, f in enumerate(closure)}
     nodes, incoming = _expand_tableau(formula, bit)
@@ -442,21 +458,7 @@ def to_buchi(formula: LtlFormula) -> BuchiAutomaton:
 
 def _closure(formula: LtlFormula) -> list[LtlFormula]:
     """Distinct subformulas sorted by ``to_text``, ties in pre-order discovery."""
-    found: dict[LtlFormula, None] = {}
-
-    def walk(f: LtlFormula) -> None:
-        if f in found:
-            return
-        found[f] = None
-        match f:
-            case And(left, right) | Or(left, right) | Until(left, right):
-                walk(left)
-                walk(right)
-            case Eventually(sub) | Always(sub):
-                walk(sub)
-
-    walk(formula)
-    return sorted(found, key=to_text)
+    return sorted(_subformulas(formula), key=to_text)
 
 
 def _rule(f: LtlFormula, bit: dict[LtlFormula, int]) -> tuple[int, tuple[tuple[int, bool], ...]]:
@@ -498,10 +500,16 @@ def _expand_tableau(
     by_key: dict[tuple[int, int], str] = {}
     incoming: dict[str, set[str]] = {}
     pending = [("init", bit[formula], 0, 0)]
+    budget = MAX_TABLEAU_EDGES
 
     while pending:
         src, new, old, nxt = pending.pop()
         if not new:
+            budget -= 1
+            if budget < 0:
+                raise LtlParseError(
+                    f"formula is too wide: its tableau exceeds {MAX_TABLEAU_EDGES} edges"
+                )
             key = (old, nxt)
             nid = by_key.get(key)
             if nid is not None:

@@ -1,8 +1,10 @@
 """Minimum-violation execution of policy sequences on labeled grids.
 
 A policy names a task by the labels its goal region must carry (and must
-not carry).  ``mv_path`` finds a path that reaches some satisfying region
-with lexicographically minimal cost ``(violations, steps)``, where one
+not carry): the same literal conjunction as an automaton guard, so it is
+an ``ltl.Guard``, read from its symbol text by ``parse_policy``.
+``mv_path`` finds a path that reaches some satisfying region with
+lexicographically minimal cost ``(violations, steps)``, where one
 violation is charged per entry into a labeled region that does not
 satisfy the policy, and returns that violation count with the path.
 ``execute_plan`` chains such paths for a whole plan, records each count
@@ -22,51 +24,34 @@ from collections.abc import Mapping
 from dataclasses import dataclass, field
 
 from .gridworld import Cell, Region, tree_path
-from .ltl import BuchiAutomaton, LabelSet, accepts_lasso
+from .ltl import BuchiAutomaton, Guard, LabelSet, accepts_lasso
 
 
 class UnreachableTargetError(ValueError):
     """No reachable region satisfies the requested policy."""
 
 
-@dataclass(frozen=True)
-class PolicySpec:
-    """A task given as label constraints on the goal region.
+def parse_policy(symbol: str) -> Guard:
+    """Read a policy symbol such as ``b&!square`` as the guard it names.
 
-    ``positives`` must all be present in the goal region's label set and
-    ``negatives`` must all be absent; at least one positive is required.
+    Raises ``ValueError`` on an empty literal, on no positive literal, and
+    on a symbol both required and excluded.
     """
-
-    positives: frozenset[str]
-    negatives: frozenset[str] = frozenset()
-
-    def __post_init__(self):
-        if not self.positives:
-            raise ValueError("policy needs at least one positive label")
-        overlap = self.positives & self.negatives
-        if overlap:
-            raise ValueError(f"contradictory policy literals: {sorted(overlap)}")
-
-    @classmethod
-    def from_symbol(cls, symbol: str) -> "PolicySpec":
-        positives, negatives = set(), set()
-        for part in symbol.split("&"):
-            part = part.strip()
-            if part.startswith("!"):
-                negatives.add(part[1:].strip())
-            elif part:
-                positives.add(part)
-            else:
-                raise ValueError(f"empty literal in policy symbol {symbol!r}")
-        return cls(frozenset(positives), frozenset(negatives))
-
-    @property
-    def symbol(self) -> str:
-        parts = sorted(self.positives) + [f"!{n}" for n in sorted(self.negatives)]
-        return "&".join(parts)
-
-    def satisfied_by(self, labels: LabelSet) -> bool:
-        return self.positives <= labels and not (self.negatives & labels)
+    positives, negatives = set(), set()
+    for part in symbol.split("&"):
+        part = part.strip()
+        if part.startswith("!"):
+            negatives.add(part[1:].strip())
+        elif part:
+            positives.add(part)
+        else:
+            raise ValueError(f"empty literal in policy symbol {symbol!r}")
+    if not positives:
+        raise ValueError("policy needs at least one positive label")
+    overlap = positives & negatives
+    if overlap:
+        raise ValueError(f"contradictory policy literals: {sorted(overlap)}")
+    return Guard(frozenset(positives), frozenset(negatives))
 
 
 @dataclass(frozen=True, eq=False)
@@ -111,7 +96,7 @@ def region_index(regions: list[Region], width: int, height: int) -> CellIndex:
     return CellIndex(width, height, region_of, [region.label for region in regions])
 
 
-def mv_path(start: Cell, policy: PolicySpec, index: CellIndex) -> tuple[int, list[Cell]]:
+def mv_path(start: Cell, policy: Guard, index: CellIndex) -> tuple[int, list[Cell]]:
     """Cheapest path from ``start`` into a region satisfying ``policy``.
 
     Moves go to the up, down, left and right neighbours that are keys of
@@ -172,7 +157,7 @@ def mv_path(start: Cell, policy: PolicySpec, index: CellIndex) -> tuple[int, lis
                             same = level.setdefault(steps, [])
                         same += (n, cell)
 
-    raise UnreachableTargetError(f"no reachable region satisfies policy {policy.symbol!r}")
+    raise UnreachableTargetError(f"no reachable region satisfies policy {policy.format()!r}")
 
 
 @dataclass
@@ -313,7 +298,7 @@ def execute_plan(
         here = cells[-1]
         seg_start = len(cells) - 1
         if (here, symbol) not in searched:
-            searched[here, symbol] = mv_path(here, PolicySpec.from_symbol(symbol), index)
+            searched[here, symbol] = mv_path(here, parse_policy(symbol), index)
         forced, path = searched[here, symbol]
         cells.extend(path[1:])
         segments.append(
@@ -348,7 +333,7 @@ def unsafe_report(trace: Trace) -> dict:
     """
     entries: list[dict] = []
     for seg_idx, seg in enumerate(trace.segments):
-        policy = PolicySpec.from_symbol(seg.symbol)
+        policy = parse_policy(seg.symbol)
         # word_cells increases, so the segment's entries are one slice of it.
         first = bisect_right(trace.word_cells, seg.start)
         last = bisect_right(trace.word_cells, seg.end) - 1  # the exempt terminal entry

@@ -40,7 +40,7 @@ from ltlplan.ltl import (
     Until,
     to_text,
 )
-from ltlplan.mvpolicy import PolicySpec, UnreachableTargetError, mv_path
+from ltlplan.mvpolicy import UnreachableTargetError, mv_path, parse_policy
 from ltlplan.product import PAState, ProductAutomaton
 from ltlplan.tsys import COMPOSITE, EMPTY_LABEL, PRIMITIVE, TransitionSystem
 
@@ -345,14 +345,14 @@ def reference_mv_path(start, policy, index) -> tuple[int, list]:
             tick += 1
             heapq.heappush(heap, (violations + bump, steps + 1, tick, neighbor, cell))
 
-    raise UnreachableTargetError(f"no reachable region satisfies policy {policy.symbol!r}")
+    raise UnreachableTargetError(f"no reachable region satisfies policy {policy.format()!r}")
 
 
 def reference_unsafe_report(trace) -> dict:
     """``unsafe_report`` by one filter over the whole word per segment."""
     entries = []
     for seg_idx, seg in enumerate(trace.segments):
-        policy = PolicySpec.from_symbol(seg.symbol)
+        policy = parse_policy(seg.symbol)
         in_segment = [
             (letter, cell_idx)
             for letter, cell_idx in zip(trace.word, trace.word_cells)
@@ -770,6 +770,26 @@ def to_ascii(grid: GridMap) -> str:
                 row.append("?")
         rows.append("".join(row))
     return "\n".join(rows)
+
+
+def map_document(grid: GridMap) -> dict:
+    """The structured JSON document that ``parse_map`` reads back as ``grid``."""
+    w = grid.width
+    doc = {
+        "width": w,
+        "height": grid.height,
+        "cells": [
+            {"x": i % w, "y": i // w, "labels": sorted(labelset)}
+            for i, labelset in enumerate(grid.cells)
+            if labelset
+        ],
+        "obstacles": [
+            {"x": i % w, "y": i // w} for i, labelset in enumerate(grid.cells) if labelset is None
+        ],
+    }
+    if grid.start is not None:
+        doc["start"] = {"x": grid.start[0], "y": grid.start[1]}
+    return doc
 
 
 def _parse_state_name(name: str) -> int:

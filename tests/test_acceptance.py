@@ -25,8 +25,8 @@ from envgen import (
 from ltlplan.gridworld import extract_regions, parse_map
 from ltlplan.ltl import accepts_lasso, eval_ltl_on_lasso, parse_ltl, to_buchi, to_text
 from ltlplan.mvpolicy import (
-    PolicySpec,
     execute_plan,
+    parse_policy,
     region_index,
     unsafe_report,
     check_trace,
@@ -164,7 +164,7 @@ def test_criterion_4__pruned_transitions_are_realizable():
             )
             assert len(samples) >= 1
             for symbol in symbols:
-                policy = PolicySpec.from_symbol(symbol)
+                policy = parse_policy(symbol)
                 for cell in samples:
                     landed = first_region_change(cell, policy, index)
                     assert landed is not None
@@ -226,7 +226,7 @@ def test_criterion_7__obstacle_course_two_goal_case_study(obstacle_course_grid):
     # The first policy must go around the center block without clipping
     # any labeled region other than its own target.
     first = trace.segments[0]
-    policy = PolicySpec.from_symbol(first.symbol)
+    policy = parse_policy(first.symbol)
     for cell in trace.cells[first.start : first.end + 1]:
         labels = index[cell][1]
         assert not labels or policy.satisfied_by(labels), cell

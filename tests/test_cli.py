@@ -281,7 +281,7 @@ def test_run_searches_each_policy_once(monkeypatch, tmp_path, argv):
     # One search per distinct (start cell, policy) among the segments.
     starts = [trace["cells"][seg["start_index"]] for seg in segments]
     pairs = {
-        ((cell["x"], cell["y"]), mvpolicy.PolicySpec.from_symbol(seg["policy"]))
+        ((cell["x"], cell["y"]), mvpolicy.parse_policy(seg["policy"]))
         for cell, seg in zip(starts, segments)
     }
     assert len(calls) == len(set(calls)) == len(pairs)
@@ -292,7 +292,7 @@ def _unshared_trace(start, prefix, cycle, index, cycles):
     """``execute_plan`` with one fresh search per segment."""
     cells, segments = [start], []
     for symbol in prefix + cycle * cycles:
-        policy = mvpolicy.PolicySpec.from_symbol(symbol)
+        policy = mvpolicy.parse_policy(symbol)
         forced, path = mvpolicy.mv_path(cells[-1], policy, index)
         end = len(cells) + len(path) - 2
         segments.append(mvpolicy.TraceSegment(symbol, len(cells) - 1, end, forced))

@@ -26,7 +26,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from envgen import MAX_ATTEMPTS, harsh_map, sea_with_islands  # noqa: E402
+from envgen import MAX_ATTEMPTS, harsh_map, map_document, sea_with_islands  # noqa: E402
 from ltlplan.cli import main  # noqa: E402
 
 MAPS = Path(__file__).resolve().parent.parent / "maps"
@@ -131,7 +131,7 @@ def run_case(name: str, root: Path) -> dict:
     inputs.mkdir()
     out.mkdir()
     for key, grid in SEEDED.items():
-        (inputs / f"{key}.json").write_text(json.dumps(grid.to_document()))
+        (inputs / f"{key}.json").write_text(json.dumps(map_document(grid)))
     case = CASES[name]
     fill = lambda argv: [
         a.format(inputs=inputs, out=out, trace=inputs / "trace.json") for a in argv

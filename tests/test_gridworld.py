@@ -11,6 +11,7 @@ import pytest
 from envgen import (
     floyd_warshall_hops,
     harsh_map,
+    map_document,
     neighbors4,
     random_grid,
     region_cells,
@@ -88,7 +89,7 @@ def test_parse_ascii_rejects_empty():
 
 
 def test_parse_json_roundtrip(open_room_grid):
-    doc = open_room_grid.to_document()
+    doc = map_document(open_room_grid)
     again = map_from_document(json.loads(json.dumps(doc)))
     assert again == open_room_grid
 
@@ -119,7 +120,7 @@ def test_ascii_and_document_parse_to_the_same_map():
     grids += [walled_hub_map(rng, side=rng.choice((6, 11, 16))) for _ in range(10)]
     for grid in grids:
         from_ascii = parse_map(to_ascii(grid))
-        from_doc = map_from_document(json.loads(json.dumps(grid.to_document())))
+        from_doc = map_from_document(json.loads(json.dumps(map_document(grid))))
         assert from_ascii == from_doc, to_ascii(grid)
         assert extract_regions(from_ascii) == extract_regions(from_doc), to_ascii(grid)
 

@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import random
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -462,3 +464,44 @@ def test_compile_renders_each_subformula_once(monkeypatch):
     monkeypatch.setattr(ltl, "_render", counted)
     to_buchi(formula)
     assert calls <= 200
+
+
+def _conjunction(template: str, atoms: str) -> str:
+    return " & ".join(template.format(a) for a in atoms)
+
+
+def test_tableau_bound_is_exact(monkeypatch):
+    # G F a & ... & G F e records 2080 tableau edges.
+    formula = parse_ltl(_conjunction("G F {}", "abcde"))
+    monkeypatch.setattr(ltl, "MAX_TABLEAU_EDGES", 2080)
+    assert to_buchi(formula).to_document() == reference_buchi(formula).to_document()
+    monkeypatch.setattr(ltl, "MAX_TABLEAU_EDGES", 2079)
+    with pytest.raises(LtlParseError, match="exceeds 2079 edges"):
+        to_buchi(formula)
+
+
+WIDE_FORMULAS = {
+    "F^9": _conjunction("F {}", "abcdefghi"),
+    "G F^8": _conjunction("G F {}", "abcdefgh"),
+    "G F^10": _conjunction("G F {}", "abcdefghij"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(WIDE_FORMULAS))
+def test_too_wide_formula_exits_2_quickly(name, tmp_path, capsys):
+    out = tmp_path / "buchi.json"
+    begin = time.perf_counter()
+    assert main(["compile", "--ltl", WIDE_FORMULAS[name], "--out", str(out)]) == 2
+    assert time.perf_counter() - begin < 3.0
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and f"exceeds {ltl.MAX_TABLEAU_EDGES} edges" in err
+    assert not out.exists()
+
+
+def test_widest_family_formula_compiles_unchanged(tmp_path):
+    # G F a & ... & G F f, the widest test family, still compiles under the
+    # bound; the digest is of its output from before the bound existed.
+    out = tmp_path / "buchi.json"
+    assert main(["compile", "--ltl", _conjunction("G F {}", "abcdef"), "--out", str(out)]) == 0
+    digest = hashlib.sha256(out.read_bytes()).hexdigest()
+    assert digest == "519b20085ba87caf689bfe50ea5f213e1dc79b3f94912a9ebbc4b6b79a6d7237"

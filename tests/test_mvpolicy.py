@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import re
 
 import pytest
 
@@ -19,15 +20,15 @@ from envgen import (
     reference_unsafe_report,
 )
 from ltlplan.gridworld import GridMap, extract_regions, parse_map
-from ltlplan.ltl import eval_ltl_on_lasso, parse_ltl, to_buchi, to_text
+from ltlplan.ltl import Guard, eval_ltl_on_lasso, parse_ltl, to_buchi, to_text
 from ltlplan.mvpolicy import (
-    PolicySpec,
     Trace,
     TraceSegment,
     UnreachableTargetError,
     check_trace,
     execute_plan,
     mv_path,
+    parse_policy,
     region_index,
     trace_word,
     unsafe_report,
@@ -42,31 +43,49 @@ def index_of(grid):
 
 
 # ---------------------------------------------------------------------------
-# Policy specs
+# Policies
 
 
 def test_policy_from_symbol_literals():
-    policy = PolicySpec.from_symbol("b&!square")
+    policy = parse_policy("b&!square")
     assert policy.positives == frozenset({"b"})
     assert policy.negatives == frozenset({"square"})
-    assert policy.symbol == "b&!square"
+    assert policy.format() == "b&!square"
     assert policy.satisfied_by(frozenset({"b", "circle"}))
     assert not policy.satisfied_by(frozenset({"b", "square"}))
     assert not policy.satisfied_by(frozenset({"circle"}))
 
 
 def test_policy_symbol_is_sorted_and_stable():
-    assert PolicySpec.from_symbol("square&b").symbol == "b&square"
-    assert PolicySpec.from_symbol("c&!b&a").symbol == "a&c&!b"
+    assert parse_policy("square&b").format() == "b&square"
+    assert parse_policy("c&!b&a").format() == "a&!b&c"
 
 
 def test_policy_validation():
     with pytest.raises(ValueError):
-        PolicySpec.from_symbol("!a")
+        parse_policy("!a")
     with pytest.raises(ValueError):
-        PolicySpec.from_symbol("a&!a")
+        parse_policy("a&!a")
     with pytest.raises(ValueError):
-        PolicySpec.from_symbol("a&&b")
+        parse_policy("a&&b")
+
+
+def test_policy_errors_name_the_fault():
+    with pytest.raises(ValueError, match="empty literal in policy symbol 'a&&b'"):
+        parse_policy("a&&b")
+    with pytest.raises(ValueError, match="policy needs at least one positive label"):
+        parse_policy("!a")
+    with pytest.raises(ValueError, match=re.escape("contradictory policy literals: ['a']")):
+        parse_policy("a&!a&b")
+
+
+def test_mv_path_takes_any_guard():
+    # Validation is parse_policy's: an empty guard holds at the start, and a
+    # contradictory one holds nowhere.
+    index = index_of(parse_map(STRIP))
+    assert mv_path((0, 0), Guard(), index) == (0, [(0, 0)])
+    with pytest.raises(UnreachableTargetError, match="'a&!a'"):
+        mv_path((0, 0), Guard(frozenset({"a"}), frozenset({"a"})), index)
 
 
 # ---------------------------------------------------------------------------
@@ -75,7 +94,7 @@ def test_policy_validation():
 
 def test_path_through_unavoidable_label_counts_one_violation():
     grid = parse_map(STRIP)
-    violations, path = mv_path((0, 0), PolicySpec.from_symbol("b"), index_of(grid))
+    violations, path = mv_path((0, 0), parse_policy("b"), index_of(grid))
     assert path == [(0, 0), (1, 0), (2, 0), (3, 0)]
     assert violations == 1
 
@@ -83,13 +102,13 @@ def test_path_through_unavoidable_label_counts_one_violation():
 def test_start_region_satisfying_policy_is_a_fixpoint():
     grid = parse_map(STRIP)
     index = index_of(grid)
-    assert mv_path((1, 0), PolicySpec.from_symbol("a"), index) == (0, [(1, 0)])
-    assert first_region_change((1, 0), PolicySpec.from_symbol("a"), index) is None
+    assert mv_path((1, 0), parse_policy("a"), index) == (0, [(1, 0)])
+    assert first_region_change((1, 0), parse_policy("a"), index) is None
 
 
 def test_longer_clean_detour_beats_short_violating_route():
     grid = parse_map(BYPASS)
-    violations, path = mv_path((0, 0), PolicySpec.from_symbol("b"), index_of(grid))
+    violations, path = mv_path((0, 0), parse_policy("b"), index_of(grid))
     assert (1, 0) not in path
     assert path == [(0, 0), (0, 1), (1, 1), (2, 1), (2, 0)]
     assert violations == 0
@@ -98,23 +117,23 @@ def test_longer_clean_detour_beats_short_violating_route():
 def test_unreachable_policy_raises():
     grid = parse_map(".#b")
     with pytest.raises(UnreachableTargetError):
-        mv_path((0, 0), PolicySpec.from_symbol("b"), index_of(grid))
+        mv_path((0, 0), parse_policy("b"), index_of(grid))
     grid2 = parse_map("..a")
     with pytest.raises(UnreachableTargetError):
-        mv_path((0, 0), PolicySpec.from_symbol("b"), index_of(grid2))
+        mv_path((0, 0), parse_policy("b"), index_of(grid2))
 
 
 def test_path_rejects_impassable_start():
     grid = parse_map(".#b")
     with pytest.raises(ValueError):
-        mv_path((1, 0), PolicySpec.from_symbol("b"), index_of(grid))
+        mv_path((1, 0), parse_policy("b"), index_of(grid))
 
 
 def test_first_region_change_reports_first_boundary():
     grid = parse_map(STRIP)
     index = index_of(grid)
     a_region = index[(1, 0)][0]
-    assert first_region_change((0, 0), PolicySpec.from_symbol("b"), index) == a_region
+    assert first_region_change((0, 0), parse_policy("b"), index) == a_region
 
 
 def test_path_cost_matches_exhaustive_search():
@@ -131,7 +150,7 @@ def test_path_cost_matches_exhaustive_search():
         cells = sorted(index)
         for _ in range(3):
             start = rng.choice(cells)
-            policy = PolicySpec.from_symbol(rng.choice(symbols))
+            policy = parse_policy(rng.choice(symbols))
             want = oracle_mv_cost(grid, start, policy, index)
             try:
                 violations, path = mv_path(start, policy, index)
@@ -142,8 +161,8 @@ def test_path_cost_matches_exhaustive_search():
             for cell, step in zip(path, path[1:]):
                 assert step in neighbors4(grid, cell) and step in index, (cell, step)
             got = (violations, len(path) - 1)
-            assert got == want, (start, policy.symbol)
-            assert count_violations(index, path, policy) == violations, (start, policy.symbol)
+            assert got == want, (start, policy.format())
+            assert count_violations(index, path, policy) == violations, (start, policy.format())
             compared += 1
     assert compared >= 60
 
@@ -166,7 +185,7 @@ def _compare_with_reference(grid, starts=None) -> list:
     outcomes = []
     for start in sorted(ref) if starts is None else starts:
         for symbol in policies:
-            policy = PolicySpec.from_symbol(symbol)
+            policy = parse_policy(symbol)
             want = _outcome(reference_mv_path, start, policy, ref)
             assert _outcome(mv_path, start, policy, flat) == want, (grid, start, symbol)
             outcomes.append(want)
@@ -225,7 +244,7 @@ def test_mv_path_never_wraps_across_rows():
     for text, start in ((".....\nb....", (4, 0)), ("....b\n.....", (0, 1))):
         grid = parse_map(text)
         index = index_of(grid)
-        policy = PolicySpec.from_symbol("b")
+        policy = parse_policy("b")
         violations, path = mv_path(start, policy, index)
         assert (violations, len(path) - 1) == oracle_mv_cost(grid, start, policy, index) == (0, 5)
         for cell, step in zip(path, path[1:]):
@@ -272,7 +291,7 @@ def test_execute_plan_chains_segments():
     assert trace.segments[-1].end == len(trace.cells) - 1
     index = index_of(grid)
     for seg in trace.segments:
-        policy = PolicySpec.from_symbol(seg.symbol)
+        policy = parse_policy(seg.symbol)
         assert policy.satisfied_by(index[trace.cells[seg.end]][1])
     assert (trace.word, trace.word_cells) == trace_word(trace.cells, index)
 
@@ -383,7 +402,7 @@ def test_executed_traces_never_have_unforced_violations():
         except UnreachableTargetError:
             continue
         for seg in trace.segments:
-            policy = PolicySpec.from_symbol(seg.symbol)
+            policy = parse_policy(seg.symbol)
             want = oracle_mv_cost(grid, trace.cells[seg.start], policy, index)
             assert seg.forced_violations == want[0], (seg, want)
         report = unsafe_report(trace)
