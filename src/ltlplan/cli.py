@@ -26,6 +26,7 @@ from .gridworld import GridMap, MapParseError, extract_regions, parse_map
 from .ltl import LtlParseError, parse_ltl, to_buchi
 from .mvpolicy import (
     Trace,
+    TraceTooLongError,
     UnreachableTargetError,
     check_trace,
     execute_plan,
@@ -214,6 +215,8 @@ def cmd_run(args) -> int:
     except UnreachableTargetError as exc:
         print(f"execution failed: {exc}", file=sys.stderr)
         return EXIT_UNREACHABLE
+    except TraceTooLongError as exc:
+        raise CliError(f"execution error: {exc}", EXIT_BAD_INPUT)
     report = unsafe_report(trace)
     satisfied = _timed("check", check_trace, aut, trace)
     _write_json(

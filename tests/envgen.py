@@ -5,8 +5,9 @@ by calling the code under test: brute-force breadth-first searches,
 exhaustive walk enumeration, and budget-bounded path search act as
 reference answers for the fast implementations in the package.  The
 set-based tableau that the bitset Büchi construction replaced stays as its
-byte-for-byte reference, and the heap Dijkstra that the bucket-queue
-executor replaced stays as its tie-order reference.  The document readers
+byte-for-byte reference, and the heap Dijkstra that the minimum-violation
+search (``mvpolicy.mv_path``, bitsets with a bucket-queue fallback)
+replaced stays as its tie-order reference.  The document readers
 and the ASCII renderer at the end serve round-trip tests only, so they
 live here rather than in the package.
 """
@@ -311,7 +312,7 @@ def reference_region_index(regions) -> dict:
 
 
 def reference_mv_path(start, policy, index) -> tuple[int, list]:
-    """Heap-ordered lexicographic Dijkstra, the executor's tie-order reference.
+    """Heap-ordered lexicographic Dijkstra, ``mv_path``'s tie-order reference.
 
     ``index`` is a ``reference_region_index`` dict.  Pops run in
     (violations, steps, push order) order, neighbours are pushed up, down,

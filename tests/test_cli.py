@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import tempfile
+import time
 from pathlib import Path
 
 import pytest
@@ -238,6 +239,20 @@ def test_unwritable_output_path_exits_2(tmp_path, capsys, argv):
 
 def test_cycles_below_one_exits_2():
     assert main(["run", "--map", RING, "--ltl", "G F c", "--cycles", "0"]) == 2
+
+
+def test_cycles_past_the_trace_bound_exit_2_quickly(tmp_path, capsys):
+    # Unrolled eagerly, a billion cycles of two policies would be a list of
+    # 2e9 symbols before the first search.
+    out = tmp_path / "run.json"
+    argv = ["run", "--map", RING, "--ltl", "G F a & G F c", "--cycles", "1000000000"]
+    begin = time.perf_counter()
+    assert main([*argv, "--out", str(out)]) == 2
+    assert time.perf_counter() - begin < 1.0
+    err = capsys.readouterr().err
+    assert "error: execution error: the plan unrolls to 2000000001 policy segments" in err
+    assert f"MAX_TRACE_CELLS bound of {mvpolicy.MAX_TRACE_CELLS}" in err
+    assert not out.exists()
 
 
 def test_unreachable_execution_exits_4(monkeypatch, tmp_path):

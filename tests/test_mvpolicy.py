@@ -4,9 +4,12 @@ from __future__ import annotations
 
 import random
 import re
+import time
+from dataclasses import replace
 
 import pytest
 
+import ltlplan.mvpolicy as mvpolicy
 from envgen import (
     count_violations,
     first_region_change,
@@ -15,15 +18,18 @@ from envgen import (
     neighbors4,
     oracle_mv_cost,
     random_formula,
+    random_grid,
     reference_mv_path,
     reference_region_index,
     reference_unsafe_report,
+    walled_hub_map,
 )
 from ltlplan.gridworld import GridMap, extract_regions, parse_map
 from ltlplan.ltl import Guard, eval_ltl_on_lasso, parse_ltl, to_buchi, to_text
 from ltlplan.mvpolicy import (
     Trace,
     TraceSegment,
+    TraceTooLongError,
     UnreachableTargetError,
     check_trace,
     execute_plan,
@@ -136,7 +142,35 @@ def test_first_region_change_reports_first_boundary():
     assert first_region_change((0, 0), parse_policy("b"), index) == a_region
 
 
-def test_path_cost_matches_exhaustive_search():
+def _count_queue(monkeypatch) -> list:
+    """Record each call of the queue search, leaving the word budget as it is."""
+    queued = []
+    queue = mvpolicy._queue_path
+
+    def counted(*args):
+        queued.append(args)
+        return queue(*args)
+
+    monkeypatch.setattr(mvpolicy, "_queue_path", counted)
+    return queued
+
+
+def _pin_search(monkeypatch, search: str) -> list:
+    """Send every ``mv_path`` search to one search: ``"bitset"`` or ``"queue"``.
+
+    ``"bitset"`` lifts the word budget, ``"queue"`` spends it before the
+    first layer.  Returns the list of the queue's calls.
+    """
+    queued = _count_queue(monkeypatch)
+    if search == "queue":
+        monkeypatch.setattr(mvpolicy, "_WORDS_PER_CELL", 0)
+        monkeypatch.setattr(mvpolicy, "_WORD_SLACK", -1)
+    else:
+        monkeypatch.setattr(mvpolicy, "_WORD_SLACK", 1 << 62)
+    return queued
+
+
+def _costs_match_exhaustive_search() -> None:
     rng = random.Random(61)
     compared = 0
     while compared < 60:
@@ -165,6 +199,18 @@ def test_path_cost_matches_exhaustive_search():
             assert count_violations(index, path, policy) == violations, (start, policy.format())
             compared += 1
     assert compared >= 60
+
+
+def test_path_cost_matches_exhaustive_search(monkeypatch):
+    queued = _pin_search(monkeypatch, "bitset")
+    _costs_match_exhaustive_search()
+    assert not queued
+
+
+def test_path_cost_matches_exhaustive_search_on_the_queue(monkeypatch):
+    queued = _pin_search(monkeypatch, "queue")
+    _costs_match_exhaustive_search()
+    assert queued
 
 
 def _outcome(search, start, policy, index):
@@ -216,7 +262,7 @@ def _strip(rng: random.Random, vertical: bool) -> GridMap:
     return grid_map(width, height, labels, obstacles)
 
 
-def test_mv_path_matches_reference():
+def _paths_match_reference() -> None:
     rng = random.Random(64)
     outcomes = []
     for _ in range(40):  # seeded harsh maps, sampled starts
@@ -238,6 +284,36 @@ def test_mv_path_matches_reference():
     assert any(violations > 0 for violations, _ in found)
     assert any(len(path) > 10 for _, path in found)
 
+    large = []  # sides of 20 to 48, and a path across each map
+    grids = [walled_hub_map(rng, side) for side in (32, 40, 48)]
+    grids += [random_grid(rng, rng.randint(20, 40), rng.randint(20, 40)) for _ in range(3)]
+    for grid in grids:
+        grid, corner = _with_beacon(grid)
+        large += _compare_with_reference(grid, [corner, *rng.sample(sorted(index_of(grid)), 3)])
+    found = [o for o in large if o != "unreachable"]
+    assert any(len(path) > 41 for _, path in found)
+    assert any(violations >= 2 for violations, _ in found)
+
+
+def _with_beacon(grid: GridMap) -> tuple[GridMap, tuple[int, int]]:
+    """The map with its last passable cell relabeled ``z``, and its first passable cell."""
+    free = [i for i, labels in enumerate(grid.cells) if labels is not None]
+    cells = list(grid.cells)
+    cells[free[-1]] = frozenset({"z"})
+    return replace(grid, cells=tuple(cells)), (free[0] % grid.width, free[0] // grid.width)
+
+
+def test_mv_path_matches_reference(monkeypatch):
+    queued = _pin_search(monkeypatch, "bitset")
+    _paths_match_reference()
+    assert not queued
+
+
+def test_mv_path_matches_reference_on_the_queue(monkeypatch):
+    queued = _pin_search(monkeypatch, "queue")
+    _paths_match_reference()
+    assert queued
+
 
 def test_mv_path_never_wraps_across_rows():
     # On a flat y * width + x index, (width - 1, y) + 1 is (0, y + 1).
@@ -249,6 +325,64 @@ def test_mv_path_never_wraps_across_rows():
         assert (violations, len(path) - 1) == oracle_mv_cost(grid, start, policy, index) == (0, 5)
         for cell, step in zip(path, path[1:]):
             assert step in neighbors4(grid, cell), (cell, step)
+
+
+def _serpentine(side: int) -> GridMap:
+    """A one-cell corridor winding down a side x side grid (side odd) to a cell ``g``."""
+    obstacles = set()
+    for y in range(1, side, 2):
+        gap = side - 1 if y % 4 == 1 else 0
+        obstacles |= {(x, y) for x in range(side) if x != gap}
+    end = (side - 1 if side % 4 == 1 else 0, side - 1)
+    return grid_map(side, side, {end: frozenset({"g"})}, obstacles)
+
+
+def _open_room(side: int) -> GridMap:
+    return grid_map(side, side, {(side - 1, side - 1): frozenset({"g"})})
+
+
+@pytest.mark.parametrize(
+    "room, queued_searches", [(_serpentine, 1), (_open_room, 0)], ids=["serpentine", "open"]
+)
+def test_only_the_winding_corridor_restarts_on_the_queue(monkeypatch, room, queued_searches):
+    # A corridor layer is one cell but a whole grid of words, so the bitset
+    # pass spends its word budget there; an open room's layers pay their way.
+    queued = _count_queue(monkeypatch)
+    grid = room(129)
+    index, ref = index_of(grid), reference_region_index(extract_regions(grid)[0])
+    policy = parse_policy("g")
+    assert mv_path((0, 0), policy, index) == reference_mv_path((0, 0), policy, ref)
+    assert len(queued) == queued_searches
+    with pytest.raises(UnreachableTargetError, match="'ghost'"):
+        mv_path((0, 0), parse_policy("ghost"), index)
+    assert len(queued) == 2 * queued_searches
+
+
+def test_winding_corridor_search_is_quick():
+    # Without the queue, the bitset pass stores 33k layers of 264 x 257 bits
+    # each here and takes over a second.
+    index = index_of(_serpentine(257))
+    begin = time.perf_counter()
+    violations, path = mv_path((0, 0), parse_policy("g"), index)
+    assert time.perf_counter() - begin < 0.75
+    assert (violations, len(path), path[-1]) == (0, 33281, (256, 256))
+
+
+def test_over_255_label_sets_search_on_the_queue(monkeypatch):
+    # The bitsets code each label set in one byte; the unlabeled set is one.
+    def row(symbols: int) -> GridMap:
+        labels = {(2 * i + 1, 0): frozenset({f"s{i}"}) for i in range(symbols)}
+        return grid_map(2 * symbols, 1, labels)
+
+    assert index_of(row(254)).masks is not None
+    queued = _count_queue(monkeypatch)
+    grid = row(255)
+    index = index_of(grid)
+    assert index.masks is None
+    policy = parse_policy("s254")
+    want = reference_mv_path((0, 0), policy, reference_region_index(extract_regions(grid)[0]))
+    assert mv_path((0, 0), policy, index) == want == (254, [(x, 0) for x in range(510)])
+    assert len(queued) == 1
 
 
 def test_cell_index_rejects_cells_off_the_map():
@@ -313,6 +447,27 @@ def test_execute_plan_validates_inputs():
         execute_plan((0, 0), ["a"], ["b"], index_of(grid), cycles=0)
     with pytest.raises(UnreachableTargetError):
         execute_plan((0, 0), ["ghost"], [], index_of(grid))
+
+
+def test_execute_plan_stops_at_the_trace_bound(monkeypatch):
+    searched = []
+    search = mvpolicy.mv_path
+
+    def counted(*args):
+        searched.append(args)
+        return search(*args)
+
+    monkeypatch.setattr(mvpolicy, "mv_path", counted)
+    monkeypatch.setattr(mvpolicy, "MAX_TRACE_CELLS", 10)
+    index = index_of(parse_map(STRIP))
+    # 1 + 2 * 5 policies do not fit: no search runs.
+    with pytest.raises(TraceTooLongError, match="unrolls to 11 policy segments"):
+        execute_plan((0, 0), ["b"], ["a", "b"], index, cycles=5)
+    assert not searched
+    # 7 policies fit, but the 4, 6, 8, 10, 12, ... cells after each do not.
+    with pytest.raises(TraceTooLongError, match="bound of 10 cells in policy segment 5 of 7"):
+        execute_plan((0, 0), ["b"], ["a", "b"], index, cycles=3)
+    assert len(execute_plan((0, 0), ["b", "a", "b", "a"], [], index).cells) == 10
 
 
 def test_trace_document_roundtrip():
