@@ -6,7 +6,9 @@ formula into a Büchi automaton, ``product`` combines both, ``plan``
 extracts the shortest policy sequence, ``run`` executes it with
 minimum-violation navigation, and ``check`` validates a stored trace.
 Each subcommand is declared once in ``COMMANDS``: its help, handler and
-arguments.
+arguments.  Each pipeline stage is declared once in ``STAGES``; a
+``Pipeline`` memo runs it at most once per command, when a handler or a
+later stage first reads it.  The map stages never read the formula.
 
 Exit codes: 0 success, 1 check failed, 2 malformed input, 3 no
 satisfying plan exists, 4 a policy target was unreachable during
@@ -46,8 +48,10 @@ EXIT_UNREACHABLE = 4
 
 
 class CliError(Exception):
+    """Ends a command with exit ``code``; malformed input (code 2) prints as an error."""
+
     def __init__(self, message: str, code: int):
-        super().__init__(message)
+        super().__init__(f"error: {message}" if code == EXIT_BAD_INPUT else message)
         self.code = code
 
 
@@ -107,122 +111,122 @@ def _parse_start(text: str) -> tuple[int, int]:
         raise CliError("--start expects integer coordinates 'X,Y'", EXIT_BAD_INPUT)
 
 
-def _abstract(grid: GridMap, mode: str):
-    """Labeled transition system plus the run's cell index."""
-
-    def stage():
-        regions, adjacency = extract_regions(grid)
-        try:
-            start_cell = grid.resolved_start()
-        except MapParseError as exc:
-            raise CliError(str(exc), EXIT_BAD_INPUT)
-        index = region_index(regions, grid.width, grid.height)
-        ts = build_initial_ts(regions, adjacency, index[start_cell][0], mode)
-        return generate_ts_labels(ts), index, start_cell
-
-    return _timed("abstract", stage)
-
-
-def _compile_formula(formula_text: str, alphabet: frozenset[str] | None):
+def _start_cell(p):
     try:
-        formula = parse_ltl(formula_text, alphabet)
+        return p["grid"].resolved_start()
+    except MapParseError as exc:
+        raise CliError(str(exc), EXIT_BAD_INPUT)
+
+
+def _label(p):
+    """Labeled transition system over the regions, entered at the start cell's region."""
+    regions, adjacency = p["regions"]
+    ts = build_initial_ts(regions, adjacency, p["index"][p["start"]][0], p["args"].mode)
+    return generate_ts_labels(ts)
+
+
+def _compile(p):
+    """Büchi automaton of ``--ltl``; with a map, its atoms must be map symbols."""
+    try:
+        formula = parse_ltl(p["args"].ltl, p["grid"].symbols() if "map" in p["args"] else None)
         return _timed("compile", to_buchi, formula)
     except LtlParseError as exc:
         raise CliError(f"formula error: {exc}", EXIT_BAD_INPUT)
 
 
-def _prepare_product(args):
-    grid = _load_map(args)
-    labeled, index, start_cell = _abstract(grid, args.mode)
-    pruned, report = _timed("prune", prune, labeled)
-    aut = _compile_formula(args.ltl, grid.symbols())
-    pa = _timed("product", build_product, pruned, aut)
-    if getattr(args, "emit_stages", None):
-        _emit_stages(args.emit_stages, labeled, report, pruned=pruned, buchi=aut, product=pa)
-    return index, start_cell, aut, pa
+def _plan(p):
+    """Shortest plan, after ``--emit-stages`` has written the stages before it; exit 3 if none."""
+    if p["args"].emit_stages:
+        _emit_stages(p, "pruned", "buchi", "product")
+    plan = _timed("plan", find_plan, p["product"])
+    if plan is None:
+        raise CliError("no satisfying plan exists", EXIT_INFEASIBLE)
+    return plan
 
 
-def _emit_stages(directory: str, labeled, report, **artifacts) -> None:
-    """Write the labeled system, each reduction pass's result, then ``artifacts``."""
-    path = Path(directory)
+# stage -> how to compute it; a body names its layer function, so it calls
+# what ``ltlplan.cli`` binds at run time.  No stage up to "report" reads --ltl.
+STAGES = {
+    "grid": lambda p: _load_map(p["args"]),
+    "regions": lambda p: extract_regions(p["grid"]),
+    "start": _start_cell,
+    "index": lambda p: region_index(p["regions"][0], p["grid"].width, p["grid"].height),
+    "labeled": lambda p: _timed("abstract", _label, p),
+    "prune": lambda p: _timed("prune", prune, p["labeled"]),
+    "pruned": lambda p: p["prune"][0],
+    "report": lambda p: p["prune"][1],
+    "buchi": _compile,
+    "product": lambda p: _timed("product", build_product, p["pruned"], p["buchi"]),
+    "plan": _plan,
+}
+
+
+class Pipeline(dict):
+    """One command's stages by name, built as ``Pipeline(args=args)``; each runs once."""
+
+    def __missing__(self, name: str):
+        self[name] = STAGES[name](self)
+        return self[name]
+
+
+def _emit_stages(p, *names: str) -> None:
+    """Write the labeled system, each reduction pass's result, then the stages ``names``."""
+    artifacts = {"labeled": p["labeled"]}
+    for i in range(1, len(ALL_CASES) + 1):
+        artifacts[f"stage{i}"] = p["report"].replay(p["labeled"], ALL_CASES[:i])
+    artifacts.update((name, p[name]) for name in names)
+    path = Path(p["args"].emit_stages)
     try:
         path.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise CliError(f"cannot write output: {exc}", EXIT_BAD_INPUT)
-    stages = {"labeled": labeled}
-    for i in range(1, len(ALL_CASES) + 1):
-        stages[f"stage{i}"] = report.replay(labeled, ALL_CASES[:i])
-    for name, artifact in {**stages, **artifacts}.items():
+    for name, artifact in artifacts.items():
         _write_artifact(str(path / f"{name}.json"), artifact, str(path / f"{name}.dot"))
 
 
-def cmd_abstract(args) -> int:
-    grid = _load_map(args)
-    ts, _, _ = _abstract(grid, args.mode)
-    _write_artifact(args.out, ts, args.dot)
-    return EXIT_OK
+def _writes(stage: str):
+    """Handler of a command whose output is the one artifact ``stage``."""
+    def handler(p) -> int:
+        _write_artifact(p["args"].out, p[stage], p["args"].dot)
+        return EXIT_OK
+    return handler
 
 
-def cmd_prune(args) -> int:
-    grid = _load_map(args)
-    labeled, _, _ = _abstract(grid, args.mode)
-    pruned, report = _timed("prune", prune, labeled)
+def cmd_prune(p) -> int:
+    args, pruned = p["args"], p["pruned"]
     if args.emit_stages:
-        _emit_stages(args.emit_stages, labeled, report)
+        _emit_stages(p)
     if args.drop_unreachable:
         pruned = drop_unreachable(pruned)
     if args.report:
-        _write_json(args.report, report.to_document())
+        _write_json(args.report, p["report"].to_document())
     _write_artifact(args.out, pruned, args.dot)
     return EXIT_OK
 
 
-def cmd_compile(args) -> int:
-    aut = _compile_formula(args.ltl, None)
-    _write_artifact(args.out, aut, args.dot)
+def cmd_plan(p) -> int:
+    _write_json(p["args"].out, p["plan"].to_document(p["product"]))
     return EXIT_OK
 
 
-def cmd_product(args) -> int:
-    *_, pa = _prepare_product(args)
-    _write_artifact(args.out, pa, args.dot)
-    return EXIT_OK
-
-
-def cmd_plan(args) -> int:
-    *_, pa = _prepare_product(args)
-    plan = _timed("plan", find_plan, pa)
-    if plan is None:
-        print("no satisfying plan exists", file=sys.stderr)
-        return EXIT_INFEASIBLE
-    _write_json(args.out, plan.to_document(pa))
-    return EXIT_OK
-
-
-def cmd_run(args) -> int:
+def cmd_run(p) -> int:
+    args = p["args"]
     if args.cycles < 1:
         raise CliError("--cycles must be at least 1", EXIT_BAD_INPUT)
-    index, start_cell, aut, pa = _prepare_product(args)
-    plan = _timed("plan", find_plan, pa)
-    if plan is None:
-        print("no satisfying plan exists", file=sys.stderr)
-        return EXIT_INFEASIBLE
+    plan = p["plan"]
     try:
-        trace = _timed(
-            "execute", execute_plan,
-            start_cell, plan.prefix, plan.cycle, index, args.cycles,
-        )
+        trace = _timed("execute", execute_plan,
+                       p["start"], plan.prefix, plan.cycle, p["index"], args.cycles)
     except UnreachableTargetError as exc:
-        print(f"execution failed: {exc}", file=sys.stderr)
-        return EXIT_UNREACHABLE
+        raise CliError(f"execution failed: {exc}", EXIT_UNREACHABLE)
     except TraceTooLongError as exc:
         raise CliError(f"execution error: {exc}", EXIT_BAD_INPUT)
     report = unsafe_report(trace)
-    satisfied = _timed("check", check_trace, aut, trace)
+    satisfied = _timed("check", check_trace, p["buchi"], trace)
     _write_json(
         args.out,
         {
-            "plan": plan.to_document(pa),
+            "plan": plan.to_document(p["product"]),
             "trace": trace.to_document(),
             "unsafe": report,
             "satisfied": satisfied,
@@ -231,23 +235,21 @@ def cmd_run(args) -> int:
     return EXIT_OK
 
 
-def cmd_check(args) -> int:
-    grid = _load_map(args)
+def cmd_check(p) -> int:
+    p["grid"]  # a malformed map is reported before a bad trace
     try:
-        doc = json.loads(Path(args.trace).read_text())
+        doc = json.loads(Path(p["args"].trace).read_text())
         if isinstance(doc, dict) and isinstance(doc.get("trace"), dict):
             doc = doc["trace"]
         trace = Trace.from_document(doc)
     except (OSError, ValueError, KeyError, TypeError, RecursionError) as exc:
         raise CliError(f"cannot load trace: {exc}", EXIT_BAD_INPUT)
-    index = region_index(extract_regions(grid)[0], grid.width, grid.height)
     try:
-        trace.word, trace.word_cells = trace_word(trace.cells, index)
+        trace.word, trace.word_cells = trace_word(trace.cells, p["index"])
     except KeyError:
         raise CliError("trace leaves the map's passable cells", EXIT_BAD_INPUT)
-    aut = _compile_formula(args.ltl, grid.symbols())
-    satisfied = _timed("check", check_trace, aut, trace)
-    _write_json(args.out, {"satisfied": satisfied})
+    satisfied = _timed("check", check_trace, p["buchi"], trace)
+    _write_json(p["args"].out, {"satisfied": satisfied})
     return EXIT_OK if satisfied else EXIT_CHECK_FAILED
 
 
@@ -263,7 +265,7 @@ _STAGES = ("--emit-stages", dict(default=None, metavar="DIR", help="dump interme
 
 # name -> (help, handler, arguments); dict order is the order ``--help`` lists.
 COMMANDS = {
-    "abstract": ("map -> labeled transition system", cmd_abstract, (
+    "abstract": ("map -> labeled transition system", _writes("labeled"), (
         *_MAP, _OUT, ("--dot", dict(default=None, help="also write Graphviz output here")),
     )),
     "prune": ("map -> reduced transition system", cmd_prune, (
@@ -272,8 +274,10 @@ COMMANDS = {
         ("--emit-stages", dict(default=None, metavar="DIR", help="write per-pass snapshots")),
         ("--drop-unreachable", dict(action="store_true")),
     )),
-    "compile": ("formula -> Büchi automaton", cmd_compile, (_LTL, _OUT, _DOT)),
-    "product": ("map + formula -> product automaton", cmd_product, (*_MAP, _LTL, _OUT, _DOT)),
+    "compile": ("formula -> Büchi automaton", _writes("buchi"), (_LTL, _OUT, _DOT)),
+    "product": ("map + formula -> product automaton", _writes("product"), (
+        *_MAP, _LTL, _OUT, _DOT,
+    )),
     "plan": ("map + formula -> shortest policy sequence", cmd_plan, (*_MAP, _LTL, _OUT, _STAGES)),
     "run": ("plan, then execute with minimum violations", cmd_run, (
         *_MAP, _LTL,
@@ -313,9 +317,9 @@ def main(argv=None) -> int:
         argv = sys.argv[1:]
     args = build_parser(argv).parse_args(argv)
     try:
-        return args.handler(args)
+        return args.handler(Pipeline(args=args))
     except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(exc, file=sys.stderr)
         return exc.code
 
 

@@ -18,7 +18,9 @@ from itertools import groupby
 
 Cell = tuple[int, int]
 
-SYMBOL_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
+# A label symbol; formula atoms use the same syntax.
+SYMBOL = r"[A-Za-z_][A-Za-z0-9_]*"
+SYMBOL_RE = re.compile(SYMBOL + r"\Z")
 
 ASCII_FREE = "."
 ASCII_OBSTACLE = "#"

@@ -21,9 +21,10 @@ cross-check the construction.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
-from .gridworld import bfs_tree, cycle_path
+from .gridworld import SYMBOL, bfs_tree, cycle_path
 
 LabelSet = frozenset[str]
 
@@ -145,7 +146,13 @@ def _render(formula: LtlFormula, parent_level: int) -> str:
 # ---------------------------------------------------------------------------
 # Parser
 
-_RESERVED = {"F", "G", "U", "true"}
+# One token per match: space to skip, an operator or a symbol, or any other
+# character, which is an error.  Symbols named in ``_KINDS`` are keywords.
+_TOKEN_RE = re.compile(rf"(?P<space>\s+)|(?P<token>[&|!()]|{SYMBOL})|(?P<bad>.)", re.S)
+_KINDS = {
+    "&": "AND", "|": "OR", "!": "NOT", "(": "LPAREN", ")": "RPAREN",
+    "F": "F", "G": "G", "U": "U", "true": "TRUE",
+}
 
 # Deepest accepted nesting, counting each F, G, U, &, | and parenthesis on
 # the way down.  Parsing costs up to five frames per level and later passes
@@ -161,37 +168,15 @@ MAX_TABLEAU_EDGES = 100_000
 
 class _Tokenizer:
     def __init__(self, text: str):
-        self.text = text
         self.tokens: list[tuple[str, str, int]] = []
-        self._scan()
-        self.index = 0
-
-    def _scan(self) -> None:
-        text = self.text
-        i = 0
-        while i < len(text):
-            ch = text[i]
-            if ch.isspace():
-                i += 1
-                continue
-            if ch in "&|!()":
-                kind = {"&": "AND", "|": "OR", "!": "NOT", "(": "LPAREN", ")": "RPAREN"}[ch]
-                self.tokens.append((kind, ch, i))
-                i += 1
-                continue
-            if ch.isalpha() or ch == "_":
-                j = i
-                while j < len(text) and (text[j].isalnum() or text[j] == "_"):
-                    j += 1
-                word = text[i:j]
-                if word in _RESERVED:
-                    self.tokens.append((word.upper() if word == "true" else word, word, i))
-                else:
-                    self.tokens.append(("NAME", word, i))
-                i = j
-                continue
-            raise LtlParseError(f"unexpected character {ch!r} at offset {i}")
+        for match in _TOKEN_RE.finditer(text):
+            kind, value, pos = match.lastgroup, match.group(), match.start()
+            if kind == "bad":
+                raise LtlParseError(f"unexpected character {value!r} at offset {pos}")
+            if kind == "token":
+                self.tokens.append((_KINDS.get(value, "NAME"), value, pos))
         self.tokens.append(("END", "", len(text)))
+        self.index = 0
 
     def peek(self) -> tuple[str, str, int]:
         return self.tokens[self.index]

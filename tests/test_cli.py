@@ -155,6 +155,11 @@ def test_syntax_error_exits_2():
     assert main(["plan", "--map", RING, "--ltl", "F ("]) == 2
 
 
+def test_non_symbol_atom_exits_2(capsys):
+    assert main(["compile", "--ltl", "F é"]) == 2
+    assert "error: formula error: unexpected character 'é' at offset 2" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize(
     "formula",
     ["F " * 3000 + "a", "(" * 3000 + "a" + ")" * 3000, "!a U " * 3000 + "b"],

@@ -83,6 +83,16 @@ def test_malformed_input_rejected(bad):
         parse_ltl(bad)
 
 
+@pytest.mark.parametrize(
+    "text, offset",
+    [("F é", 2), ("a²", 1), ("aé & b", 1), ("F a\u00a0& 1b", 6)],
+)
+def test_atoms_use_the_map_symbol_syntax(text, offset):
+    bad = text[offset]
+    with pytest.raises(LtlParseError, match=f"^unexpected character {bad!r} at offset {offset}$"):
+        parse_ltl(text)
+
+
 def test_operator_names_cannot_be_atoms():
     for reserved in ("F", "G", "U"):
         with pytest.raises(LtlParseError):
