@@ -12,7 +12,8 @@ later stage first reads it.  The map stages never read the formula.
 
 Exit codes: 0 success, 1 check failed, 2 malformed input, 3 no
 satisfying plan exists, 4 a policy target was unreachable during
-execution.  Every stage reports wall-clock time on stderr.
+execution.  Each labeled stage that returns prints one ``[time]`` line on
+stderr, timed from its start or from the previous line, whichever is later.
 """
 
 from __future__ import annotations
@@ -55,14 +56,6 @@ class CliError(Exception):
         self.code = code
 
 
-def _timed(label: str, fn, *args, **kwargs):
-    begin = time.perf_counter()
-    result = fn(*args, **kwargs)
-    elapsed_ms = (time.perf_counter() - begin) * 1000.0
-    print(f"[time] {label}: {elapsed_ms:.1f} ms", file=sys.stderr)
-    return result
-
-
 def _write_text(path: str | None, text: str) -> None:
     if path is None or path == "-":
         sys.stdout.write(text)
@@ -90,7 +83,7 @@ def _load_map(args) -> GridMap:
     except (OSError, UnicodeDecodeError) as exc:
         raise CliError(f"cannot read map file: {exc}", EXIT_BAD_INPUT)
     try:
-        grid = _timed("parse-map", parse_map, text)
+        grid = parse_map(text)
     except MapParseError as exc:
         raise CliError(f"map error: {exc}", EXIT_BAD_INPUT)
     if args.start is not None:
@@ -129,7 +122,7 @@ def _compile(p):
     """Büchi automaton of ``--ltl``; with a map, its atoms must be map symbols."""
     try:
         formula = parse_ltl(p["args"].ltl, p["grid"].symbols() if "map" in p["args"] else None)
-        return _timed("compile", to_buchi, formula)
+        return to_buchi(formula)
     except LtlParseError as exc:
         raise CliError(f"formula error: {exc}", EXIT_BAD_INPUT)
 
@@ -138,34 +131,54 @@ def _plan(p):
     """Shortest plan, after ``--emit-stages`` has written the stages before it; exit 3 if none."""
     if p["args"].emit_stages:
         _emit_stages(p, "pruned", "buchi", "product")
-    plan = _timed("plan", find_plan, p["product"])
+    plan = find_plan(p["product"])
     if plan is None:
         raise CliError("no satisfying plan exists", EXIT_INFEASIBLE)
     return plan
 
 
-# stage -> how to compute it; a body names its layer function, so it calls
-# what ``ltlplan.cli`` binds at run time.  No stage up to "report" reads --ltl.
+def _execute(p):
+    """Cell trace of the plan, unrolled ``--cycles`` times; exit 4 if a target is cut off."""
+    plan = p["plan"]
+    try:
+        return execute_plan(p["start"], plan.prefix, plan.cycle, p["index"], p["args"].cycles)
+    except UnreachableTargetError as exc:
+        raise CliError(f"execution failed: {exc}", EXIT_UNREACHABLE)
+    except TraceTooLongError as exc:
+        raise CliError(f"execution error: {exc}", EXIT_BAD_INPUT)
+
+
+# stage -> ([time] label or None, compute); a body names its layer function, so
+# it calls what ``ltlplan.cli`` binds at run time.  No stage up to "report" reads --ltl.
 STAGES = {
-    "grid": lambda p: _load_map(p["args"]),
-    "regions": lambda p: extract_regions(p["grid"]),
-    "start": _start_cell,
-    "index": lambda p: region_index(p["regions"][0], p["grid"].width, p["grid"].height),
-    "labeled": lambda p: _timed("abstract", _label, p),
-    "prune": lambda p: _timed("prune", prune, p["labeled"]),
-    "pruned": lambda p: p["prune"][0],
-    "report": lambda p: p["prune"][1],
-    "buchi": _compile,
-    "product": lambda p: _timed("product", build_product, p["pruned"], p["buchi"]),
-    "plan": _plan,
+    "grid": ("parse-map", lambda p: _load_map(p["args"])),
+    "regions": (None, lambda p: extract_regions(p["grid"])),
+    "start": (None, _start_cell),
+    "index": (None, lambda p: region_index(p["regions"][0], p["grid"].width, p["grid"].height)),
+    "labeled": ("abstract", _label),
+    "prune": ("prune", lambda p: prune(p["labeled"])),
+    "pruned": (None, lambda p: p["prune"][0]),
+    "report": (None, lambda p: p["prune"][1]),
+    "buchi": ("compile", _compile),
+    "product": ("product", lambda p: build_product(p["pruned"], p["buchi"])),
+    "plan": ("plan", _plan),
+    "trace": ("execute", _execute),
+    "satisfied": ("check", lambda p: check_trace(p["buchi"], p["trace"])),
 }
 
 
 class Pipeline(dict):
     """One command's stages by name, built as ``Pipeline(args=args)``; each runs once."""
 
+    printed = 0.0  # clock reading at the last [time] line
+
     def __missing__(self, name: str):
-        self[name] = STAGES[name](self)
+        label, compute = STAGES[name]
+        begin = time.perf_counter()
+        self[name] = compute(self)
+        if label:
+            begin, self.printed = max(begin, self.printed), time.perf_counter()
+            print(f"[time] {label}: {(self.printed - begin) * 1000.0:.1f} ms", file=sys.stderr)
         return self[name]
 
 
@@ -213,25 +226,12 @@ def cmd_run(p) -> int:
     args = p["args"]
     if args.cycles < 1:
         raise CliError("--cycles must be at least 1", EXIT_BAD_INPUT)
-    plan = p["plan"]
-    try:
-        trace = _timed("execute", execute_plan,
-                       p["start"], plan.prefix, plan.cycle, p["index"], args.cycles)
-    except UnreachableTargetError as exc:
-        raise CliError(f"execution failed: {exc}", EXIT_UNREACHABLE)
-    except TraceTooLongError as exc:
-        raise CliError(f"execution error: {exc}", EXIT_BAD_INPUT)
-    report = unsafe_report(trace)
-    satisfied = _timed("check", check_trace, p["buchi"], trace)
-    _write_json(
-        args.out,
-        {
-            "plan": plan.to_document(p["product"]),
-            "trace": trace.to_document(),
-            "unsafe": report,
-            "satisfied": satisfied,
-        },
-    )
+    _write_json(args.out, {
+        "plan": p["plan"].to_document(p["product"]),
+        "trace": p["trace"].to_document(),
+        "unsafe": unsafe_report(p["trace"]),
+        "satisfied": p["satisfied"],
+    })
     return EXIT_OK
 
 
@@ -248,9 +248,9 @@ def cmd_check(p) -> int:
         trace.word, trace.word_cells = trace_word(trace.cells, p["index"])
     except KeyError:
         raise CliError("trace leaves the map's passable cells", EXIT_BAD_INPUT)
-    satisfied = _timed("check", check_trace, p["buchi"], trace)
-    _write_json(p["args"].out, {"satisfied": satisfied})
-    return EXIT_OK if satisfied else EXIT_CHECK_FAILED
+    p["trace"] = trace
+    _write_json(p["args"].out, {"satisfied": p["satisfied"]})
+    return EXIT_OK if p["satisfied"] else EXIT_CHECK_FAILED
 
 
 _MAP = (

@@ -18,9 +18,10 @@ from itertools import groupby
 
 Cell = tuple[int, int]
 
-# A label symbol; formula atoms use the same syntax.
+# A label symbol; formula atoms use the same syntax, so the keywords are not labels.
 SYMBOL = r"[A-Za-z_][A-Za-z0-9_]*"
-SYMBOL_RE = re.compile(SYMBOL + r"\Z")
+KEYWORDS = ("F", "G", "U", "true")
+SYMBOL_RE = re.compile(rf"(?!(?:{'|'.join(KEYWORDS)})\Z){SYMBOL}\Z")
 
 ASCII_FREE = "."
 ASCII_OBSTACLE = "#"

@@ -24,7 +24,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from .gridworld import SYMBOL, bfs_tree, cycle_path
+from .gridworld import KEYWORDS, SYMBOL, bfs_tree, cycle_path
 
 LabelSet = frozenset[str]
 
@@ -147,12 +147,10 @@ def _render(formula: LtlFormula, parent_level: int) -> str:
 # Parser
 
 # One token per match: space to skip, an operator or a symbol, or any other
-# character, which is an error.  Symbols named in ``_KINDS`` are keywords.
+# character, which is an error.  The symbols in ``KEYWORDS`` are keywords.
 _TOKEN_RE = re.compile(rf"(?P<space>\s+)|(?P<token>[&|!()]|{SYMBOL})|(?P<bad>.)", re.S)
-_KINDS = {
-    "&": "AND", "|": "OR", "!": "NOT", "(": "LPAREN", ")": "RPAREN",
-    "F": "F", "G": "G", "U": "U", "true": "TRUE",
-}
+_KINDS = {"&": "AND", "|": "OR", "!": "NOT", "(": "LPAREN", ")": "RPAREN",
+          **{word: word.upper() for word in KEYWORDS}}
 
 # Deepest accepted nesting, counting each F, G, U, &, | and parenthesis on
 # the way down.  Parsing costs up to five frames per level and later passes

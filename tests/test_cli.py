@@ -160,6 +160,30 @@ def test_non_symbol_atom_exits_2(capsys):
     assert "error: formula error: unexpected character 'é' at offset 2" in capsys.readouterr().err
 
 
+def test_keyword_cell_exits_2(tmp_path, capsys):
+    grid = tmp_path / "map.txt"
+    grid.write_text("..F\n.#U\n")
+    assert main(["plan", "--map", str(grid), "--ltl", "F F"]) == 2
+    assert "error: map error: row 1, col 3: invalid cell character 'F'" in capsys.readouterr().err
+
+
+def test_keyword_label_exits_2(tmp_path, capsys):
+    grid = tmp_path / "map.json"
+    grid.write_text(json.dumps({"width": 2, "height": 1, "cells": [
+        {"x": 1, "y": 0, "labels": ["a", "true"]},
+    ]}))
+    assert main(["abstract", "--map", str(grid)]) == 2
+    assert "error: map error: cells[0]: invalid symbol 'true'" in capsys.readouterr().err
+
+
+def test_symbols_that_start_with_a_keyword_plan(tmp_path):
+    grid = tmp_path / "map.json"
+    grid.write_text(json.dumps({"width": 4, "height": 1, "cells": [
+        {"x": x, "y": 0, "labels": [symbol]} for x, symbol in enumerate(("Fa", "trueish", "G_"), 1)
+    ]}))
+    assert main(["plan", "--map", str(grid), "--ltl", "F Fa & F trueish & F G_"]) == 0
+
+
 @pytest.mark.parametrize(
     "formula",
     ["F " * 3000 + "a", "(" * 3000 + "a" + ")" * 3000, "!a U " * 3000 + "b"],

@@ -1,4 +1,5 @@
-"""Which pipeline stages each subcommand runs, in what order, and which error wins.
+"""Which pipeline stages each subcommand runs, in what order, what their ``[time]``
+lines cover, and which error wins.
 
 The layer functions bound in ``ltlplan.cli`` are the names
 ``benchmarks/tracer.py`` hooks, so counting calls through them also shows
@@ -9,12 +10,14 @@ from __future__ import annotations
 
 import json
 import re
+import time
 from pathlib import Path
 
 import pytest
 
 import ltlplan.cli as cli
 from ltlplan.cli import main
+from ltlplan.mvpolicy import UnreachableTargetError
 
 MAPS = Path(__file__).resolve().parent.parent / "maps"
 RING = str(MAPS / "nested_abc.txt")
@@ -47,6 +50,7 @@ STAGE_TIMES = {
     "run": TIME_LABELS,
     "check": ("parse-map", "compile", "check"),
 }
+TIME_LINE = re.compile(r"^\[time\] ([a-z-]+): ([0-9.]+) ms$", re.M)
 
 
 @pytest.fixture(scope="module")
@@ -65,6 +69,10 @@ def argv_for(command: str, trace: str) -> list[str]:
     if command == "check":
         argv += ["--trace", trace]
     return argv
+
+
+def time_lines(err: str) -> list[tuple[str, float]]:
+    return [(label, float(ms)) for label, ms in TIME_LINE.findall(err)]
 
 
 @pytest.mark.parametrize("command", STAGE_CALLS)
@@ -88,6 +96,50 @@ def test_stage_times_print_in_pipeline_order(capsys, ring_trace, command):
     assert main(argv_for(command, ring_trace)) == 0
     err = capsys.readouterr().err
     assert tuple(re.findall(r"^\[time\] ([a-z-]+): [0-9.]+ ms$", err, re.M)) == STAGE_TIMES[command]
+
+
+@pytest.mark.parametrize("command", ("abstract", "prune", "plan", "run"))
+def test_no_time_prints_twice(monkeypatch, capsys, command):
+    parse_map = cli.parse_map
+
+    def slow_parse_map(text):
+        time.sleep(0.1)
+        return parse_map(text)
+
+    monkeypatch.setattr(cli, "parse_map", slow_parse_map)
+    begin = time.perf_counter()
+    assert main(argv_for(command, "")) == 0
+    wall_ms = (time.perf_counter() - begin) * 1000.0
+    times = time_lines(capsys.readouterr().err)
+    assert times[0][0] == "parse-map" and times[0][1] >= 100.0
+    assert sum(ms for _, ms in times) <= wall_ms + 1.0
+
+
+def explode(*args, **kwargs):
+    raise UnreachableTargetError("policy target vanished")
+
+
+@pytest.mark.parametrize(
+    "argv, code, printed, error",
+    [
+        (["plan", "--ltl", "F b & G !b"], 3, TIME_LABELS[:5], "no satisfying plan exists"),
+        (["run", "--ltl", "G F c"], 4, TIME_LABELS[:6],
+         "execution failed: policy target vanished"),
+        (["run", "--ltl", "G F a & G F c", "--cycles", "1000000000"], 2, TIME_LABELS[:6],
+         "error: execution error: the plan unrolls to 2000000001 policy segments"),
+        (["plan", "--ltl", "F ("], 2, TIME_LABELS[:3], "error: formula error: "),
+        (["abstract", "--start", "99,99"], 2, (), "error: start cell (99, 99) is not a passable"),
+    ],
+    ids=["infeasible", "unreachable", "too-long", "bad-formula", "bad-start"],
+)
+def test_a_failing_stage_prints_no_time(monkeypatch, capsys, argv, code, printed, error):
+    if code == 4:
+        monkeypatch.setattr(cli, "execute_plan", explode)
+    assert main([*argv, "--map", RING]) == code
+    err = capsys.readouterr().err
+    assert tuple(label for label, _ in time_lines(err)) == printed
+    *times, last = err.splitlines()
+    assert len(times) == len(printed) and last.startswith(error)
 
 
 @pytest.fixture
