@@ -6,9 +6,11 @@ formula into a Büchi automaton, ``product`` combines both, ``plan``
 extracts the shortest policy sequence, ``run`` executes it with
 minimum-violation navigation, and ``check`` validates a stored trace.
 Each subcommand is declared once in ``COMMANDS``: its help, handler and
-arguments.  Each pipeline stage is declared once in ``STAGES``; a
-``Pipeline`` memo runs it at most once per command, when a handler or a
-later stage first reads it.  The map stages never read the formula.
+arguments.  ``main(argv)`` may be called repeatedly in one process; the
+parser is built on the first call and serves every later one.  Each
+pipeline stage is declared once in ``STAGES``; a ``Pipeline`` memo runs
+it at most once per command, when a handler or a later stage first reads
+it.  The map stages never read the formula.
 
 Exit codes: 0 success, 1 check failed, 2 malformed input, 3 no
 satisfying plan exists, 4 a policy target was unreachable during
@@ -20,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import sys
 import time
@@ -290,14 +293,9 @@ COMMANDS = {
 }
 
 
-def build_parser(argv: list[str] | None = None) -> argparse.ArgumentParser:
-    """The CLI parser; given ``argv``, only the subcommand it names gets arguments.
-
-    Every subcommand is registered with its help string, so the top-level
-    usage and help stay whole.  Without a valid command in ``argv`` (e.g.
-    ``--help`` or an unknown name), every subcommand is filled.
-    """
-    named = next((arg for arg in argv or () if not arg.startswith("-")), None)
+@functools.cache
+def build_parser() -> argparse.ArgumentParser:
+    """The CLI parser with every subcommand, built once per process on first use."""
     parser = argparse.ArgumentParser(
         prog="ltlplan",
         description="Plan and execute temporal-logic tasks on labeled grid maps.",
@@ -306,16 +304,13 @@ def build_parser(argv: list[str] | None = None) -> argparse.ArgumentParser:
     for name, (help_text, handler, arguments) in COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         p.set_defaults(handler=handler)
-        if named == name or named not in COMMANDS:
-            for flag, kwargs in arguments:
-                p.add_argument(flag, **kwargs)
+        for flag, kwargs in arguments:
+            p.add_argument(flag, **kwargs)
     return parser
 
 
 def main(argv=None) -> int:
-    if argv is None:
-        argv = sys.argv[1:]
-    args = build_parser(argv).parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.handler(Pipeline(args=args))
     except CliError as exc:

@@ -59,20 +59,6 @@ def test_cli_usage_matches_snapshot(monkeypatch, name):
     assert _invoke(CASES[name]) == snapshot["cases"][name]
 
 
-def _filled(parser: argparse.ArgumentParser) -> set[str]:
-    """Subcommands that got arguments beyond ``--help``."""
-    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-    return {name for name, p in sub.choices.items() if len(p._actions) > 1}
-
-
-def test_only_the_named_subcommand_gets_arguments():
-    for command in COMMANDS:
-        assert _filled(build_parser([command, "--map", "m.txt"])) == {command}
-    assert _filled(build_parser(["--", "check"])) == {"check"}
-    for argv in (None, [], ["--help"], ["bogus"], ["-h", "--map"]):
-        assert _filled(build_parser(argv)) == set(COMMANDS)
-
-
 MAP_OPTS = ["--map", "m.txt", "--mode", "composite", "--start", "1,2"]
 EVERY_OPTION = {
     "abstract": [*MAP_OPTS, "--out", "o.json", "--dot", "o.dot"],
@@ -87,16 +73,39 @@ EVERY_OPTION = {
 }
 
 
+def _minimal(command: str) -> list[str]:
+    """``command`` with only its required options."""
+    required = [flag for flag, kwargs in COMMANDS[command][2] if kwargs.get("required")]
+    return [command, *(a for flag in required for a in (flag, "x"))]
+
+
 @pytest.mark.parametrize("command", EVERY_OPTION)
 def test_lazy_fill_parses_like_the_full_parser(command):
-    argv = [command, *EVERY_OPTION[command]]
-    lazy = vars(build_parser(argv).parse_args(argv))
-    assert lazy == vars(build_parser(None).parse_args(argv))
-    assert lazy["command"] == command
+    # The parser is built lazily, on the first call, then shared: after every
+    # other command has set every option, a minimal parse still matches a
+    # freshly built parser's, so no value leaks from one call into the next.
+    shared = build_parser()
+    for other, options in EVERY_OPTION.items():
+        assert vars(shared.parse_args([other, *options]))["command"] == other
+    parsed = vars(shared.parse_args(_minimal(command)))
+    assert parsed == vars(build_parser.__wrapped__().parse_args(_minimal(command)))
+    assert parsed["command"] == command
+    assert build_parser() is shared
+
+
+def test_a_second_main_call_builds_no_parser(monkeypatch, capsys):
+    assert main(["compile", "--ltl", "F a"]) == 0
+
+    def built(*args, **kwargs):
+        raise AssertionError("main built a second parser")
+
+    monkeypatch.setattr(argparse, "ArgumentParser", built)
+    assert main(["compile", "--ltl", "G a"]) == 0
+    assert '"states"' in capsys.readouterr().out
 
 
 def test_every_option_case_sets_every_option():
-    parser = build_parser(None)
+    parser = build_parser()
     sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
     assert list(EVERY_OPTION) == list(sub.choices)
     for command, options in EVERY_OPTION.items():
