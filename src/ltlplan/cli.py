@@ -277,7 +277,7 @@ COMMANDS = {
         ("--emit-stages", dict(default=None, metavar="DIR", help="write per-pass snapshots")),
         ("--drop-unreachable", dict(action="store_true")),
     )),
-    "compile": ("formula -> Büchi automaton", _writes("buchi"), (_LTL, _OUT, _DOT)),
+    "compile": ("formula -> Buchi automaton", _writes("buchi"), (_LTL, _OUT, _DOT)),
     "product": ("map + formula -> product automaton", _writes("product"), (
         *_MAP, _LTL, _OUT, _DOT,
     )),

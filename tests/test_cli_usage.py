@@ -59,6 +59,15 @@ def test_cli_usage_matches_snapshot(monkeypatch, name):
     assert _invoke(CASES[name]) == snapshot["cases"][name]
 
 
+def test_help_text_is_ascii():
+    # Help goes to stdout in its encoding, which need not cover more than ASCII.
+    parser = build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    for p in (parser, *sub.choices.values()):
+        text = p.format_help()
+        assert text.isascii(), (p.prog, sorted({c for c in text if not c.isascii()}))
+
+
 MAP_OPTS = ["--map", "m.txt", "--mode", "composite", "--start", "1,2"]
 EVERY_OPTION = {
     "abstract": [*MAP_OPTS, "--out", "o.json", "--dot", "o.dot"],
