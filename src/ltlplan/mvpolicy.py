@@ -431,8 +431,10 @@ class Trace:
 
     @classmethod
     def from_document(cls, doc: dict) -> "Trace":
-        """Rebuild a trace; raises ``ValueError`` on malformed counts, bounds or moves."""
+        """Rebuild a trace; raises ``ValueError`` on no cells or bad counts, bounds or moves."""
         cells = [(_require_count(cell, "x"), _require_count(cell, "y")) for cell in doc["cells"]]
+        if not cells:
+            raise ValueError("trace has no cells")
         segments = [
             TraceSegment(
                 symbol=seg["policy"],

@@ -473,6 +473,10 @@ def test_check_rejects_trace_below_the_last_row(tmp_path, capsys):
         },
         # From (3, 4) across the a-ring straight into the c-core at (2, 6).
         lambda doc: {"cells": [*doc["cells"][:6], {"x": 2, "y": 6}, *doc["cells"][7:]]},
+        lambda doc: {
+            "cells": [], "word": [], "word_cells": [], "segments": [],
+            "prefix_segments": 0, "cycle_length": 0,
+        },
     ],
     ids=[
         "non-integer-cycle-length",
@@ -481,6 +485,7 @@ def test_check_rejects_trace_below_the_last_row(tmp_path, capsys):
         "float-coordinate",
         "segment-past-last-cell",
         "wall-jump",
+        "no-cells",
     ],
 )
 def test_check_malformed_trace_exits_2(tmp_path, fields):
