@@ -295,7 +295,7 @@ COMMANDS = {
 
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The CLI parser with every subcommand, built once per process on first use."""
+    """The CLI parser with every subcommand, built on first use and shared; do not modify it."""
     parser = argparse.ArgumentParser(
         prog="ltlplan",
         description="Plan and execute temporal-logic tasks on labeled grid maps.",
