@@ -12,6 +12,7 @@ as the segment's forced minimum, and records the induced label word,
 which ``check_trace`` replays on a Büchi automaton.  Every search reads
 only the cell index that ``region_index`` builds from the run's regions:
 its keys are the passable cells, and every move goes to one of them.
+The index, its bitsets and the queue share its padded cell numbering.
 
 The search runs breadth-first on whole-grid bitsets, one cost layer at a
 time, and falls back to a bucket queue where those layers are too sparse
@@ -87,28 +88,30 @@ def parse_policy(symbol: str) -> Guard:
 class CellIndex(Mapping):
     """The run's passable cells, each mapped to ``(region id, label set)``.
 
-    Stored flat: ``region_of[y * width + x]`` is the cell's region id, or
-    -1 for an impassable cell, and ``labels_of[rid]`` is region ``rid``'s
-    label set.  The searches read these lists directly; the mapping view
-    serves every other reader.
+    Stored flat on padded rows: ``region_of[y * stride + x]`` is the cell's
+    region id, or -1 for an impassable or pad cell, and ``labels_of[rid]``
+    is region ``rid``'s label set.  ``stride`` is a multiple of 8 above
+    ``width``, so a step off a row's end lands on a pad cell.  The searches
+    read these lists directly; the mapping view serves every other reader.
     """
 
     width: int
     height: int
+    stride: int
     region_of: list[int]
     labels_of: list[LabelSet]
 
     def __getitem__(self, cell: Cell) -> tuple[int, LabelSet]:
         x, y = cell
         if 0 <= x < self.width and 0 <= y < self.height:
-            rid = self.region_of[y * self.width + x]
+            rid = self.region_of[y * self.stride + x]
             if rid >= 0:
                 return rid, self.labels_of[rid]
         raise KeyError(cell)
 
     def __iter__(self):
-        width = self.width
-        return ((i % width, i // width) for i, rid in enumerate(self.region_of) if rid >= 0)
+        stride = self.stride
+        return ((i % stride, i // stride) for i, rid in enumerate(self.region_of) if rid >= 0)
 
     def __len__(self) -> int:
         return len(self.region_of) - self.region_of.count(-1)
@@ -123,22 +126,20 @@ class CellIndex(Mapping):
 class GridMasks:
     """A cell index as whole-grid bitsets, one bit per cell.
 
-    Bit ``y * stride + x`` stands for cell ``(x, y)``.  ``stride`` is a
-    multiple of 8 above ``width``, so every row ends in at least one zero
-    pad bit and a shift by one never moves a cell into the next row.  The
+    Bit ``i`` stands for the index's cell number ``i``, so pad cells are
+    zero bits and a shift by one never moves a cell into the next row.  The
     ``same_*`` masks hold the passable cells in the same region as their
     neighbour in that direction; adjacent cells share a region exactly when
     they share a label set.
     """
 
-    stride: int
     passable: int
     unlabeled: int
     same_up: int
     same_down: int
     same_left: int
     same_right: int
-    codes: bytes  # one byte per cell, highest bit first: its label set's code, 0 if impassable
+    codes: bytes  # one byte per cell, highest bit first: its label set's code, 0 if not passable
     labels: list[LabelSet]  # ``labels[code - 1]``
     goals: dict[Guard, int] = field(default_factory=dict)
 
@@ -149,12 +150,8 @@ class GridMasks:
         code_of = [label_code.setdefault(ls, len(label_code) + 1) for ls in index.labels_of]
         if len(label_code) > 255:
             return None
-        code_of.append(0)  # region_of[i] == -1: impassable
-        width = index.width
-        stride = (width + 8) & -8
-        flat = bytes(map(code_of.__getitem__, index.region_of))
-        pad = bytes(stride - width)
-        cells = pad.join([flat[i : i + width] for i in range(0, len(flat), width)]) + pad
+        code_of.append(0)  # region_of[i] == -1: impassable or pad
+        cells = bytes(map(code_of.__getitem__, index.region_of))
         labels = list(label_code)
         highest_first = cells[::-1]
         passable = _cells_where(highest_first, labels, lambda _: True)
@@ -173,9 +170,9 @@ class GridMasks:
             bits = differs.to_bytes(len(cells), "little")[::-1].translate(equal)
             return int(bits, 2) & passable
 
+        stride = index.stride
         same_up, same_left = same(stride), same(1)
         return cls(
-            stride,
             passable,
             _cells_where(highest_first, labels, lambda labelset: not labelset),
             same_up,
@@ -204,13 +201,14 @@ def _cells_where(codes: bytes, labels: list[LabelSet], holds) -> int:
 
 def region_index(regions: list[Region], width: int, height: int) -> CellIndex:
     """Index every passable cell of a ``width`` x ``height`` map by region."""
-    region_of = [-1] * (width * height)
+    stride = (width + 8) & -8
+    region_of = [-1] * (height * stride)
     for region in regions:
         rid = region.id
         for y, start, stop in region.runs:
-            row = y * width
+            row = y * stride
             region_of[row + start : row + stop] = [rid] * (stop - start)
-    return CellIndex(width, height, region_of, [region.label for region in regions])
+    return CellIndex(width, height, stride, region_of, [region.label for region in regions])
 
 
 def mv_path(start: Cell, policy: Guard, index: CellIndex) -> tuple[int, list[Cell]]:
@@ -251,7 +249,7 @@ def _bitset_path(start: Cell, policy: Guard, index: CellIndex) -> tuple[int, lis
     masks = index.masks
     if masks is None:
         return None
-    stride = masks.stride
+    stride = index.stride
     goal = masks.goal(policy)
     free = masks.unlabeled | goal  # entering these is never a violation
     bad = masks.passable ^ free  # entering these from another region is one
@@ -340,9 +338,9 @@ def _queue_path(start: Cell, policy: Guard, index: CellIndex) -> tuple[int, list
     after it, so pops run in cost order.  At equal (violations, steps),
     the cell pushed first wins; pushes follow up, down, left, right order.
     """
-    region_of, labels_of, width = index.region_of, index.labels_of, index.width
+    region_of, labels_of, stride = index.region_of, index.labels_of, index.stride
     size = len(region_of)
-    source = start[1] * width + start[0]
+    source = start[1] * stride + start[0]
     # Per region: -1 for a goal; else 1 when entering it is a violation
     # (it is labeled), 0 when it is free.
     cost = [-1 if policy.satisfied_by(labels) else int(bool(labels)) for labels in labels_of]
@@ -364,11 +362,8 @@ def _queue_path(start: Cell, policy: Guard, index: CellIndex) -> tuple[int, list
                 region = region_of[cell]
                 if cost[region] < 0:
                     path = tree_path(parent, cell)
-                    return violations, [(i % width, i // width) for i in path]
-                x = cell % width
-                left = cell - 1 if x else -1
-                right = cell + 1 if x + 1 < width else -1
-                for n in (cell - width, cell + width, left, right):  # up, down, left, right
+                    return violations, [(i % stride, i // stride) for i in path]
+                for n in (cell - stride, cell + stride, cell - 1, cell + 1):  # up, down, left, right
                     if n < 0 or n >= size:
                         continue
                     nregion = region_of[n]
@@ -484,17 +479,13 @@ def trace_word(cells: list[Cell], index: CellIndex) -> tuple[list[LabelSet], lis
     kept so the word mirrors every region boundary the path crosses.
     Raises ``KeyError`` on a cell that is not a key of ``index``.
     """
-    region_of, labels_of = index.region_of, index.labels_of
-    width, height = index.width, index.height
     word: list[LabelSet] = []
     word_cells: list[int] = []
     previous = -1
-    for i, (x, y) in enumerate(cells):
-        region = region_of[y * width + x] if 0 <= x < width and 0 <= y < height else -1
-        if region < 0:
-            raise KeyError((x, y))
+    for i, cell in enumerate(cells):
+        region, labels = index[cell]
         if region != previous:
-            word.append(labels_of[region])
+            word.append(labels)
             word_cells.append(i)
             previous = region
     return word, word_cells
@@ -608,14 +599,8 @@ def check_trace(aut: BuchiAutomaton, trace: Trace) -> bool:
     lasso ``word . {}^ω``, with no further task completions.
     """
     if trace.cycle_length and trace.cycles:
-        rep_segments = trace.segments[-trace.cycle_length:]
-        boundary = rep_segments[0].start
-        cycle_letters = [
-            letter
-            for letter, cell_idx in zip(trace.word, trace.word_cells)
-            if cell_idx > boundary
-        ]
-        if cycle_letters:
-            split = len(trace.word) - len(cycle_letters)
-            return accepts_lasso(aut, trace.word[:split], cycle_letters)
+        # The period: the regions entered after the last repetition's first cell.
+        split = bisect_right(trace.word_cells, trace.segments[-trace.cycle_length].start)
+        if split < len(trace.word):
+            return accepts_lasso(aut, trace.word[:split], trace.word[split:])
     return accepts_lasso(aut, trace.word, [frozenset()])

@@ -31,10 +31,9 @@ class ProductAutomaton:
     stoppable: frozenset[PAState]
     edges: dict[tuple[PAState, PAState], list[str]]
     successors: dict[PAState, list[PAState]]
-    ts_names: dict[int, str]
 
     def state_name(self, state: PAState) -> str:
-        return f"{self.ts_names[state[0]]}|{state[1]}"
+        return f"{TransitionSystem.state_name(state[0])}|{state[1]}"
 
     def to_document(self) -> dict:
         return {
@@ -107,7 +106,6 @@ def build_product(ts: TransitionSystem, aut: BuchiAutomaton) -> ProductAutomaton
         stoppable=stoppable,
         edges=edges,
         successors=successors,
-        ts_names={state: ts.state_name(state) for state in ts.order},
     )
 
 

@@ -44,7 +44,7 @@ class PruneReport:
     unreachable_states: list[int] = field(default_factory=list)
 
     def to_document(self) -> dict:
-        name = lambda s: f"q{s}"
+        name = TransitionSystem.state_name
         return {
             "merged": [[name(s) for s in group] for group in self.merged_state_groups],
             "removed_symbols": [
@@ -197,12 +197,10 @@ def empty_cleanup(ts: TransitionSystem, report: PruneReport) -> TransitionSystem
 
     Returns a new system; ``ts`` is left as it was.
     """
-    edges = ts.edges()
-    for (src, dst) in edges:
+    kept: dict[tuple[int, int], set[str]] = {}
+    for (src, dst) in ts.edges():
         if EMPTY_LABEL in ts.transitions[(src, dst)]:
             report.removed_symbols.append((src, dst, EMPTY_LABEL, EMPTY_CLEANUP))
-    kept: dict[tuple[int, int], set[str]] = {}
-    for (src, dst) in edges:
         symbols = ts.transitions[(src, dst)] - {EMPTY_LABEL}
         if symbols:
             kept[(src, dst)] = symbols

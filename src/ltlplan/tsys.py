@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .gridworld import Region
+from .ltl import Guard
 
 # "{" sorts after every symbol character (letters, digits, "_", "&"), so
 # plain ``sorted`` puts the empty-label sentinel last.
@@ -24,13 +25,6 @@ _BATCH = 1024
 
 PRIMITIVE = "primitive"
 COMPOSITE = "composite"
-
-
-def composite_symbol(labelset: frozenset[str]) -> str:
-    """Single task symbol for a multi-symbol region label, e.g. ``b&square``."""
-    if not labelset:
-        raise ValueError("composite symbol requires a non-empty label set")
-    return "&".join(sorted(labelset))
 
 
 def format_labelset(labelset: frozenset[str]) -> str:
@@ -67,7 +61,8 @@ class TransitionSystem:
         for targets in self._successors.values():
             targets.sort(key=position.__getitem__)
 
-    def state_name(self, state: int) -> str:
+    @staticmethod
+    def state_name(state: int) -> str:
         return f"q{state}"
 
     def out_edges(self, state: int) -> list[tuple[int, int]]:
@@ -91,7 +86,8 @@ class TransitionSystem:
         if not labelset:
             return frozenset()
         if self.mode == COMPOSITE:
-            return frozenset({composite_symbol(labelset)})
+            # One symbol for the whole label set, e.g. ``b&square``.
+            return frozenset({Guard(labelset).format()})
         return labelset
 
     def copy(self) -> "TransitionSystem":

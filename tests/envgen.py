@@ -417,7 +417,6 @@ def random_product(rng: random.Random, max_states: int = 40) -> ProductAutomaton
         stoppable=frozenset(s for s in states if rng.random() < 0.08),
         edges=edges,
         successors=successors,
-        ts_names={i: f"q{i}" for i in range(n)},
     )
 
 

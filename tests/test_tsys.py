@@ -17,6 +17,7 @@ from envgen import (
 )
 from ltlplan import tsys
 from ltlplan.gridworld import extract_regions, parse_map
+from ltlplan.ltl import Guard
 from ltlplan.mvpolicy import region_index
 from ltlplan.tsys import (
     COMPOSITE,
@@ -24,7 +25,6 @@ from ltlplan.tsys import (
     PRIMITIVE,
     TransitionSystem,
     build_initial_ts,
-    composite_symbol,
     generate_ts_labels,
     is_deterministic,
 )
@@ -88,9 +88,10 @@ def test_primitive_vs_composite_alphabet(open_room_grid):
 
 
 def test_composite_symbol_sorts_parts():
-    assert composite_symbol(frozenset({"w", "circle"})) == "circle&w"
-    assert composite_symbol(frozenset({"square", "b"})) == "b&square"
-    assert composite_symbol(frozenset({"a"})) == "a"
+    # A composite symbol is the label set read as a guard.
+    assert Guard(frozenset({"w", "circle"})).format() == "circle&w"
+    assert Guard(frozenset({"square", "b"})).format() == "b&square"
+    assert Guard(frozenset({"a"})).format() == "a"
 
 
 def test_sorted_puts_empty_sentinel_last():
