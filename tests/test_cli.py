@@ -549,6 +549,26 @@ def test_start_override_changes_trace(tmp_path):
     assert read_json(out)["trace"]["cells"][0] == {"x": 5, "y": 1}
 
 
+def test_start_flag_runs_like_a_map_that_starts_there(tmp_path):
+    # Every passable cell, the last column and row (next to the cell index's
+    # row pads) among them: ``--start X,Y`` writes what the map's own start
+    # cell X,Y would.
+    doc = read_json(Path(OBSTACLE_COURSE))
+    width, height = doc["width"], doc["height"]
+    obstacles = {(o["x"], o["y"]) for o in doc["obstacles"]}
+    cells = [(x, y) for y in range(height) for x in range(width) if (x, y) not in obstacles]
+    edges = {(width - 1, y) for y in range(height)} | {(x, height - 1) for x in range(width)}
+    assert edges <= set(cells)
+    argv = ["run", "--mode", "composite", "--ltl", "G F p & G F w"]
+    for x, y in cells:
+        moved = tmp_path / f"map-{x}-{y}.json"
+        moved.write_text(json.dumps({**doc, "start": {"x": x, "y": y}}))
+        flag, own = tmp_path / f"flag-{x}-{y}.json", tmp_path / f"own-{x}-{y}.json"
+        code = main([*argv, "--map", OBSTACLE_COURSE, "--start", f"{x},{y}", "--out", str(flag)])
+        assert code == main([*argv, "--map", str(moved), "--out", str(own)]), (x, y)
+        assert flag.read_bytes() == own.read_bytes(), (x, y)
+
+
 # ---------------------------------------------------------------------------
 # Hostile input
 

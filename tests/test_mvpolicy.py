@@ -315,8 +315,10 @@ def test_mv_path_matches_reference_on_the_queue(monkeypatch):
     assert queued
 
 
-def test_mv_path_never_wraps_across_rows():
-    # On a flat y * width + x index, (width - 1, y) + 1 is (0, y + 1).
+@pytest.mark.parametrize("search", ["bitset", "queue"])
+def test_mv_path_never_wraps_across_rows(monkeypatch, search):
+    # Without a pad cell at each row's end, (width - 1, y) + 1 is (0, y + 1).
+    queued = _pin_search(monkeypatch, search)
     for text, start in ((".....\nb....", (4, 0)), ("....b\n.....", (0, 1))):
         grid = parse_map(text)
         index = index_of(grid)
@@ -325,6 +327,7 @@ def test_mv_path_never_wraps_across_rows():
         assert (violations, len(path) - 1) == oracle_mv_cost(grid, start, policy, index) == (0, 5)
         for cell, step in zip(path, path[1:]):
             assert step in neighbors4(grid, cell), (cell, step)
+    assert len(queued) == (2 if search == "queue" else 0)
 
 
 def _serpentine(side: int) -> GridMap:
