@@ -281,28 +281,15 @@ def extract_regions(grid: GridMap) -> tuple[list[Region], dict[int, tuple[int, .
     return regions, adjacency
 
 
-def bfs_hops(adjacency: dict[int, tuple[int, ...]], sources: list[int]) -> dict[int, int]:
-    """Hop count from the nearest of ``sources`` to every reachable node."""
-    dist = dict.fromkeys(sources, 0)
-    queue = deque(dist)
-    while queue:
-        node = queue.popleft()
-        for nxt in adjacency.get(node, ()):
-            if nxt not in dist:
-                dist[nxt] = dist[node] + 1
-                queue.append(nxt)
-    return dist
-
-
 def bfs_tree(sources, successors, target=None) -> dict:
     """Breadth-first search tree: every reached node mapped to its parent.
 
     ``successors(node)`` lists a node's successors; sources map to
     ``None``.  Dict order is discovery order, which is also queue order,
     and callers rely on it: ``find_plan`` ranks ties by it,
-    ``build_product`` orders states by it and ``to_buchi`` numbers states
-    by it.  With ``target`` given, no node is expanded once ``target`` is
-    discovered.
+    ``build_product`` orders states by it, ``to_buchi`` numbers states by
+    it and ``tree_depths`` needs each parent before its children.  With
+    ``target`` given, no node is expanded once ``target`` is discovered.
     """
     parent = dict.fromkeys(sources)
     queue = deque(parent)
@@ -313,6 +300,14 @@ def bfs_tree(sources, successors, target=None) -> dict:
                 parent[nxt] = node
                 queue.append(nxt)
     return parent
+
+
+def tree_depths(parent: dict) -> dict:
+    """Hop count along a ``bfs_tree`` parent map from a source to every node."""
+    depth = {}
+    for node, prev in parent.items():
+        depth[node] = 0 if prev is None else depth[prev] + 1
+    return depth
 
 
 def tree_path(parent: dict, node) -> list:

@@ -127,18 +127,17 @@ class GridMasks:
     """A cell index as whole-grid bitsets, one bit per cell.
 
     Bit ``i`` stands for the index's cell number ``i``, so pad cells are
-    zero bits and a shift by one never moves a cell into the next row.  The
-    ``same_*`` masks hold the passable cells in the same region as their
-    neighbour in that direction; adjacent cells share a region exactly when
-    they share a label set.
+    zero bits and a shift by one never moves a cell into the next row.
+    ``same_up`` and ``same_left`` hold the passable cells in the same region
+    as their neighbour above or to the left, which adjacent cells share
+    exactly when they share a label set; shifted back, they give the cells
+    in the same region as their neighbour below or to the right.
     """
 
     passable: int
     unlabeled: int
     same_up: int
-    same_down: int
     same_left: int
-    same_right: int
     codes: bytes  # one byte per cell, highest bit first: its label set's code, 0 if not passable
     labels: list[LabelSet]  # ``labels[code - 1]``
     goals: dict[Guard, int] = field(default_factory=dict)
@@ -170,15 +169,11 @@ class GridMasks:
             bits = differs.to_bytes(len(cells), "little")[::-1].translate(equal)
             return int(bits, 2) & passable
 
-        stride = index.stride
-        same_up, same_left = same(stride), same(1)
         return cls(
             passable,
             _cells_where(highest_first, labels, lambda labelset: not labelset),
-            same_up,
-            same_up >> stride,
-            same_left,
-            same_left >> 1,
+            same(index.stride),
+            same(1),
             highest_first,
             labels,
         )
@@ -254,8 +249,8 @@ def _bitset_path(start: Cell, policy: Guard, index: CellIndex) -> tuple[int, lis
     free = masks.unlabeled | goal  # entering these is never a violation
     bad = masks.passable ^ free  # entering these from another region is one
     # The cells a move up, down, left or right enters without a violation.
-    enter_up, enter_down = free | masks.same_down, free | masks.same_up
-    enter_left, enter_right = free | masks.same_right, free | masks.same_left
+    enter_up, enter_down = free | masks.same_up >> stride, free | masks.same_up
+    enter_left, enter_right = free | masks.same_left >> 1, free | masks.same_left
     enters = (enter_up, enter_down, enter_left, enter_right)
 
     # levels[v][s]: the cells whose cheapest cost is (v, s).
@@ -598,9 +593,8 @@ def check_trace(aut: BuchiAutomaton, trace: Trace) -> bool:
     cycle) model the robot parking forever: the word is checked as the
     lasso ``word . {}^ω``, with no further task completions.
     """
+    split = len(trace.word)
     if trace.cycle_length and trace.cycles:
         # The period: the regions entered after the last repetition's first cell.
         split = bisect_right(trace.word_cells, trace.segments[-trace.cycle_length].start)
-        if split < len(trace.word):
-            return accepts_lasso(aut, trace.word[:split], trace.word[split:])
-    return accepts_lasso(aut, trace.word, [frozenset()])
+    return accepts_lasso(aut, trace.word[:split], trace.word[split:] or [frozenset()])

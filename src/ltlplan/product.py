@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .gridworld import bfs_tree, cycle_path, tree_path
+from .gridworld import bfs_tree, cycle_path, tree_depths, tree_path
 from .ltl import BuchiAutomaton, empty_word_accepting_states
 from .tsys import TransitionSystem
 
@@ -150,9 +150,7 @@ def find_plan(pa: ProductAutomaton) -> Plan | None:
     }
 
     parent = bfs_tree(pa.initial, expansion.__getitem__)
-    dist: dict[PAState, int] = {}
-    for state, prev in parent.items():
-        dist[state] = 0 if prev is None else dist[prev] + 1
+    dist = tree_depths(parent)
 
     best: int | None = None
     best_target: PAState | None = None

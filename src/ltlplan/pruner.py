@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 
-from .gridworld import bfs_hops, bfs_tree
+from .gridworld import bfs_tree, tree_depths
 from .tsys import EMPTY_LABEL, TransitionSystem
 
 CASE1 = "case1"
@@ -60,14 +60,7 @@ class PruneReport:
 
     def replay(self, ts: TransitionSystem, cases: tuple[str, ...] = ALL_CASES) -> TransitionSystem:
         """Re-apply the recorded changes (optionally only a case prefix)."""
-        out = ts.copy()
-        if CASE1 in cases:
-            mapping = {s: s for s in out.order}
-            for group in self.merged_state_groups:
-                rep = group[0]
-                for other in group[1:]:
-                    mapping[other] = rep
-            out = _apply_quotient(out, mapping)
+        out = _merge(ts, self.merged_state_groups if CASE1 in cases else [])
         for (src, dst, sym, case) in self.removed_symbols:
             if case in cases and (src, dst) in out.transitions:
                 out.transitions[(src, dst)].discard(sym)
@@ -86,7 +79,10 @@ def prune(ts: TransitionSystem) -> tuple[TransitionSystem, PruneReport]:
         for symbol in out.task_symbols_of_state(state):
             completers.setdefault(symbol, []).append(state)
     graph = out.graph()
-    distance_to = {symbol: bfs_hops(graph, sources) for symbol, sources in completers.items()}
+    distance_to = {
+        symbol: tree_depths(bfs_tree(sources, graph.__getitem__))
+        for symbol, sources in completers.items()
+    }
     for state in out.order:
         case2_disambiguate(out, state, distance_to, report)
         case3_remove_ineffectual(out, state, report)
@@ -120,30 +116,17 @@ def case1_merge_equivalent(ts: TransitionSystem, report: PruneReport) -> Transit
                 block_of[state] = block_id
 
     # A stable round leaves one group per block, members in ``order`` order.
+    merged = [tuple(members) for members in groups.values() if len(members) > 1]
+    report.merged_state_groups.extend(merged)
+    return _merge(ts, merged)
+
+
+def _merge(ts: TransitionSystem, groups: list[tuple[int, ...]]) -> TransitionSystem:
+    """A new system with each group's states merged into its first."""
     mapping = {s: s for s in ts.order}
-    for members in groups.values():
-        if len(members) > 1:
-            for other in members[1:]:
-                mapping[other] = members[0]
-            report.merged_state_groups.append(tuple(members))
-    return _apply_quotient(ts, mapping)
-
-
-def _apply_quotient(ts: TransitionSystem, mapping: dict[int, int]) -> TransitionSystem:
-    kept = [s for s in ts.order if mapping[s] == s]
-    transitions: dict[tuple[int, int], set[str]] = {}
-    for (src, dst), syms in ts.transitions.items():
-        edge = (mapping[src], mapping[dst])
-        if edge[0] == edge[1]:
-            continue
-        transitions.setdefault(edge, set()).update(syms)
-    return TransitionSystem(
-        order=kept,
-        labels={s: ts.labels[s] for s in kept},
-        transitions=transitions,
-        initial=mapping[ts.initial],
-        mode=ts.mode,
-    )
+    for group in groups:
+        mapping.update(dict.fromkeys(group[1:], group[0]))
+    return ts.quotient(mapping)
 
 
 def case2_disambiguate(
@@ -216,15 +199,4 @@ def _unreachable_states(ts: TransitionSystem) -> list[int]:
 
 def drop_unreachable(ts: TransitionSystem) -> TransitionSystem:
     """Optionally remove states unreachable from the initial state."""
-    unreachable = set(_unreachable_states(ts))
-    return TransitionSystem(
-        order=[s for s in ts.order if s not in unreachable],
-        labels={s: l for s, l in ts.labels.items() if s not in unreachable},
-        transitions={
-            edge: set(syms)
-            for edge, syms in ts.transitions.items()
-            if edge[0] not in unreachable and edge[1] not in unreachable
-        },
-        initial=ts.initial,
-        mode=ts.mode,
-    )
+    return ts.quotient({s: s for s in ts.order} | dict.fromkeys(_unreachable_states(ts)))

@@ -90,14 +90,29 @@ class TransitionSystem:
             return frozenset({Guard(labelset).format()})
         return labelset
 
-    def copy(self) -> "TransitionSystem":
+    def quotient(self, mapping: dict[int, int | None]) -> "TransitionSystem":
+        """A new system over the states that ``mapping`` maps to themselves.
+
+        A state merges into the state it maps to, or is dropped with its
+        edges when it maps to ``None``.  Merged edges pool their symbols in
+        fresh sets, and edges that merging turns into self-loops go.
+        """
+        kept = [s for s in self.order if mapping[s] == s]
+        transitions: dict[tuple[int, int], set[str]] = {}
+        for (src, dst), syms in self.transitions.items():
+            edge = (mapping[src], mapping[dst])
+            if None not in edge and edge[0] != edge[1]:
+                transitions.setdefault(edge, set()).update(syms)
         return TransitionSystem(
-            order=list(self.order),
-            labels=dict(self.labels),
-            transitions={edge: set(syms) for edge, syms in self.transitions.items()},
-            initial=self.initial,
+            order=kept,
+            labels={s: self.labels[s] for s in kept},
+            transitions=transitions,
+            initial=mapping[self.initial],
             mode=self.mode,
         )
+
+    def copy(self) -> "TransitionSystem":
+        return self.quotient({s: s for s in self.order})
 
     def to_document(self) -> dict:
         return {

@@ -444,6 +444,65 @@ def brute_min_lasso(pa: ProductAutomaton, cap: int) -> int | None:
     return None
 
 
+def brute_least_lasso(pa: ProductAutomaton, cap: int) -> tuple[int, tuple[str, ...]] | None:
+    """``brute_min_lasso``'s length with the least symbol tuple among its walks.
+
+    A walk reads each edge's first symbol, as ``find_plan`` does, and a
+    lasso's tuple is its prefix followed by its cycle.
+    """
+    level = [(s, (s,), ()) for s in pa.initial]
+    for length in range(cap + 1):
+        done = [
+            word for last, walk, word in level
+            if last in pa.stoppable or (last in pa.accepting and walk.count(last) > 1)
+        ]
+        if done:
+            return length, min(done)
+        level = [
+            (nxt, walk + (nxt,), word + (pa.edges[(last, nxt)][0],))
+            for last, walk, word in level
+            for nxt in pa.successors[last]
+        ]
+        if not level:
+            return None
+    return None
+
+
+def reference_plan_lasso(start, prefix, cycle, index) -> tuple[list, list]:
+    """The label lasso of the whole run a cyclic plan defines.
+
+    Runs ``prefix`` from ``start``, then repeats ``cycle`` until a
+    repetition starts on a cell where an earlier one started: each
+    ``mv_path`` search depends only on its start cell and symbol, so the
+    run repeats from that earlier start forever.  Returns the letters of
+    the regions entered up to it and those entered in one period (the
+    empty letter when the period enters none, as the robot then parks).
+    """
+    cells = [start]
+
+    def execute(symbols) -> None:
+        for symbol in symbols:
+            cells.extend(mv_path(cells[-1], parse_policy(symbol), index)[1][1:])
+
+    def letters(path, previous) -> list:
+        word = []
+        for cell in path:
+            region, labels = index[cell]
+            if region != previous:
+                word.append(labels)
+                previous = region
+        return word
+
+    execute(prefix)
+    started: dict = {}
+    while cells[-1] not in started:
+        started[cells[-1]] = len(cells) - 1
+        execute(cycle)
+    loop = started[cells[-1]]
+    period = letters(cells[loop + 1 :], index[cells[loop]][0])
+    return letters(cells[: loop + 1], None), period or [frozenset()]
+
+
 def reference_regions(grid: GridMap):
     """Regions and adjacency by union-find over equally-labeled 4-neighbours.
 

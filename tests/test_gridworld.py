@@ -25,11 +25,11 @@ from ltlplan.gridworld import (
     MAX_CELLS,
     GridMap,
     MapParseError,
-    bfs_hops,
     bfs_tree,
     extract_regions,
     map_from_document,
     parse_map,
+    tree_depths,
     tree_path,
 )
 from ltlplan.mvpolicy import region_index
@@ -39,7 +39,7 @@ def hop_distance(adjacency: dict[int, tuple[int, ...]], s1: int, s2: int) -> int
     """Fewest hops between two nodes, or None when unreachable."""
     if s1 == s2:
         return 0
-    return bfs_hops(adjacency, [s1]).get(s2)
+    return tree_depths(bfs_tree([s1], adjacency.__getitem__)).get(s2)
 
 
 # ---------------------------------------------------------------------------
@@ -402,7 +402,7 @@ def test_hop_distance_matches_reference_all_pairs():
         source_sets += [rng.sample(order, rng.randint(1, len(order))) for _ in range(5)]
         source_sets.append([])
         for sources in source_sets:
-            hops = bfs_hops(adjacency, sources)
+            hops = tree_depths(bfs_tree(sources, adjacency.__getitem__))
             for b in order:
                 want = min((reference[(a, b)] for a in sources), default=float("inf"))
                 assert hops.get(b, float("inf")) == want, (sources, b)

@@ -4,8 +4,11 @@ from __future__ import annotations
 
 import random
 
+import pytest
+
 from envgen import harsh_map, sea_with_islands, ts_alphabet
-from ltlplan.gridworld import bfs_hops
+from ltlplan.gridworld import bfs_tree, extract_regions, tree_depths
+from ltlplan.mvpolicy import region_index
 from ltlplan.pruner import (
     ALL_CASES,
     PruneReport,
@@ -16,7 +19,14 @@ from ltlplan.pruner import (
     empty_cleanup,
     prune,
 )
-from ltlplan.tsys import COMPOSITE, EMPTY_LABEL, PRIMITIVE, TransitionSystem
+from ltlplan.tsys import (
+    COMPOSITE,
+    EMPTY_LABEL,
+    PRIMITIVE,
+    TransitionSystem,
+    build_initial_ts,
+    generate_ts_labels,
+)
 from conftest import labeled_ts_for
 
 
@@ -27,9 +37,9 @@ def edge_labels(ts: TransitionSystem) -> dict[tuple[int, int], frozenset[str]]:
 def distances_to_symbols(ts: TransitionSystem) -> dict[str, dict[int, int]]:
     """Hops from every state to the nearest completer of each symbol."""
     return {
-        symbol: bfs_hops(
-            ts.graph(), [s for s in ts.order if symbol in ts.task_symbols_of_state(s)]
-        )
+        symbol: tree_depths(bfs_tree(
+            [s for s in ts.order if symbol in ts.task_symbols_of_state(s)], ts.graph().__getitem__
+        ))
         for symbol in ts_alphabet(ts)
     }
 
@@ -119,6 +129,39 @@ def test_replay_reproduces_full_reduction(ring_ts, open_room_ts, obstacle_course
         assert edge_labels(replayed) == edge_labels(pruned)
         assert replayed.labels == pruned.labels
         assert replayed.order == pruned.order
+
+
+def _assert_apart(source: TransitionSystem, derived: list[TransitionSystem]) -> None:
+    """No derived system holds one of ``source``'s symbol sets."""
+    own = {id(syms) for syms in source.transitions.values()}
+    for ts in derived:
+        assert not any(id(syms) in own for syms in ts.transitions.values())
+
+
+@pytest.mark.parametrize("mode", [PRIMITIVE, COMPOSITE])
+@pytest.mark.parametrize("grid", ["ring_grid", "open_room_grid", "obstacle_course_grid"])
+def test_derived_systems_never_share_or_change_input_symbol_sets(request, grid, mode):
+    grid = request.getfixturevalue(grid)
+    regions, adjacency = extract_regions(grid)
+    initial = region_index(regions, grid.width, grid.height)[grid.resolved_start()][0]
+    unlabeled = build_initial_ts(regions, adjacency, initial, mode)
+    before = edge_labels(unlabeled)
+    labeled = generate_ts_labels(unlabeled)
+    assert edge_labels(unlabeled) == before
+    _assert_apart(unlabeled, [labeled])
+
+    before = edge_labels(labeled)
+    pruned, report = prune(labeled)
+    stages = [ALL_CASES[:i] for i in range(len(ALL_CASES) + 1)] + [ALL_CASES[1:]]
+    derived = [pruned, drop_unreachable(labeled)]
+    derived += [report.replay(labeled, cases) for cases in stages]
+    assert edge_labels(labeled) == before
+    _assert_apart(labeled, derived)
+
+    before = edge_labels(pruned)
+    trimmed = drop_unreachable(pruned)
+    assert edge_labels(pruned) == before
+    _assert_apart(pruned, [trimmed])
 
 
 # ---------------------------------------------------------------------------
