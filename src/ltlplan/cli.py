@@ -42,7 +42,7 @@ from .mvpolicy import (
 )
 from .product import build_product, find_plan
 from .pruner import ALL_CASES, drop_unreachable, prune
-from .tsys import PRIMITIVE, build_initial_ts, generate_ts_labels
+from .tsys import PRIMITIVE, TransitionSystem, build_initial_ts, generate_ts_labels, twin_classes
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -114,17 +114,34 @@ def _start_cell(p):
         raise CliError(str(exc), EXIT_BAD_INPUT)
 
 
+def _origin(p):
+    """The start cell's region, found on the regions' row runs."""
+    x, y = p["start"]
+    return next(r.id for r in p["regions"][0] for row, a, b in r.runs if row == y and a <= x < b)
+
+
 def _label(p):
-    """Labeled transition system over the regions, entered at the start cell's region."""
-    regions, adjacency = p["regions"]
-    ts = build_initial_ts(regions, adjacency, p["index"][p["start"]][0], p["args"].mode)
-    return generate_ts_labels(ts)
+    """Labeled transition system over the twin classes, entered at the start region's class."""
+    (regions, adjacency), twins = p["regions"], p["twins"]
+    heads = [r for r in regions if twins[r.id] == r.id]
+    quotient = {r.id: tuple(sorted({twins[n] for n in adjacency[r.id]})) for r in heads}
+    ts = build_initial_ts(heads, quotient, twins[p["origin"]], p["args"].mode)
+    return generate_ts_labels(ts, {twin for r, twin in enumerate(twins) if twin != r})
+
+
+def _unfold(p):
+    """The labeled system over every region; edge (u, n) carries its classes' edge's symbols."""
+    (regions, adjacency), twins, labeled = p["regions"], p["twins"], p["labeled"]
+    transitions = {(u, n): set(labeled.transitions[twins[u], twins[n]])
+                   for u, near in adjacency.items() for n in near}
+    labels = {r.id: r.label for r in regions}
+    return TransitionSystem(list(labels), labels, transitions, p["origin"], labeled.mode)
 
 
 def _compile(p):
     """Büchi automaton of ``--ltl``; with a map, its atoms must be map symbols."""
     try:
-        formula = parse_ltl(p["args"].ltl, p["grid"].symbols() if "map" in p["args"] else None)
+        formula = parse_ltl(p["args"].ltl, p["symbols"] if "map" in p["args"] else None)
         return to_buchi(formula)
     except LtlParseError as exc:
         raise CliError(f"formula error: {exc}", EXIT_BAD_INPUT)
@@ -158,8 +175,12 @@ STAGES = {
     "regions": (None, lambda p: extract_regions(p["grid"])),
     "start": (None, _start_cell),
     "index": (None, lambda p: region_index(p["regions"][0], p["grid"].width, p["grid"].height)),
+    "symbols": (None, lambda p: frozenset().union(*(r.label for r in p["regions"][0]))),
+    "twins": (None, lambda p: twin_classes(*p["regions"])),
+    "origin": (None, _origin),
     "labeled": ("abstract", _label),
-    "prune": ("prune", lambda p: prune(p["labeled"])),
+    "unfolded": (None, _unfold),
+    "prune": ("prune", lambda p: prune(p["labeled"], p["twins"])),
     "pruned": (None, lambda p: p["prune"][0]),
     "report": (None, lambda p: p["prune"][1]),
     "buchi": ("compile", _compile),
@@ -187,9 +208,9 @@ class Pipeline(dict):
 
 def _emit_stages(p, *names: str) -> None:
     """Write the labeled system, each reduction pass's result, then the stages ``names``."""
-    artifacts = {"labeled": p["labeled"]}
+    artifacts = {"labeled": p["unfolded"]}
     for i in range(1, len(ALL_CASES) + 1):
-        artifacts[f"stage{i}"] = p["report"].replay(p["labeled"], ALL_CASES[:i])
+        artifacts[f"stage{i}"] = p["report"].replay(p["unfolded"], ALL_CASES[:i])
     artifacts.update((name, p[name]) for name in names)
     path = Path(p["args"].emit_stages)
     try:
@@ -268,7 +289,7 @@ _STAGES = ("--emit-stages", dict(default=None, metavar="DIR", help="dump interme
 
 # name -> (help, handler, arguments); dict order is the order ``--help`` lists.
 COMMANDS = {
-    "abstract": ("map -> labeled transition system", _writes("labeled"), (
+    "abstract": ("map -> labeled transition system", _writes("unfolded"), (
         *_MAP, _OUT, ("--dot", dict(default=None, help="also write Graphviz output here")),
     )),
     "prune": ("map -> reduced transition system", cmd_prune, (

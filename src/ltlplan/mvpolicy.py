@@ -102,12 +102,16 @@ class CellIndex(Mapping):
     labels_of: list[LabelSet]
 
     def __getitem__(self, cell: Cell) -> tuple[int, LabelSet]:
-        x, y = cell
-        if 0 <= x < self.width and 0 <= y < self.height:
-            rid = self.region_of[y * self.stride + x]
-            if rid >= 0:
-                return rid, self.labels_of[rid]
-        raise KeyError(cell)
+        rid = self.regions_along((cell,))[0]
+        return rid, self.labels_of[rid]
+
+    def regions_along(self, cells) -> list[int]:
+        """Each cell's region id; raises ``KeyError`` on a cell that is not a key."""
+        w, h, stride, region_of = self.width, self.height, self.stride, self.region_of
+        rids = [region_of[y * stride + x] if 0 <= x < w and 0 <= y < h else -1 for x, y in cells]
+        if -1 in rids:
+            raise KeyError(cells[rids.index(-1)])
+        return rids
 
     def __iter__(self):
         stride = self.stride
@@ -477,10 +481,9 @@ def trace_word(cells: list[Cell], index: CellIndex) -> tuple[list[LabelSet], lis
     word: list[LabelSet] = []
     word_cells: list[int] = []
     previous = -1
-    for i, cell in enumerate(cells):
-        region, labels = index[cell]
+    for i, region in enumerate(index.regions_along(cells)):
         if region != previous:
-            word.append(labels)
+            word.append(index.labels_of[region])
             word_cells.append(i)
             previous = region
     return word, word_cells

@@ -70,10 +70,10 @@ class PruneReport:
         })
 
 
-def prune(ts: TransitionSystem) -> tuple[TransitionSystem, PruneReport]:
-    """Run all reduction passes; returns the reduced system and its report."""
+def prune(ts: TransitionSystem, classes=None) -> tuple[TransitionSystem, PruneReport]:
+    """Run all reduction passes; ``classes`` as for ``case1_merge_equivalent``."""
     report = PruneReport()
-    out = case1_merge_equivalent(ts, report)
+    out = case1_merge_equivalent(ts, report, classes)
     completers: dict[str, list[int]] = {}
     for state in out.order:
         for symbol in out.task_symbols_of_state(state):
@@ -91,8 +91,15 @@ def prune(ts: TransitionSystem) -> tuple[TransitionSystem, PruneReport]:
     return out, report
 
 
-def case1_merge_equivalent(ts: TransitionSystem, report: PruneReport) -> TransitionSystem:
-    """Collapse equivalence classes of duplicate states."""
+def case1_merge_equivalent(
+    ts: TransitionSystem, report: PruneReport, classes: list[int] | None = None
+) -> TransitionSystem:
+    """Collapse equivalence classes of duplicate states.
+
+    ``classes[r]`` is the state that stands for region ``r`` and its twins
+    (``tsys.twin_classes``); without it each state stands for itself.  The
+    report lists every region of each merged block.
+    """
     outgoing: dict[int, list[tuple[frozenset[str], int]]] = {s: [] for s in ts.order}
     incoming: dict[int, list[tuple[frozenset[str], int]]] = {s: [] for s in ts.order}
     for (src, dst), syms in ts.transitions.items():
@@ -116,9 +123,11 @@ def case1_merge_equivalent(ts: TransitionSystem, report: PruneReport) -> Transit
                 block_of[state] = block_id
 
     # A stable round leaves one group per block, members in ``order`` order.
-    merged = [tuple(members) for members in groups.values() if len(members) > 1]
-    report.merged_state_groups.extend(merged)
-    return _merge(ts, merged)
+    regions: dict[object, list[int]] = {}
+    for region, state in enumerate(classes) if classes else zip(ts.order, ts.order):
+        regions.setdefault(block_of[state], []).append(region)
+    report.merged_state_groups.extend(tuple(g) for g in regions.values() if len(g) > 1)
+    return _merge(ts, [tuple(members) for members in groups.values() if len(members) > 1])
 
 
 def _merge(ts: TransitionSystem, groups: list[tuple[int, ...]]) -> TransitionSystem:

@@ -6,6 +6,11 @@ pursuing when it crosses between the two regions: crossing from ``start``
 to ``end`` brings the agent closer (in region hops) to every state whose
 task symbols end up on the label.  Unlabeled states contribute a
 distinguished empty-label sentinel instead of a symbol.
+
+Two regions are *twins* when they share their label and their set of
+neighbour regions.  Twins are never adjacent, and every other region is
+equally many hops from each of them, so the pipeline labels and prunes
+one state per twin class and unfolds the classes only for output.
 """
 
 from __future__ import annotations
@@ -166,13 +171,22 @@ def build_initial_ts(
     return TransitionSystem(order, labels, transitions, initial_region, mode)
 
 
-def generate_ts_labels(ts: TransitionSystem) -> TransitionSystem:
+def twin_classes(regions: list[Region], adjacency: dict[int, tuple[int, ...]]) -> list[int]:
+    """Each region's twin class: the first region with its label and its neighbours."""
+    first: dict[tuple, int] = {}
+    return [first.setdefault((r.label, adjacency.get(r.id, ())), r.id) for r in regions]
+
+
+def generate_ts_labels(ts: TransitionSystem, twinned=frozenset()) -> TransitionSystem:
     """Label every transition with the tasks it makes progress toward.
 
     A state ``x`` contributes its task symbols (or the empty-label
     sentinel when unlabeled) to transition ``(start, end)`` exactly when
     the crossing strictly reduces the hop distance to ``x``: ``x`` is
-    ``j`` hops from ``end`` and ``j + 1`` from ``start``.
+    ``j`` hops from ``end`` and ``j + 1`` from ``start``.  A state in
+    ``twinned`` stands for two or more twins, and a twin of ``start`` is one
+    hop from ``end`` and two from ``start``: such a state also contributes to
+    its own out-edges.
 
     Hop distance is symmetric, so one breadth-first pass serves a whole
     batch of states ``x`` at once (Then et al., VLDB 2015): in round
@@ -219,6 +233,9 @@ def generate_ts_labels(ts: TransitionSystem) -> TransitionSystem:
                 for contributed, mask in groups.items():
                     if hit & mask:
                         symbols |= contributed
+    for state in twinned:
+        for edge in labeled.out_edges(state):
+            labeled.transitions[edge] |= contributes[position[state]]
     return labeled
 
 

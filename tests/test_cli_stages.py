@@ -27,8 +27,7 @@ LAYER_FUNCTIONS = (
     "prune", "parse_ltl", "to_buchi", "build_product", "find_plan",
     "execute_plan", "unsafe_report", "check_trace", "trace_word",
 )
-MAP_CHAIN = ("parse_map", "extract_regions", "region_index", "build_initial_ts",
-             "generate_ts_labels")
+MAP_CHAIN = ("parse_map", "extract_regions", "build_initial_ts", "generate_ts_labels")
 PRODUCT_CHAIN = (*MAP_CHAIN, "prune", "parse_ltl", "to_buchi", "build_product")
 STAGE_CALLS = {
     "abstract": MAP_CHAIN,
@@ -36,7 +35,8 @@ STAGE_CALLS = {
     "compile": ("parse_ltl", "to_buchi"),
     "product": PRODUCT_CHAIN,
     "plan": (*PRODUCT_CHAIN, "find_plan"),
-    "run": (*PRODUCT_CHAIN, "find_plan", "execute_plan", "unsafe_report", "check_trace"),
+    "run": (*PRODUCT_CHAIN, "find_plan", "region_index", "execute_plan", "unsafe_report",
+            "check_trace"),
     "check": ("parse_map", "extract_regions", "region_index", "parse_ltl", "to_buchi",
               "trace_word", "check_trace"),
 }
