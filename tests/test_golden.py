@@ -1,8 +1,10 @@
 """Byte-level CLI regression: every subcommand's output on fixed inputs.
 
-``tests/golden/cli.json`` records, for each case, the exit code and the
-sha256 of stdout, of stderr without its ``[time]`` lines, and of every
-file the command writes.  Cases cover the three bundled maps in both
+``tests/golden/cli.json`` records, for each case, the exit code, stdout,
+the sha256 of stderr without its ``[time]`` lines, and the sha256 of every
+file the command writes.  Stdout of ``run``, ``plan`` and ``check`` is kept
+as text, one list entry per line with its line ending, so a re-record
+shows what changed; every other stdout is kept as its sha256.  Cases cover the three bundled maps in both
 labeling modes, plus seeded ``envgen`` maps whose hubs and touching
 regions exercise case1 merges and case2 ties.
 
@@ -32,6 +34,8 @@ from ltlplan.cli import main  # noqa: E402
 MAPS = Path(__file__).resolve().parent.parent / "maps"
 GOLDEN = Path(__file__).resolve().parent / "golden" / "cli.json"
 MODES = ("primitive", "composite")
+# Commands whose stdout the golden file stores as text, not as a digest.
+TEXT_COMMANDS = ("run", "plan", "check")
 
 # Bundled map -> formulas from the README and the CLI and acceptance tests.
 BUNDLED = {
@@ -145,7 +149,11 @@ def run_case(name: str, root: Path) -> dict:
     )
     return {
         "exit": code,
-        "stdout": _sha(stdout.encode()),
+        "stdout": (
+            stdout.splitlines(keepends=True)
+            if case["argv"][0] in TEXT_COMMANDS
+            else _sha(stdout.encode())
+        ),
         "stderr": _sha(kept.encode()),
         "files": {
             str(p.relative_to(out)): _sha(p.read_bytes())
