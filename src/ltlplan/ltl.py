@@ -6,17 +6,21 @@ propositions, and there is no next-step operator.  Surface syntax uses
 and ``true``; ``U`` binds tighter than ``&``, which binds tighter than
 ``|``, and the unary operators bind tightest.
 
-Compilation to a Büchi automaton uses the classic on-the-fly tableau:
-formulas are split into "now" obligations (literals checked on the
-current letter) and "next" obligations carried forward, yielding a
-generalized automaton with one fairness set per eventuality, which a
-counter construction then degeneralizes.  The tableau runs on integer
-bitsets over the formula's closure (its distinct subformulas, numbered
-once in ``to_text`` order, ties in first pre-order discovery), so each
-subformula is rendered once per compilation and the output does not
-depend on the interpreter's hash seed.  ``eval_ltl_on_lasso`` is an
-independent recursive evaluator over ultimately-periodic words used to
-cross-check the construction.
+Compilation to a Büchi automaton uses the on-the-fly tableau: an
+obligation set is split into leaves, each a set of "now" obligations
+(whose literals guard the letter) and a set of "next" obligations carried
+forward.  Each distinct obligation set is expanded once.  Every leaf is an
+edge with one mark per eventuality it discharges or never promised (a
+transition-based generalized automaton, Gastin & Oddoux, CAV 2001), and
+the marks are degeneralized by levels: a state is a (next set, level)
+pair, and level ``k`` of ``k`` eventualities accepts.  A carried ``F φ``
+is dropped beside a carried ``G F φ``, so ``G F^k`` needs ``k + 2``
+states.  The tableau runs on integer bitsets over the formula's closure
+(its distinct subformulas, numbered once in ``to_text`` order, ties in
+first pre-order discovery), so each subformula is rendered once per
+compilation and the output does not depend on the interpreter's hash
+seed.  ``eval_ltl_on_lasso`` is an independent recursive evaluator over
+ultimately-periodic words used to cross-check the construction.
 """
 
 from __future__ import annotations
@@ -157,10 +161,11 @@ _KINDS = {"&": "AND", "|": "OR", "!": "NOT", "(": "LPAREN", ")": "RPAREN",
 # recurse over the tree, so this stays far below Python's recursion limit.
 MAX_NESTING = 100
 
-# Most tableau edges one compilation may record, duplicates included.  This
-# bounds formula width, which MAX_NESTING does not: ``G F a0 & ... & G F a7``
-# needs 131k edges and ``G F a0 & ... & G F a9`` 2.1M (17 s), while every
-# formula the tests and benchmarks compile needs under 10k.
+# Most tableau leaves one compilation may record, summed over the distinct
+# obligation sets it expands, duplicates included.  This bounds formula
+# width, which MAX_NESTING does not: ``F a0 & ... & F a10`` needs 179k
+# leaves, ``F a0 & ... & F a8`` 20k and ``G F a0 & ... & G F a9`` 2k, while
+# every formula the benchmarks compile needs under 300.
 MAX_TABLEAU_EDGES = 100_000
 
 
@@ -364,78 +369,90 @@ class BuchiAutomaton:
 def to_buchi(formula: LtlFormula) -> BuchiAutomaton:
     """Compile a formula into a language-equivalent Büchi automaton.
 
+    A state is an obligation set carried to the next letter plus a level
+    ``0..k`` over the formula's ``k`` eventualities; level ``k`` accepts.
     Raises ``LtlParseError`` when the tableau would record more than
-    ``MAX_TABLEAU_EDGES`` edges.
+    ``MAX_TABLEAU_EDGES`` leaves.
     """
     closure = _closure(formula)
     bit = {f: 1 << i for i, f in enumerate(closure)}
-    nodes, incoming = _expand_tableau(formula, bit)
+    rules = {b: _rule(f, bit) for f, b in bit.items()}
+    # One mark per eventuality, in reverse closure order: a leaf carries it
+    # when its ``old`` set discharged the goal or never promised it.
+    marks = [
+        (bit[ev], bit[ev.right if isinstance(ev, Until) else ev.sub])
+        for ev in reversed(closure)
+        if isinstance(ev, (Until, Eventually))
+    ]
+    k = len(marks)
+    # A carried ``F φ`` beside a carried ``G F φ`` changes no successor.
+    redundant = [
+        (bit[f], bit[f.sub])
+        for f in closure
+        if isinstance(f, Always) and isinstance(f.sub, Eventually)
+    ]
+    literals = [(bit[f], f) for f in closure if isinstance(f, (Atom, NotAtom))]
+    literal_bits = sum(b for b, _ in literals)
+    leaves: dict[int, list[tuple[int, int]]] = {}
+    budget = MAX_TABLEAU_EDGES
 
-    # Fairness sets: per eventuality, the nodes that either discharged its
-    # goal now or never promised it in the first place.
-    fairness: list[frozenset[str]] = []
-    for ev in closure:
-        if not isinstance(ev, (Until, Eventually)):
-            continue
-        ev_bit = bit[ev]
-        goal_bit = bit[ev.right if isinstance(ev, Until) else ev.sub]
-        fairness.append(
-            frozenset(
-                nid for nid, (old, _) in nodes.items() if not old & ev_bit or old & goal_bit
-            )
-        )
-
-    k = max(1, len(fairness))
-    if not fairness:
-        fairness = [frozenset(nodes)]
-
-    # A node's guard is the conjunction of the literals in its ``old`` set.
-    atoms = [(bit[f], f.name) for f in closure if isinstance(f, Atom)]
-    negated = [(bit[f], f.name) for f in closure if isinstance(f, NotAtom)]
-    guards = {
-        nid: Guard(
-            frozenset(name for b, name in atoms if old & b),
-            frozenset(name for b, name in negated if old & b),
-        )
-        for nid, (old, _) in nodes.items()
-    }
-
-    # Node ids are numbered in creation order, so each list is id-sorted.
-    init = "init"
-    targets: dict[str, list[str]] = {}
-    for nid in nodes:
-        for src in incoming[nid]:
-            targets.setdefault(src, []).append(nid)
-
-    def advance(src: str, counter: int) -> int:
-        if src != init and src in fairness[counter - 1]:
-            return counter % k + 1
-        return counter
-
-    # Each state is expanded once and lists each target once, so every
-    # (source, target) pair is one edge with one guard.
-    product_edges: list[tuple[tuple[str, int], tuple[str, int]]] = []
-
-    def expand(src_state: tuple[str, int]) -> list[tuple[str, int]]:
-        src, counter = src_state
-        nxt = advance(src, counter)
-        out = [(nid, nxt) for nid in targets.get(src, ())]
-        product_edges.extend((src_state, dst) for dst in out)
+    def targets(nxt: int, level: int) -> list[tuple[tuple, int]]:
+        """Each edge's target state and guard literals, in leaf order."""
+        nonlocal budget
+        if nxt not in leaves:
+            found = _expand_tableau(nxt, rules, budget)
+            budget -= len(found)
+            leaves[nxt] = [
+                (old, carried & ~sum(f for gf, f in redundant if carried & gf))
+                for old, carried in found
+            ]
+        # Level k restarts at 0, then each leaf climbs past the marks it carries.
+        start = 0 if level == k else level
+        groups: dict[tuple[int, int], set[int]] = {}
+        for old, carried in leaves[nxt]:
+            reached = start
+            while reached < k and (not old & marks[reached][0] or old & marks[reached][1]):
+                reached += 1
+            groups.setdefault((carried, reached), set()).add(old & literal_bits)
+        out = []
+        for dst, options in groups.items():
+            # Keep the weakest guards; each incomparable one after the first
+            # goes to a copy of the target.
+            weakest: list[int] = []
+            for lits in sorted(options, key=lambda lits: (lits.bit_count(), lits)):
+                if all(w & ~lits for w in weakest):
+                    weakest.append(lits)
+            out.append((dst, weakest[0]))
+            out.extend((dst + (lits,), lits) for lits in weakest[1:])
         return out
 
-    start = (init, 1)
+    # A copy ``(next, level, guard)`` has the successors of ``(next, level)``.
+    successors: dict[tuple[int, int], list[tuple[tuple, int]]] = {}
+    edges: dict[tuple[tuple, tuple], int] = {}
+
+    def expand(state: tuple) -> list[tuple]:
+        key = state[:2]
+        if key not in successors:
+            successors[key] = targets(*key)
+        for dst, lits in successors[key]:
+            edges[(state, dst)] = lits
+        return [dst for dst, _ in successors[key]]
+
+    start = (bit[formula], max(k - 1, 0))
     reachable = list(bfs_tree([start], expand))
     names = {state: f"b{i}" for i, state in enumerate(reachable)}
-    accepting = frozenset(
-        names[(nid, counter)]
-        for (nid, counter) in reachable
-        if counter == 1 and nid != init and nid in fairness[0]
-    )
+    guards = {
+        lits: Guard(
+            frozenset(f.name for b, f in literals if lits & b and isinstance(f, Atom)),
+            frozenset(f.name for b, f in literals if lits & b and isinstance(f, NotAtom)),
+        )
+        for lits in set(edges.values())
+    }
     return BuchiAutomaton(
         order=[names[s] for s in reachable],
         initial=names[start],
-        accepting=accepting,
-        transitions={(names[src], names[dst]): guards[dst[0]] for src, dst in product_edges},
+        accepting=frozenset(names[s] for s in reachable if s[1] == k),
+        transitions={(names[src], names[dst]): guards[lits] for (src, dst), lits in edges.items()},
     )
 
 
@@ -471,47 +488,33 @@ def _rule(f: LtlFormula, bit: dict[LtlFormula, int]) -> tuple[int, tuple[tuple[i
 
 
 def _expand_tableau(
-    formula: LtlFormula, bit: dict[LtlFormula, int]
-) -> tuple[dict[str, tuple[int, int]], dict[str, set[str]]]:
-    """Split formulas into tableau nodes keyed by their (now, next) obligations.
+    new: int, rules: dict[int, tuple[int, tuple[tuple[int, bool], ...]]], budget: int
+) -> list[tuple[int, int]]:
+    """Split an obligation set into its tableau leaves ``(old, next)``.
 
-    Obligation sets are bitsets over the closure ``bit`` numbers in text
-    order, so the lowest set bit of ``new`` is its textually smallest
-    formula, the one expanded next.
+    Obligation sets are bitsets over the closure numbered in text order, so
+    the lowest set bit of ``new`` is its textually smallest formula, the one
+    expanded next.  Raises ``LtlParseError`` past ``budget`` leaves.
     """
-    rules = {b: _rule(f, bit) for f, b in bit.items()}
-    by_key: dict[tuple[int, int], str] = {}
-    incoming: dict[str, set[str]] = {}
-    pending = [("init", bit[formula], 0, 0)]
-    budget = MAX_TABLEAU_EDGES
-
+    leaves: list[tuple[int, int]] = []
+    pending = [(new, 0, 0)]
     while pending:
-        src, new, old, nxt = pending.pop()
+        new, old, nxt = pending.pop()
         if not new:
-            budget -= 1
-            if budget < 0:
+            if len(leaves) == budget:
                 raise LtlParseError(
                     f"formula is too wide: its tableau exceeds {MAX_TABLEAU_EDGES} edges"
                 )
-            key = (old, nxt)
-            nid = by_key.get(key)
-            if nid is not None:
-                incoming[nid].add(src)
-                continue
-            nid = f"n{len(by_key)}"
-            by_key[key] = nid
-            incoming[nid] = {src}
-            pending.append((nid, nxt, 0, 0))
+            leaves.append((old, nxt))
             continue
-
         eta = new & -new
         conflict, branches = rules[eta]
         if old & conflict:
             continue
         new ^= eta
         for now, carried in branches:
-            pending.append((src, new | (now & ~old), old | eta, nxt | eta if carried else nxt))
-    return {nid: key for key, nid in by_key.items()}, incoming
+            pending.append((new | (now & ~old), old | eta, nxt | eta if carried else nxt))
+    return leaves
 
 
 # ---------------------------------------------------------------------------

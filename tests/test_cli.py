@@ -78,8 +78,8 @@ def test_compile_reference_automaton(tmp_path):
     out = tmp_path / "aut.json"
     assert main(["compile", "--ltl", "F square", "--out", str(out)]) == 0
     doc = read_json(out)
-    assert doc["states"] == ["b0", "b1", "b2", "b3"]
-    assert doc["accepting"] == ["b1", "b3"]
+    assert doc["states"] == ["b0", "b1"]
+    assert doc["accepting"] == ["b1"]
 
 
 def test_product_command(tmp_path):
@@ -92,7 +92,7 @@ def test_product_command(tmp_path):
     )
     assert code == 0
     doc = read_json(out)
-    assert doc["initial"] == ["q0|b2"]
+    assert doc["initial"] == ["q0|b0"]
     assert "stoppable" in doc
 
 

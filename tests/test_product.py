@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import json
 import random
 
@@ -13,17 +14,19 @@ from envgen import (
     harsh_map,
     random_formula,
     random_product,
+    reference_buchi,
     reference_product,
     sea_with_islands,
     ts_alphabet,
 )
-from ltlplan.gridworld import extract_regions
+from ltlplan.gridworld import extract_regions, parse_map
 from ltlplan.ltl import parse_ltl, to_buchi, to_text
 from ltlplan.mvpolicy import region_index
 from ltlplan.product import build_product, find_plan
 from ltlplan.pruner import prune
 from ltlplan.tsys import COMPOSITE, PRIMITIVE, build_initial_ts, generate_ts_labels
 from conftest import labeled_ts_for
+from test_golden import BUNDLED, MAPS
 
 
 def pruned_system(grid, mode):
@@ -40,19 +43,20 @@ def pruned_system(grid, mode):
 def test_open_room_product_layout(open_room_grid):
     pruned = pruned_system(open_room_grid, COMPOSITE)
     pa = build_product(pruned, to_buchi(parse_ltl("F square")))
+    # b0 still owes the square, b1 has seen it (accepting).
     names = [pa.state_name(s) for s in pa.states]
     assert names == [
-        "q0|b2", "q1|b2", "q2|b2", "q3|b2", "q4|b1", "q4|b2",
-        "q0|b3", "q1|b3", "q2|b3", "q3|b3", "q4|b3",
+        "q0|b0", "q1|b0", "q2|b0", "q3|b0", "q4|b0", "q4|b1",
+        "q0|b1", "q1|b1", "q2|b1", "q3|b1",
     ]
-    assert [pa.state_name(s) for s in pa.initial] == ["q0|b2"]
+    assert [pa.state_name(s) for s in pa.initial] == ["q0|b0"]
     assert pa.accepting == pa.stoppable
     assert sorted(pa.state_name(s) for s in pa.accepting) == [
-        "q0|b3", "q1|b3", "q2|b3", "q3|b3", "q4|b1", "q4|b3",
+        "q0|b1", "q1|b1", "q2|b1", "q3|b1", "q4|b1",
     ]
-    assert pa.edges[((0, "b2"), (4, "b1"))] == ["b&square"]
-    assert pa.edges[((4, "b1"), (0, "b3"))] == ["b&circle", "circle&p", "circle&w"]
-    assert ((4, "b2"), (0, "b3")) not in pa.edges
+    assert pa.edges[((0, "b0"), (4, "b1"))] == ["b&square"]
+    assert pa.edges[((4, "b1"), (0, "b1"))] == ["b&circle", "circle&p", "circle&w"]
+    assert ((4, "b0"), (0, "b1")) not in pa.edges
 
 
 def test_open_room_shortest_plan_is_single_policy(open_room_grid):
@@ -64,7 +68,7 @@ def test_open_room_shortest_plan_is_single_policy(open_room_grid):
         "prefix": ["b&square"],
         "cycle": [],
         "length": 1,
-        "pa_path": ["q0|b2", "q4|b1"],
+        "pa_path": ["q0|b0", "q4|b1"],
     }
 
 
@@ -119,8 +123,8 @@ def test_product_document_shape_and_reproducibility(open_room_grid):
     assert sorted(first.keys()) == [
         "accepting", "initial", "states", "stoppable", "transitions",
     ]
-    assert first["initial"] == ["q0|b2"]
-    assert {"from": "q0|b2", "to": "q4|b1", "symbols": ["b&square"]} in first[
+    assert first["initial"] == ["q0|b0"]
+    assert {"from": "q0|b0", "to": "q4|b1", "symbols": ["b&square"]} in first[
         "transitions"
     ]
 
@@ -130,7 +134,7 @@ def test_product_dot_output(open_room_grid):
     pa = build_product(pruned, to_buchi(parse_ltl("F square")))
     dot = pa.to_dot()
     assert dot.startswith("digraph")
-    assert '"q0|b2"' in dot
+    assert '"q0|b0"' in dot
 
 
 def test_product_matches_reference():
@@ -222,3 +226,61 @@ def test_plan_prefers_stopping_over_cycling(open_room_grid):
         assert plan is not None
         assert plan.cycle == []
         assert plan.prefix_states[-1] in pa.stoppable
+
+
+# ---------------------------------------------------------------------------
+# Plans on the automaton against plans on the reference tableau
+
+
+def _plan_length(pruned, aut) -> int | None:
+    plan = find_plan(build_product(pruned, aut))
+    return None if plan is None else plan.length
+
+
+@functools.cache
+def _plan_sweep() -> list[tuple[str, int | None, int | None]]:
+    """(formula, plan length, reference plan length) over seeded maps and formulas."""
+    rng = random.Random(54)
+    draws = []
+    maps = 0
+    while maps < 200:
+        grid = harsh_map(rng, max_side=8) if maps % 2 else sea_with_islands(rng, max_side=10)
+        if grid is None:
+            continue
+        pruned = pruned_system(grid, (PRIMITIVE, COMPOSITE)[maps // 2 % 2])
+        atoms = sorted(frozenset().union(*pruned.labels.values()))
+        if not atoms:
+            continue
+        maps += 1
+        for _ in range(4):
+            formula = random_formula(rng, rng.randint(1, 7), atoms)
+            draws.append((to_text(formula), _plan_length(pruned, to_buchi(formula)),
+                          _plan_length(pruned, reference_buchi(formula))))
+    return draws
+
+
+def test_plan_exists_exactly_when_a_reference_plan_exists():
+    draws = _plan_sweep()
+    assert [d for d in draws if (d[1] is None) != (d[2] is None)] == []
+    assert sum(d[1] is not None for d in draws) > len(draws) // 2
+
+
+def test_plans_are_no_longer_than_reference_plans_on_the_whole():
+    draws = [d for d in _plan_sweep() if d[1] is not None and d[2] is not None]
+    longer = [d for d in draws if d[1] > d[2]]
+    shorter = [d for d in draws if d[1] < d[2]]
+    assert len(longer) <= len(shorter), longer
+
+
+@pytest.mark.parametrize("key", sorted(BUNDLED))
+def test_bundled_plans_are_no_longer_than_reference_plans(key):
+    filename, texts = BUNDLED[key]
+    grid = parse_map((MAPS / filename).read_text())
+    for mode in (PRIMITIVE, COMPOSITE):
+        pruned = pruned_system(grid, mode)
+        for text in texts:
+            formula = parse_ltl(text)
+            got = _plan_length(pruned, to_buchi(formula))
+            want = _plan_length(pruned, reference_buchi(formula))
+            assert (got is None) == (want is None), (mode, text)
+            assert want is None or got <= want, (mode, text, got, want)
