@@ -68,10 +68,6 @@ class GridMap:
     def label_at(self, cell: Cell) -> frozenset[str]:
         return self._at(cell) or frozenset()
 
-    def symbols(self) -> frozenset[str]:
-        """All symbols appearing anywhere on the map."""
-        return frozenset().union(*set(self.cells).difference({None}))
-
     def default_start(self) -> Cell:
         """First unlabeled passable cell in row-major order."""
         if frozenset() not in self.cells:

@@ -299,6 +299,11 @@ def oracle_mv_cost(grid: GridMap, start, policy, index, max_violations: int = 60
     return None
 
 
+def map_symbols(grid: GridMap) -> frozenset[str]:
+    """Every symbol on the map: the union of its regions' labels."""
+    return frozenset().union(*(region.label for region in extract_regions(grid)[0]))
+
+
 def region_cells(region) -> frozenset[tuple[int, int]]:
     """A region's cells, expanded from its row runs."""
     return frozenset((x, y) for y, start, stop in region.runs for x in range(start, stop))

@@ -28,7 +28,13 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from envgen import MAX_ATTEMPTS, harsh_map, map_document, sea_with_islands  # noqa: E402
+from envgen import (  # noqa: E402
+    MAX_ATTEMPTS,
+    harsh_map,
+    map_document,
+    map_symbols,
+    sea_with_islands,
+)
 from ltlplan.cli import main  # noqa: E402
 
 MAPS = Path(__file__).resolve().parent.parent / "maps"
@@ -69,7 +75,7 @@ SEEDED = _seeded_maps()
 
 
 def _seeded_formulas(grid) -> list[str]:
-    symbols = sorted(grid.symbols())
+    symbols = sorted(map_symbols(grid))
     formulas = [f"F {symbols[0]}", f"G F {symbols[-1]}"]
     if len(symbols) > 1:
         formulas.append(f"F {symbols[0]} & F {symbols[1]}")

@@ -12,6 +12,7 @@ from envgen import (
     floyd_warshall_hops,
     harsh_map,
     map_document,
+    map_symbols,
     neighbors4,
     random_grid,
     region_cells,
@@ -56,7 +57,7 @@ def test_parse_ascii_basic():
     assert not grid.is_free((2, 0))
     assert grid.label_at((2, 0)) == frozenset()
     assert grid.is_free((1, 0))
-    assert grid.symbols() == frozenset({"a", "b"})
+    assert map_symbols(grid) == frozenset({"a", "b"})
 
 
 def test_parse_ascii_rejects_ragged_rows():
@@ -105,7 +106,7 @@ def test_equal_label_sets_in_any_order_form_one_region():
             ],
         }
     )
-    assert grid.symbols() == frozenset({"b", "square"})
+    assert map_symbols(grid) == frozenset({"b", "square"})
     regions, adjacency = extract_regions(grid)
     assert [(region_cells(r), r.label) for r in regions] == [
         ({(0, 0), (1, 0)}, frozenset({"b", "square"})),

@@ -15,6 +15,7 @@ from envgen import (
     first_region_change,
     grid_map,
     harsh_map,
+    map_symbols,
     neighbors4,
     oracle_mv_cost,
     random_formula,
@@ -225,7 +226,7 @@ def _compare_with_reference(grid, starts=None) -> list:
     regions = extract_regions(grid)[0]
     flat = region_index(regions, grid.width, grid.height)
     ref = reference_region_index(regions)
-    symbols = sorted(grid.symbols())
+    symbols = sorted(map_symbols(grid))
     # A negated literal and a symbol no region carries exercise the other outcomes.
     policies = symbols + [f"{s}&!{t}" for s, t in zip(symbols, symbols[1:])] + ["ghost"]
     outcomes = []
@@ -526,9 +527,9 @@ def test_unsafe_report_matches_reference():
     for cycles in range(1, 31):
         while True:
             grid = harsh_map(rng, max_side=8)
-            if grid is None or not grid.symbols():
+            if grid is None or not map_symbols(grid):
                 continue
-            symbols = sorted(grid.symbols())
+            symbols = sorted(map_symbols(grid))
             prefix = [rng.choice(symbols) for _ in range(rng.randint(0, 3))]
             cycle = [rng.choice(symbols) for _ in range(rng.randint(1, 3))]
             try:
