@@ -377,13 +377,15 @@ def to_buchi(formula: LtlFormula) -> BuchiAutomaton:
     closure = _closure(formula)
     bit = {f: 1 << i for i, f in enumerate(closure)}
     rules = {b: _rule(f, bit) for f, b in bit.items()}
-    # One mark per eventuality, in reverse closure order: a leaf carries it
-    # when its ``old`` set discharged the goal or never promised it.
+    # One mark per eventuality: a leaf carries it when its ``old`` set
+    # discharged the goal or never promised it.  The first eventuality in
+    # closure order is checked last, so level k is reached right after it.
     marks = [
         (bit[ev], bit[ev.right if isinstance(ev, Until) else ev.sub])
-        for ev in reversed(closure)
+        for ev in closure
         if isinstance(ev, (Until, Eventually))
     ]
+    marks = marks[1:] + marks[:1]
     k = len(marks)
     # A carried ``F φ`` beside a carried ``G F φ`` changes no successor.
     redundant = [

@@ -12,6 +12,7 @@ from envgen import (
     ATOMS,
     brute_min_lasso,
     harsh_map,
+    map_symbols,
     random_formula,
     random_product,
     reference_buchi,
@@ -274,13 +275,28 @@ def test_plans_are_no_longer_than_reference_plans_on_the_whole():
 
 @pytest.mark.parametrize("key", sorted(BUNDLED))
 def test_bundled_plans_are_no_longer_than_reference_plans(key):
+    # The golden formulas, then F^k and G F^k over the map's first symbols.
     filename, texts = BUNDLED[key]
     grid = parse_map((MAPS / filename).read_text())
+    symbols = sorted(map_symbols(grid))
+    wide = [" & ".join(t.format(x) for x in symbols[:k]) for k in (3, 4) for t in ("F {}", "G F {}")]
     for mode in (PRIMITIVE, COMPOSITE):
         pruned = pruned_system(grid, mode)
-        for text in texts:
+        for text in texts + wide:
             formula = parse_ltl(text)
             got = _plan_length(pruned, to_buchi(formula))
             want = _plan_length(pruned, reference_buchi(formula))
             assert (got is None) == (want is None), (mode, text)
             assert want is None or got <= want, (mode, text, got, want)
+
+
+def test_recurring_goals_keep_the_reference_visiting_order(ring_grid):
+    # The first eventuality's mark is checked last, as the reference's
+    # counter does, so this equal-length tie keeps its plan; checking the
+    # marks in reverse closure order starts the cycle at c instead.
+    pruned = pruned_system(ring_grid, PRIMITIVE)
+    formula = parse_ltl("G F a & G F b & G F c")
+    plan = find_plan(build_product(pruned, to_buchi(formula)))
+    reference = find_plan(build_product(pruned, reference_buchi(formula)))
+    assert (plan.prefix, plan.cycle) == (reference.prefix, reference.cycle)
+    assert plan.cycle == ["b", "a", "c", "c", "c", "a", "b", "b"]
