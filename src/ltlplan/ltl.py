@@ -369,17 +369,14 @@ class BuchiAutomaton:
 def to_buchi(formula: LtlFormula) -> BuchiAutomaton:
     """Compile a formula into a language-equivalent Büchi automaton.
 
-    A state is an obligation set carried to the next letter plus a level
-    ``0..k`` over the formula's ``k`` eventualities; level ``k`` accepts.
     Raises ``LtlParseError`` when the tableau would record more than
     ``MAX_TABLEAU_EDGES`` leaves.
     """
     closure = _closure(formula)
     bit = {f: 1 << i for i, f in enumerate(closure)}
     rules = {b: _rule(f, bit) for f, b in bit.items()}
-    # One mark per eventuality: a leaf carries it when its ``old`` set
-    # discharged the goal or never promised it.  The first eventuality in
-    # closure order is checked last, so level k is reached right after it.
+    # A leaf carries an eventuality's mark when its ``old`` set discharged the
+    # goal or never promised it.  The first in closure order is checked last.
     marks = [
         (bit[ev], bit[ev.right if isinstance(ev, Until) else ev.sub])
         for ev in closure
