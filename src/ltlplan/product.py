@@ -152,33 +152,24 @@ def find_plan(pa: ProductAutomaton) -> Plan | None:
     parent = bfs_tree(pa.initial, expansion.__getitem__)
     dist = tree_depths(parent)
 
-    best: int | None = None
-    best_target: PAState | None = None
-    best_cycle: list[PAState] | None = None
+    best = None  # (length, target, cycle states); a stoppable target's cycle is []
     for state in parent:
         if state in pa.stoppable:
-            if best is None or dist[state] < best:
-                best, best_target, best_cycle = dist[state], state, []
+            cycle = []
+        elif state in pa.accepting:
+            cycle = cycle_path(state, expansion.__getitem__)
+        else:
             continue
-        if state not in pa.accepting:
-            continue
-        cycle = cycle_path(state, expansion.__getitem__)
-        if cycle is None:
-            continue
-        length = dist[state] + len(cycle)
-        if best is None or length < best:
-            best, best_target, best_cycle = length, state, cycle
+        if cycle is not None and (best is None or dist[state] + len(cycle) < best[0]):
+            best = (dist[state] + len(cycle), state, cycle)
 
-    if best_target is None:
+    if best is None:
         return None
-
-    prefix_states = tree_path(parent, best_target)
-    prefix = _symbols_along(pa, prefix_states)
-    cycle_states = best_cycle or []
-    cycle = _symbols_along(pa, [best_target] + cycle_states)
+    _, target, cycle_states = best
+    prefix_states = tree_path(parent, target)
     return Plan(
-        prefix=prefix,
-        cycle=cycle,
+        prefix=_symbols_along(pa, prefix_states),
+        cycle=_symbols_along(pa, [target] + cycle_states),
         prefix_states=prefix_states,
         cycle_states=cycle_states,
     )

@@ -15,7 +15,7 @@ one state per twin class and unfolds the classes only for output.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .gridworld import Region
 from .ltl import Guard
@@ -116,9 +116,6 @@ class TransitionSystem:
             mode=self.mode,
         )
 
-    def copy(self) -> "TransitionSystem":
-        return self.quotient({s: s for s in self.order})
-
     def to_document(self) -> dict:
         return {
             "states": [
@@ -196,22 +193,21 @@ def generate_ts_labels(ts: TransitionSystem, twinned=frozenset()) -> TransitionS
     front are visited, so the work is the sum over states of
     eccentricity times degree.
     """
-    labeled = ts.copy()
-    order = labeled.order
-    edge_index = {edge: e for e, edge in enumerate(labeled.transitions)}
-    position = {s: i for i, s in enumerate(order)}
-    graph = labeled.graph()
+    transitions = {edge: set(syms) for edge, syms in ts.transitions.items()}
+    edge_index = {edge: e for e, edge in enumerate(transitions)}
+    position = {s: i for i, s in enumerate(ts.order)}
+    graph = ts.graph()
     # pulls[v]: (u, e) per neighbour u of v, e indexing transition (u, v) or None.
-    pulls = [[(position[u], edge_index.get((u, v))) for u in graph[v]] for v in order]
-    contributes = [labeled.task_symbols_of_state(x) or frozenset({EMPTY_LABEL}) for x in order]
+    pulls = [[(position[u], edge_index.get((u, v))) for u in graph[v]] for v in ts.order]
+    contributes = [ts.task_symbols_of_state(x) or frozenset({EMPTY_LABEL}) for x in ts.order]
 
-    for lo in range(0, len(order), _BATCH):
-        batch = range(lo, min(lo + _BATCH, len(order)))
+    for lo in range(0, len(ts.order), _BATCH):
+        batch = range(lo, min(lo + _BATCH, len(ts.order)))
         groups: dict[frozenset[str], int] = {}
         for i in batch:
             groups[contributes[i]] = groups.get(contributes[i], 0) | 1 << (i - lo)
         front = {i: 1 << (i - lo) for i in batch}
-        unseen = [(1 << len(batch)) - 1] * len(order)
+        unseen = [(1 << len(batch)) - 1] * len(ts.order)
         for i, bits in front.items():
             unseen[i] ^= bits
         closer = [0] * len(edge_index)
@@ -228,15 +224,15 @@ def generate_ts_labels(ts: TransitionSystem, twinned=frozenset()) -> TransitionS
             for u, bits in grown.items():
                 unseen[u] ^= bits
             front = grown
-        for hit, symbols in zip(closer, labeled.transitions.values()):
+        for hit, symbols in zip(closer, transitions.values()):
             if hit:
                 for contributed, mask in groups.items():
                     if hit & mask:
                         symbols |= contributed
     for state in twinned:
-        for edge in labeled.out_edges(state):
-            labeled.transitions[edge] |= contributes[position[state]]
-    return labeled
+        for edge in ts.out_edges(state):
+            transitions[edge] |= contributes[position[state]]
+    return replace(ts, transitions=transitions)
 
 
 def is_deterministic(

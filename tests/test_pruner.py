@@ -236,7 +236,7 @@ def test_disambiguation_result_independent_of_state_order(ring_ts):
     reference = report.replay(ring_ts, ALL_CASES[:3])
     rng = random.Random(34)
     for _ in range(10):
-        scratch = case1_merge_equivalent(ring_ts.copy(), PruneReport())
+        scratch = case1_merge_equivalent(ring_ts, PruneReport())
         distance_to = distances_to_symbols(scratch)
         order2 = list(scratch.order)
         order3 = list(scratch.order)
