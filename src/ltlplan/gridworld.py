@@ -56,17 +56,11 @@ class GridMap:
             (i % w, i // w) for i, labelset in enumerate(self.cells) if labelset is None
         )
 
-    def _at(self, cell: Cell) -> frozenset[str] | None:
-        """The cell's label set; ``None`` for an obstacle or a cell off the map."""
+    def is_free(self, cell: Cell) -> bool:
+        """Whether the cell is on the map and not an obstacle."""
         x, y = cell
         on_map = 0 <= x < self.width and 0 <= y < self.height
-        return self.cells[y * self.width + x] if on_map else None
-
-    def is_free(self, cell: Cell) -> bool:
-        return self._at(cell) is not None
-
-    def label_at(self, cell: Cell) -> frozenset[str]:
-        return self._at(cell) or frozenset()
+        return on_map and self.cells[y * self.width + x] is not None
 
     def default_start(self) -> Cell:
         """First unlabeled passable cell in row-major order."""
@@ -120,9 +114,7 @@ def _parse_structured(text: str) -> GridMap:
         doc = json.loads(text)
     except (json.JSONDecodeError, RecursionError) as exc:  # too deep for the decoder
         raise MapParseError(f"invalid JSON map document: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise MapParseError("map document must be a JSON object")
-    return map_from_document(doc)
+    return map_from_document(doc)  # text that starts with "{" decodes to an object
 
 
 def map_from_document(doc: dict) -> GridMap:

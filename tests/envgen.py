@@ -304,6 +304,12 @@ def map_symbols(grid: GridMap) -> frozenset[str]:
     return frozenset().union(*(region.label for region in extract_regions(grid)[0]))
 
 
+def cell_label(grid: GridMap, cell: tuple[int, int]) -> frozenset[str]:
+    """The cell's label set; empty for an obstacle or a cell off the map."""
+    x, y = cell
+    return grid.cells[y * grid.width + x] if grid.is_free(cell) else frozenset()
+
+
 def region_cells(region) -> frozenset[tuple[int, int]]:
     """A region's cells, expanded from its row runs."""
     return frozenset((x, y) for y, start, stop in region.runs for x in range(start, stop))
@@ -515,7 +521,7 @@ def reference_regions(grid: GridMap):
     region's topmost-leftmost cell, and the sorted neighbour ids per region.
     """
     label = {
-        (x, y): grid.label_at((x, y))
+        (x, y): cell_label(grid, (x, y))
         for y in range(grid.height)
         for x in range(grid.width)
         if grid.is_free((x, y))
@@ -825,7 +831,7 @@ def to_ascii(grid: GridMap) -> str:
             if not grid.is_free((x, y)):
                 row.append(ASCII_OBSTACLE)
                 continue
-            labelset = grid.label_at((x, y))
+            labelset = cell_label(grid, (x, y))
             if not labelset:
                 row.append(ASCII_FREE)
             elif len(labelset) == 1 and len(next(iter(labelset))) == 1:

@@ -225,6 +225,26 @@ def test_non_list_map_entries_exit_2(tmp_path, key, value):
     assert main(["abstract", "--map", str(bad)]) == 2
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ('{"width": 2, "height": 1, "cells": [{"x": "1", "y": 0, "labels": ["a"]}]}',
+         "cells[0]: 'x' and 'y' must be integers"),
+        ('{"width": 2, "height": 1, "cells": [{"x": true, "y": 0, "labels": ["a"]}]}',
+         "cells[0]: 'x' and 'y' must be integers"),
+        # Not "{": read as ASCII art.
+        ("[1, 2]", "row 1, col 1: invalid cell character '['"),
+        ('{"width": 1, "height": 1} x', "invalid JSON map document: Extra data"),
+    ],
+    ids=["string-coordinate", "bool-coordinate", "json-array", "trailing-data"],
+)
+def test_malformed_map_reports_its_fault(tmp_path, capsys, text, message):
+    bad = tmp_path / "bad.json"
+    bad.write_text(text)
+    assert main(["abstract", "--map", str(bad)]) == 2
+    assert f"error: map error: {message}" in capsys.readouterr().err
+
+
 def test_oversized_map_exits_2(monkeypatch, tmp_path):
     def walk_cells(grid):
         raise AssertionError("an oversized map reached region extraction")

@@ -129,8 +129,9 @@ def explode(*args, **kwargs):
          "error: execution error: the plan unrolls to 2000000001 policy segments"),
         (["plan", "--ltl", "F ("], 2, TIME_LABELS[:3], "error: formula error: "),
         (["abstract", "--start", "99,99"], 2, (), "error: start cell (99, 99) is not a passable"),
+        (["abstract", "--start", "1,x"], 2, (), "error: --start expects integer coordinates 'X,Y'"),
     ],
-    ids=["infeasible", "unreachable", "too-long", "bad-formula", "bad-start"],
+    ids=["infeasible", "unreachable", "too-long", "bad-formula", "bad-start", "non-integer-start"],
 )
 def test_a_failing_stage_prints_no_time(monkeypatch, capsys, argv, code, printed, error):
     if code == 4:

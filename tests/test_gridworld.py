@@ -9,6 +9,7 @@ import re
 import pytest
 
 from envgen import (
+    cell_label,
     floyd_warshall_hops,
     harsh_map,
     map_document,
@@ -50,12 +51,12 @@ def hop_distance(adjacency: dict[int, tuple[int, ...]], s1: int, s2: int) -> int
 def test_parse_ascii_basic():
     grid = parse_map("a.#\n..b\n")
     assert (grid.width, grid.height) == (3, 2)
-    assert grid.label_at((0, 0)) == frozenset({"a"})
-    assert grid.label_at((2, 1)) == frozenset({"b"})
+    assert cell_label(grid, (0, 0)) == frozenset({"a"})
+    assert cell_label(grid, (2, 1)) == frozenset({"b"})
     assert (2, 0) in grid.obstacles
     assert grid.obstacles == frozenset({(2, 0)})
     assert not grid.is_free((2, 0))
-    assert grid.label_at((2, 0)) == frozenset()
+    assert cell_label(grid, (2, 0)) == frozenset()
     assert grid.is_free((1, 0))
     assert map_symbols(grid) == frozenset({"a", "b"})
 
@@ -82,6 +83,10 @@ def test_parse_ascii_rejects_bad_character():
 def test_parse_ascii_names_first_bad_character(text, message):
     with pytest.raises(MapParseError, match=re.escape(message) + r"\Z"):
         parse_map(text)
+
+
+def test_parse_ascii_drops_blank_rows_around_the_map():
+    assert parse_map("\n  \na.\n..\n\n   \n\n") == parse_map("a.\n..\n")
 
 
 def test_parse_ascii_rejects_empty():
@@ -133,10 +138,10 @@ def test_off_map_cells_are_blocked_and_unlabeled():
     w, h = grid.width, grid.height
     off_map = [(-1, 0), (-1, 1), (-1, 2), (w, 0), (w, 1), (w, 2), (0, -1), (2, -1), (0, h), (2, h)]
     for cell in off_map:
-        assert grid.label_at(cell) == frozenset(), cell
+        assert cell_label(grid, cell) == frozenset(), cell
         assert not grid.is_free(cell), cell
-    assert grid.label_at((0, 1)) == frozenset({"b"})
-    assert grid.label_at((2, 0)) == frozenset({"a"})
+    assert cell_label(grid, (0, 1)) == frozenset({"b"})
+    assert cell_label(grid, (2, 0)) == frozenset({"a"})
     assert grid.is_free((2, 2)) and grid.is_free((0, 0))
 
 
@@ -243,7 +248,7 @@ def test_regions_partition_passable_cells():
             seen |= cells
             for cell in cells:
                 assert grid.is_free(cell)
-                assert grid.label_at(cell) == region.label
+                assert cell_label(grid, cell) == region.label
         passable = {
             (x, y)
             for x in range(grid.width)
@@ -279,7 +284,7 @@ def test_regions_are_connected_and_maximal():
             for cell in cells:
                 for nb in neighbors4(grid, cell):
                     if index[nb][0] != region.id:
-                        assert grid.label_at(nb) != region.label
+                        assert cell_label(grid, nb) != region.label
 
 
 def _region_triples(grid):

@@ -7,6 +7,8 @@ which fail the suite (``strict``) until the pin is removed.
 * ``test_exit_0_means_satisfied``: benchmark ops that ``run`` answers with
   exit 0 and ``"satisfied": false``.  The ops come from
   ``benchmarks/gen.py``, loaded by path.
+* ``test_golden_runs_enter_the_planned_states``: one property over every
+  golden ``run`` case (``test_golden``'s bundled and seeded maps).
 * ``test_plans_follow_the_tie_rule`` and
   ``test_check_trace_judges_the_run_the_plan_defines`` are not benchmark
   ops: they call the library on seeded products and on one small map.
@@ -14,6 +16,7 @@ which fail the suite (``strict``) until the pin is removed.
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import importlib.util
 import io
@@ -25,12 +28,13 @@ from pathlib import Path
 
 import pytest
 
-from envgen import brute_least_lasso, random_product, reference_plan_lasso
-from ltlplan.cli import main
+from envgen import brute_least_lasso, map_document, random_product, reference_plan_lasso
+from ltlplan.cli import CliError, Pipeline, main
 from ltlplan.gridworld import extract_regions, parse_map
 from ltlplan.ltl import eval_ltl_on_lasso, parse_ltl, to_buchi
 from ltlplan.mvpolicy import check_trace, execute_plan, region_index
 from ltlplan.product import find_plan
+from test_golden import BUNDLED, MAPS, MODES, SEEDED, _seeded_formulas
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -83,6 +87,46 @@ def test_exit_0_means_satisfied(tmp_path, workload, seed, op_index):
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
         code = main(["run", "--map", str(map_path), "--mode", op.mode, "--ltl", op.ltl])
     assert code != 0 or json.loads(out.getvalue())["satisfied"], op.ltl
+
+
+def _golden_runs(tmp_path):
+    """(case name, map path, formula) for every golden ``run`` case's map and formula."""
+    for key, (filename, texts) in BUNDLED.items():
+        for i, text in enumerate(texts):
+            yield f"{key}-f{i}", MAPS / filename, text
+    for key, grid in SEEDED.items():
+        path = tmp_path / f"{key}.json"
+        path.write_text(json.dumps(map_document(grid)))
+        for i, text in enumerate(_seeded_formulas(grid)):
+            yield f"{key}-f{i}", path, text
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=ITEM_6)
+def test_golden_runs_enter_the_planned_states(tmp_path):
+    # Segment k enters exactly one region, the TS state of pa_path[k + 1],
+    # after the start region maps to that of pa_path[0] (README step 4).
+    broken = []
+    for name, path, text in _golden_runs(tmp_path):
+        for mode in MODES:
+            args = argparse.Namespace(
+                map=str(path), start=None, mode=mode, ltl=text, emit_stages=None, cycles=1
+            )
+            p = Pipeline(args=args)
+            with contextlib.redirect_stderr(io.StringIO()):
+                try:
+                    trace = p["trace"]
+                except CliError:  # no plan, or a target cut off
+                    continue
+            state_of = {m: g[0] for g in p["report"].merged_state_groups for m in g}
+            planned = [state for state, _ in p["plan"].prefix_states + p["plan"].cycle_states]
+            entered = [state_of.get(r, r) for r in p["index"].regions_along(trace.cells)]
+            hops = [entered[0]] + [
+                [entered[i] for i in trace.word_cells if seg.start < i <= seg.end]
+                for seg in trace.segments
+            ]
+            if hops != [planned[0]] + [[state] for state in planned[1:]]:
+                broken.append(f"{name}-{mode}")
+    assert not broken, broken
 
 
 @pytest.mark.xfail(strict=True, raises=AssertionError, reason=ITEM_5C)

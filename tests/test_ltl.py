@@ -280,6 +280,14 @@ def test_hand_checked_words(text, prefix, cycle, expected):
     assert accepts_lasso(to_buchi(formula), prefix, cycle) is expected
 
 
+def test_lasso_needs_a_cycle():
+    formula = parse_ltl("F a")
+    with pytest.raises(ValueError, match="lasso cycle must be non-empty"):
+        eval_ltl_on_lasso(formula, [A], [])
+    with pytest.raises(ValueError, match="lasso cycle must be non-empty"):
+        accepts_lasso(to_buchi(formula), [A], [])
+
+
 def test_automaton_agrees_with_direct_evaluation_on_random_words():
     rng = random.Random(41)
     checked = 0

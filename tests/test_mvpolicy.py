@@ -451,6 +451,9 @@ def test_execute_plan_validates_inputs():
         execute_plan((0, 0), ["a"], ["b"], index_of(grid), cycles=0)
     with pytest.raises(UnreachableTargetError):
         execute_plan((0, 0), ["ghost"], [], index_of(grid))
+    # With no policy to run, no search meets the start cell.
+    with pytest.raises(ValueError, match=re.escape("start cell (1, 0) is not passable")):
+        execute_plan((1, 0), [], [], index_of(parse_map(".#b")))
 
 
 def test_execute_plan_stops_at_the_trace_bound(monkeypatch):

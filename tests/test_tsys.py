@@ -248,6 +248,14 @@ def test_self_loops_rejected():
         )
 
 
+def test_build_initial_ts_validates_inputs(ring_grid):
+    regions, adjacency = extract_regions(ring_grid)
+    with pytest.raises(ValueError, match="unknown labeling mode 'bogus'"):
+        build_initial_ts(regions, adjacency, 0, "bogus")
+    with pytest.raises(ValueError, match=f"initial region {len(regions)} not among regions"):
+        build_initial_ts(regions, adjacency, len(regions))
+
+
 def test_out_edges_sorted_by_state_order(ring_ts):
     assert ring_ts.out_edges(2) == [(2, 1), (2, 3), (2, 5), (2, 6)]
 
