@@ -82,7 +82,7 @@ def parse_map(text: str) -> GridMap:
 
 
 def _parse_ascii(text: str) -> GridMap:
-    lines = [line for line in text.splitlines()]
+    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
     while lines and not lines[0].strip():
         lines.pop(0)
     while lines and not lines[-1].strip():

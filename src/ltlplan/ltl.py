@@ -530,32 +530,22 @@ def _check_lasso(prefix, cycle) -> tuple[list[LabelSet], int, int]:
 def accepts_lasso(aut: BuchiAutomaton, prefix, cycle) -> bool:
     """Whether the automaton accepts ``prefix . cycle^ω``.
 
-    Searches the product of the automaton with the lasso's positions for a
-    reachable cycle through an accepting state.
+    Steps the set of live states through the prefix, then searches the
+    product of the automaton with the cycle's positions for a cycle through
+    an accepting state reachable from a live state at position 0.
     """
     word, plen, clen = _check_lasso(prefix, cycle)
-    total = plen + clen
-
-    def next_pos(pos: int) -> int:
-        nxt = pos + 1
-        return nxt if nxt < total else plen
-
-    successors: dict[tuple[str, int], list[tuple[str, int]]] = {}
+    states = [aut.initial]
+    for letter in word[:plen]:
+        states = list(dict.fromkeys(dst for state in states for dst in aut.step(state, letter)))
 
     def succ(node: tuple[str, int]) -> list[tuple[str, int]]:
-        cached = successors.get(node)
-        if cached is None:
-            state, pos = node
-            cached = [(dst, next_pos(pos)) for dst in aut.step(state, word[pos])]
-            successors[node] = cached
-        return cached
+        state, i = node
+        return [(dst, (i + 1) % clen) for dst in aut.step(state, word[plen + i])]
 
-    reachable = bfs_tree([(aut.initial, 0)], succ)
-    # Positions only move forward through the prefix, so no cycle passes a
-    # node whose position lies in it.
     return any(
-        pos >= plen and state in aut.accepting and cycle_path((state, pos), succ) is not None
-        for state, pos in reachable
+        state in aut.accepting and cycle_path((state, i), succ) is not None
+        for state, i in bfs_tree([(q, 0) for q in states], succ)
     )
 
 

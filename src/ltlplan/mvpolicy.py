@@ -36,9 +36,9 @@ from .gridworld import Cell, Region, tree_path
 from .ltl import BuchiAutomaton, Guard, LabelSet, accepts_lasso
 
 # Most cells, and most policy segments, one executed trace may hold.  A
-# run's output and lasso check take a few kB per trace cell, so this bounds
-# a run's memory as ``gridworld.MAX_CELLS`` bounds a map's and
-# ``ltl.MAX_TABLEAU_EDGES`` a formula's.
+# run's output takes a few kB per trace cell, so this bounds a run's memory
+# as ``gridworld.MAX_CELLS`` bounds a map's and ``ltl.MAX_TABLEAU_EDGES`` a
+# formula's.
 MAX_TRACE_CELLS = 1 << 16
 
 # The bitset search restarts on the bucket queue once its layers have cost

@@ -455,6 +455,26 @@ def brute_min_lasso(pa: ProductAutomaton, cap: int) -> int | None:
     return None
 
 
+def brute_min_any_lasso(pa: ProductAutomaton, cap: int) -> int | None:
+    """``brute_min_lasso`` over every lasso, not only those closing on an accepting state.
+
+    A walk w0..wl counts when wl is stoppable, or when wl == wi for some
+    i < l and some state of wi..wl is accepting.
+    """
+    level = [(s,) for s in pa.initial]
+    for length in range(cap + 1):
+        for walk in level:
+            last = walk[-1]
+            if last in pa.stoppable or any(
+                walk[i] == last and not pa.accepting.isdisjoint(walk[i:]) for i in range(length)
+            ):
+                return length
+        level = [walk + (nxt,) for walk in level for nxt in pa.successors[walk[-1]]]
+        if not level:
+            return None
+    return None
+
+
 def brute_least_lasso(pa: ProductAutomaton, cap: int) -> tuple[int, tuple[str, ...]] | None:
     """``brute_min_lasso``'s length with the least symbol tuple among its walks.
 

@@ -11,6 +11,9 @@ regions exercise case1 merges and case2 ties.
 To record the golden file (only ever for an intended output change)::
 
     PYTHONPATH=src python tests/test_golden.py
+
+It prints one line per case added, removed or changed since the previous
+record (``change_line``), then the case and change counts.
 """
 
 from __future__ import annotations
@@ -169,6 +172,44 @@ def run_case(name: str, root: Path) -> dict:
     }
 
 
+def _stdout_fields(command: str, stdout) -> dict:
+    """The fields a re-record summary shows of one ``run``, ``plan`` or ``check`` stdout."""
+    if not isinstance(stdout, list) or not stdout:
+        return {}
+    doc = json.loads("".join(stdout))
+    if command == "check":
+        return {"satisfied": doc["satisfied"]}
+    if command == "plan":
+        return {"prefix": doc["prefix"], "cycle": doc["cycle"]}
+    plan = doc["plan"]
+    return {
+        "prefix": plan["prefix"],
+        "cycle": plan["cycle"],
+        "satisfied": doc["satisfied"],
+        "cells": len(doc["trace"]["cells"]),
+    }
+
+
+def change_line(name: str, old: dict | None, new: dict | None) -> str | None:
+    """How case ``name``'s record changed on a re-record, in one line; ``None`` if it did not."""
+    if old == new:
+        return None
+    if old is None:
+        return f"{name}: added (exit {new['exit']})"
+    if new is None:
+        return f"{name}: removed"
+    parts = [f"exit {old['exit']} -> {new['exit']}"] if old["exit"] != new["exit"] else []
+    if old["stdout"] != new["stdout"]:
+        was, now = (_stdout_fields(name.split("-")[0], r["stdout"]) for r in (old, new))
+        parts += [
+            f"{key} {json.dumps(was.get(key))} -> {json.dumps(now.get(key))}"
+            for key in dict.fromkeys([*was, *now])
+            if was.get(key) != now.get(key)
+        ] or ["stdout"]
+    parts += [key for key in ("stderr", "files") if old[key] != new[key]]
+    return f"{name}: " + "; ".join(parts)
+
+
 @pytest.fixture(scope="module")
 def golden() -> dict:
     return json.loads(GOLDEN.read_text())
@@ -183,11 +224,44 @@ def test_cli_output_matches_golden(name, golden, tmp_path):
     assert run_case(name, tmp_path) == golden[name]
 
 
+def test_change_line_summarizes_a_rerecorded_case():
+    def run_record(exit, prefix, cycle, cells, stderr="e0"):
+        doc = {
+            "plan": {"prefix": prefix, "cycle": cycle},
+            "satisfied": exit == 0,
+            "trace": {"cells": [{"x": 0, "y": 0}] * cells},
+        }
+        stdout = json.dumps(doc, indent=2).splitlines(keepends=True)
+        return {"exit": exit, "stdout": stdout, "stderr": stderr, "files": {}}
+
+    old = run_record(0, ["a"], ["b", "c"], 9)
+    new = run_record(0, [], ["b", "c"], 7, stderr="e1")
+    assert change_line("run-ring-primitive-f1", old, old) is None
+    assert change_line("run-ring-primitive-f1", old, new) == (
+        'run-ring-primitive-f1: prefix ["a"] -> []; cells 9 -> 7; stderr'
+    )
+    gone = {"exit": 3, "stdout": [], "stderr": "e2", "files": {}}
+    assert change_line("run-x-f0", old, gone) == (
+        'run-x-f0: exit 0 -> 3; prefix ["a"] -> null; cycle ["b", "c"] -> null;'
+        " satisfied true -> null; cells 9 -> null; stderr"
+    )
+    assert change_line("run-x-f0", None, gone) == "run-x-f0: added (exit 3)"
+    assert change_line("run-x-f0", gone, None) == "run-x-f0: removed"
+
+
 if __name__ == "__main__":
+    previous = json.loads(GOLDEN.read_text()) if GOLDEN.exists() else {}
     record = {}
     for case_name in sorted(CASES):
         with tempfile.TemporaryDirectory() as scratch:
             record[case_name] = run_case(case_name, Path(scratch))
+    lines = [
+        change_line(name, previous.get(name), record.get(name))
+        for name in sorted(previous.keys() | record.keys())
+    ]
+    changed = [line for line in lines if line is not None]
+    for line in changed:
+        print(line)
     GOLDEN.parent.mkdir(exist_ok=True)
     GOLDEN.write_text(json.dumps(record, indent=1, sort_keys=True) + "\n")
-    print(f"recorded {len(record)} cases in {GOLDEN}")
+    print(f"recorded {len(record)} cases, {len(changed)} changed")

@@ -78,11 +78,20 @@ def test_parse_ascii_rejects_bad_character():
         ("a.$\n%..\n", "row 1, col 3: invalid cell character '$'"),
         ("ab.\n.%$\n", "row 2, col 2: invalid cell character '%'"),
         ("...\n...\n..?\n?!.\n", "row 3, col 3: invalid cell character '?'"),
+        # Only \n, \r\n and \r end a row; other line breaks are cells.
+        ("a.\v..", "row 1, col 3: invalid cell character '\\x0b'"),
+        ("a.\f..\n.....\n", "row 1, col 3: invalid cell character '\\x0c'"),
+        ("..\na\x85\n", "row 2, col 2: invalid cell character '\\x85'"),
+        ("a\u2028.\n...\n", "row 1, col 2: invalid cell character '\\u2028'"),
     ],
 )
 def test_parse_ascii_names_first_bad_character(text, message):
     with pytest.raises(MapParseError, match=re.escape(message) + r"\Z"):
         parse_map(text)
+
+
+def test_parse_ascii_accepts_crlf_and_cr_line_ends():
+    assert parse_map("a.\r\n..\r\n") == parse_map("a.\r..") == parse_map("a.\n..\n")
 
 
 def test_parse_ascii_drops_blank_rows_around_the_map():

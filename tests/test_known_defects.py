@@ -9,7 +9,8 @@ which fail the suite (``strict``) until the pin is removed.
   ``benchmarks/gen.py``, loaded by path.
 * ``test_golden_runs_enter_the_planned_states``: one property over every
   golden ``run`` case (``test_golden``'s bundled and seeded maps).
-* ``test_plans_follow_the_tie_rule`` and
+* ``test_plans_follow_the_tie_rule``,
+  ``test_plans_are_shortest_over_every_lasso`` and
   ``test_check_trace_judges_the_run_the_plan_defines`` are not benchmark
   ops: they call the library on seeded products and on one small map.
 """
@@ -28,7 +29,13 @@ from pathlib import Path
 
 import pytest
 
-from envgen import brute_least_lasso, map_document, random_product, reference_plan_lasso
+from envgen import (
+    brute_least_lasso,
+    brute_min_any_lasso,
+    map_document,
+    random_product,
+    reference_plan_lasso,
+)
 from ltlplan.cli import CliError, Pipeline, main
 from ltlplan.gridworld import extract_regions, parse_map
 from ltlplan.ltl import eval_ltl_on_lasso, parse_ltl, to_buchi
@@ -50,6 +57,10 @@ ITEM_7 = (
 ITEM_5C = (
     "ROADMAP item 5(c): find_plan picks its target by BFS rank, not by the whole"
     " policy sequence, so a tie can resolve to a lexicographically larger plan"
+)
+ITEM_23 = (
+    "ROADMAP item 23: find_plan closes each cycle on an accepting state, so a"
+    " lasso whose cycle passes one inside can be shorter"
 )
 ITEM_12 = (
     "ROADMAP item 12: check_trace takes the last executed cycle repetition as"
@@ -144,6 +155,22 @@ def test_plans_follow_the_tie_rule():
         if got != want:
             mismatches.append((draw, got, want))
     assert not mismatches, mismatches
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=ITEM_23)
+def test_plans_are_shortest_over_every_lasso():
+    # A cycle may enter at any state and pass an accepting one inside (README).
+    rng = random.Random(7)
+    longer = []
+    for draw in range(400):
+        pa = random_product(rng)
+        plan = find_plan(pa)
+        if plan is None or plan.length > 7:
+            continue
+        shortest = brute_min_any_lasso(pa, cap=7)
+        if plan.length != shortest:
+            longer.append((draw, plan.length, shortest))
+    assert not longer, longer
 
 
 @pytest.mark.xfail(strict=True, raises=AssertionError, reason=ITEM_12)

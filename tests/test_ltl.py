@@ -9,6 +9,7 @@ import random
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -341,6 +342,24 @@ def test_lasso_check_searches_cycles_from_cycle_positions_only(monkeypatch, tmp_
     monkeypatch.setattr(ltl, "cycle_path", counted)
     assert check_trace(aut, trace)
     assert 0 < len(calls) <= len(aut.order) * cycle_letters
+
+
+def test_lasso_check_memory_does_not_grow_with_the_prefix():
+    # A search node per (state, prefix position) would peak at ~10 MB here.
+    C = frozenset({"c"})
+    prefix = [A, E, C, E] * 5000
+    for text in ("G F a & G F c", "(!c U a) & F G !a"):
+        formula = parse_ltl(text)
+        aut = to_buchi(formula)
+        for cycle in ([A, C], [C, E]):
+            assert accepts_lasso(aut, prefix, cycle) is eval_ltl_on_lasso(formula, prefix, cycle)
+        tracemalloc.start()
+        try:
+            accepts_lasso(aut, prefix, [A, C])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 << 20, (text, peak)
 
 
 def test_eventually_dual_to_always_not():
