@@ -21,7 +21,6 @@ stderr, timed from its start or from the previous line, whichever is later.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
 import json
 import sys
@@ -93,7 +92,7 @@ def _load_map(args) -> GridMap:
         cell = _parse_start(args.start)
         if not grid.is_free(cell):
             raise CliError(f"start cell {cell} is not a passable map cell", EXIT_BAD_INPUT)
-        grid = dataclasses.replace(grid, start=cell)
+        grid = grid._replace(start=cell)
     return grid
 
 

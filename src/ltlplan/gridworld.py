@@ -12,8 +12,7 @@ from __future__ import annotations
 
 import json
 import re
-from collections import deque
-from dataclasses import dataclass
+from collections import deque, namedtuple
 from itertools import groupby
 
 Cell = tuple[int, int]
@@ -34,8 +33,7 @@ class MapParseError(ValueError):
     """Raised when a map document is malformed; carries row/col context."""
 
 
-@dataclass(frozen=True)
-class GridMap:
+class GridMap(namedtuple("GridMap", "width height cells start", defaults=(None,))):
     """A rectangular grid of labeled cells, stored flat in row-major order.
 
     ``cells[y * width + x]`` is the label set of cell ``(x, y)``: empty when
@@ -43,10 +41,7 @@ class GridMap:
     optional designated start cell for plan execution.
     """
 
-    width: int
-    height: int
-    cells: tuple[frozenset[str] | None, ...]
-    start: Cell | None = None
+    __slots__ = ()
 
     @property
     def obstacles(self) -> frozenset[Cell]:
@@ -182,17 +177,14 @@ def _require_cell(entry, width: int, height: int, where: str) -> Cell:
     return (x, y)
 
 
-@dataclass(frozen=True)
-class Region:
+class Region(namedtuple("Region", "id runs label")):
     """A maximal 4-connected component of equally-labeled cells.
 
     ``runs`` holds the region's row runs ``(y, x_start, x_stop)``, stop
     exclusive, in row-major order.
     """
 
-    id: int
-    runs: tuple[tuple[int, int, int], ...]
-    label: frozenset[str]
+    __slots__ = ()
 
 
 def extract_regions(grid: GridMap) -> tuple[list[Region], dict[int, tuple[int, ...]]]:

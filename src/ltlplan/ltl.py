@@ -26,7 +26,7 @@ ultimately-periodic words used to cross-check the construction.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .gridworld import KEYWORDS, SYMBOL, bfs_tree, cycle_path
 
@@ -42,53 +42,69 @@ class LtlParseError(ValueError):
 
 
 class LtlFormula:
-    """Base class for formula nodes; all nodes are immutable and hashable."""
+    """Base class for formula nodes; all nodes are immutable and hashable.
+
+    A node class names its fields in ``__slots__``, which are also its
+    ``match`` arguments; ``_key`` holds their values, compared and hashed.
+    """
+
+    __slots__ = ("_key",)
+
+    def __init__(self, *values):
+        if len(values) != len(self.__match_args__):
+            raise TypeError(f"{type(self).__name__} takes fields {self.__match_args__}")
+        for name, value in zip(self.__match_args__, values):
+            object.__setattr__(self, name, value)
+        object.__setattr__(self, "_key", values)
+
+    def __setattr__(self, name, *_):
+        raise AttributeError(f"cannot assign to field {name!r} of a formula")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        return type(other) is type(self) and self._key == other._key
+
+    def __hash__(self):
+        return hash(self._key)
+
+    def __repr__(self):
+        return f"{type(self).__name__}({', '.join(map(repr, self._key))})"
 
     def atoms(self) -> frozenset[str]:
         return frozenset(f.name for f in _subformulas(self) if isinstance(f, (Atom, NotAtom)))
 
 
-@dataclass(frozen=True)
 class Top(LtlFormula):
-    pass
+    __slots__ = __match_args__ = ()
 
 
-@dataclass(frozen=True)
 class Atom(LtlFormula):
-    name: str
+    __slots__ = __match_args__ = ("name",)
 
 
-@dataclass(frozen=True)
 class NotAtom(LtlFormula):
-    name: str
+    __slots__ = __match_args__ = ("name",)
 
 
-@dataclass(frozen=True)
 class And(LtlFormula):
-    left: LtlFormula
-    right: LtlFormula
+    __slots__ = __match_args__ = ("left", "right")
 
 
-@dataclass(frozen=True)
 class Or(LtlFormula):
-    left: LtlFormula
-    right: LtlFormula
+    __slots__ = __match_args__ = ("left", "right")
 
 
-@dataclass(frozen=True)
 class Until(LtlFormula):
-    left: LtlFormula
-    right: LtlFormula
+    __slots__ = __match_args__ = ("left", "right")
 
 
-@dataclass(frozen=True)
 class Eventually(LtlFormula):
-    sub: LtlFormula
+    __slots__ = __match_args__ = ("sub",)
 
 
-@dataclass(frozen=True)
 class Always(LtlFormula):
-    sub: LtlFormula
+    __slots__ = __match_args__ = ("sub",)
 
 
 def _subformulas(formula: LtlFormula) -> list[LtlFormula]:
@@ -271,16 +287,14 @@ def _parse_primary(tokens: _Tokenizer, depth: int) -> LtlFormula:
 # Guards: literal conjunctions over label sets
 
 
-@dataclass(frozen=True)
-class Guard:
+class Guard(namedtuple("Guard", "positives negatives", defaults=(frozenset(), frozenset()))):
     """Conjunction of literals, evaluated on a label set.
 
     A label set satisfies the guard when it holds every symbol in
     ``positives`` and none in ``negatives``; ``Guard()`` is true everywhere.
     """
 
-    positives: frozenset[str] = frozenset()
-    negatives: frozenset[str] = frozenset()
+    __slots__ = ()
 
     def satisfied_by(self, labels: LabelSet) -> bool:
         return self.positives <= labels and not self.negatives & labels
@@ -296,7 +310,6 @@ class Guard:
 # Büchi automata
 
 
-@dataclass
 class BuchiAutomaton:
     """Nondeterministic Büchi automaton with edge guards over label sets.
 
@@ -309,12 +322,10 @@ class BuchiAutomaton:
     a new automaton.
     """
 
-    order: list[str]
-    initial: str
-    accepting: frozenset[str]
-    transitions: dict[tuple[str, str], Guard]
-
-    def __post_init__(self) -> None:
+    def __init__(self, order: list[str], initial: str, accepting: frozenset[str],
+                 transitions: dict[tuple[str, str], Guard]):
+        self.order, self.initial, self.accepting, self.transitions = (
+            order, initial, accepting, transitions)
         position = {s: i for i, s in enumerate(self.order)}
         self._successors: dict[str, list[str]] = {s: [] for s in self.order}
         for (src, dst) in self.transitions:
@@ -523,7 +534,9 @@ def _expand_tableau(
 def _check_lasso(prefix, cycle) -> tuple[list[LabelSet], int, int]:
     if not cycle:
         raise ValueError("lasso cycle must be non-empty")
-    word = [frozenset(letter) for letter in list(prefix) + list(cycle)]
+    # One object per distinct letter, however many times the word repeats it.
+    distinct: dict[LabelSet, LabelSet] = {}
+    word = [distinct.setdefault(letter, letter) for letter in map(frozenset, [*prefix, *cycle])]
     return word, len(prefix), len(cycle)
 
 

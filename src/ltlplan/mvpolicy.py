@@ -27,8 +27,8 @@ cell pushed first wins, and pushes follow up, down, left, right order.
 from __future__ import annotations
 
 from bisect import bisect_right
+from collections import namedtuple
 from collections.abc import Mapping
-from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain, repeat
 
@@ -84,7 +84,6 @@ def parse_policy(symbol: str) -> Guard:
     return Guard(frozenset(positives), frozenset(negatives))
 
 
-@dataclass(frozen=True, eq=False)
 class CellIndex(Mapping):
     """The run's passable cells, each mapped to ``(region id, label set)``.
 
@@ -95,11 +94,10 @@ class CellIndex(Mapping):
     read these lists directly; the mapping view serves every other reader.
     """
 
-    width: int
-    height: int
-    stride: int
-    region_of: list[int]
-    labels_of: list[LabelSet]
+    def __init__(self, width: int, height: int, stride: int, region_of: list[int],
+                 labels_of: list[LabelSet]):
+        self.width, self.height, self.stride = width, height, stride
+        self.region_of, self.labels_of = region_of, labels_of
 
     def __getitem__(self, cell: Cell) -> tuple[int, LabelSet]:
         rid = self.regions_along((cell,))[0]
@@ -126,7 +124,6 @@ class CellIndex(Mapping):
         return GridMasks.build(self)
 
 
-@dataclass(eq=False)
 class GridMasks:
     """A cell index as whole-grid bitsets, one bit per cell.
 
@@ -138,13 +135,14 @@ class GridMasks:
     in the same region as their neighbour below or to the right.
     """
 
-    passable: int
-    unlabeled: int
-    same_up: int
-    same_left: int
-    codes: bytes  # one byte per cell, highest bit first: its label set's code, 0 if not passable
-    labels: list[LabelSet]  # ``labels[code - 1]``
-    goals: dict[Guard, int] = field(default_factory=dict)
+    def __init__(self, passable: int, unlabeled: int, same_up: int, same_left: int,
+                 codes: bytes, labels: list[LabelSet]):
+        self.passable, self.unlabeled, self.same_up, self.same_left = (
+            passable, unlabeled, same_up, same_left)
+        # One byte per cell, highest bit first: its label set's code, 0 if not
+        # passable; code ``c`` stands for ``labels[c - 1]``.
+        self.codes, self.labels = codes, labels
+        self.goals: dict[Guard, int] = {}
 
     @classmethod
     def build(cls, index: CellIndex) -> GridMasks | None:
@@ -382,14 +380,10 @@ def _queue_path(start: Cell, policy: Guard, index: CellIndex) -> tuple[int, list
     raise UnreachableTargetError(f"no reachable region satisfies policy {policy.format()!r}")
 
 
-@dataclass
-class TraceSegment:
+class TraceSegment(namedtuple("TraceSegment", "symbol start end forced_violations")):
     """One executed policy: the slice of the trace it produced."""
 
-    symbol: str
-    start: int
-    end: int
-    forced_violations: int
+    __slots__ = ()
 
     def to_document(self) -> dict:
         return {
@@ -400,17 +394,20 @@ class TraceSegment:
         }
 
 
-@dataclass
 class Trace:
     """A concrete run: cells visited, induced label word, segment map."""
 
-    cells: list[Cell]
-    word: list[LabelSet]
-    word_cells: list[int] = field(default_factory=list)
-    segments: list[TraceSegment] = field(default_factory=list)
-    prefix_segments: int = 0
-    cycle_length: int = 0
-    cycles: int = 0
+    def __init__(self, cells: list[Cell], word: list[LabelSet], word_cells: list[int] | None = None,
+                 segments: list[TraceSegment] | None = None, prefix_segments: int = 0,
+                 cycle_length: int = 0, cycles: int = 0):
+        self.cells, self.word = cells, word
+        self.word_cells = [] if word_cells is None else word_cells
+        self.segments = [] if segments is None else segments
+        self.prefix_segments, self.cycle_length, self.cycles = (
+            prefix_segments, cycle_length, cycles)
+
+    def __eq__(self, other):
+        return type(other) is type(self) and vars(self) == vars(other)
 
     def to_document(self) -> dict:
         return {

@@ -12,8 +12,6 @@ then on, which models the agent parking after the last task.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .gridworld import bfs_tree, cycle_path, tree_depths, tree_path
 from .ltl import BuchiAutomaton, empty_word_accepting_states
 from .tsys import TransitionSystem
@@ -21,16 +19,16 @@ from .tsys import TransitionSystem
 PAState = tuple[int, str]
 
 
-@dataclass
 class ProductAutomaton:
     """Reachable product with deterministic state and edge ordering."""
 
-    states: list[PAState]
-    initial: list[PAState]
-    accepting: frozenset[PAState]
-    stoppable: frozenset[PAState]
-    edges: dict[tuple[PAState, PAState], list[str]]
-    successors: dict[PAState, list[PAState]]
+    def __init__(self, states: list[PAState], initial: list[PAState],
+                 accepting: frozenset[PAState], stoppable: frozenset[PAState],
+                 edges: dict[tuple[PAState, PAState], list[str]],
+                 successors: dict[PAState, list[PAState]]):
+        self.states, self.initial, self.accepting, self.stoppable = (
+            states, initial, accepting, stoppable)
+        self.edges, self.successors = edges, successors
 
     def state_name(self, state: PAState) -> str:
         return f"{TransitionSystem.state_name(state[0])}|{state[1]}"
@@ -109,14 +107,13 @@ def build_product(ts: TransitionSystem, aut: BuchiAutomaton) -> ProductAutomaton
     )
 
 
-@dataclass
 class Plan:
     """A policy sequence: finite prefix plus an optionally empty cycle."""
 
-    prefix: list[str]
-    cycle: list[str]
-    prefix_states: list[PAState]
-    cycle_states: list[PAState]
+    def __init__(self, prefix: list[str], cycle: list[str],
+                 prefix_states: list[PAState], cycle_states: list[PAState]):
+        self.prefix, self.cycle = prefix, cycle
+        self.prefix_states, self.cycle_states = prefix_states, cycle_states
 
     @property
     def length(self) -> int:

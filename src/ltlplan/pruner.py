@@ -21,8 +21,6 @@ replay the reduction on the original system.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-
 from .gridworld import bfs_tree, tree_depths
 from .tsys import EMPTY_LABEL, TransitionSystem
 
@@ -34,14 +32,14 @@ EMPTY_CLEANUP = "emptyCleanup"
 ALL_CASES = (CASE1, CASE2, CASE3, EMPTY_CLEANUP)
 
 
-@dataclass
 class PruneReport:
     """Everything the pruner changed, in execution order."""
 
-    merged_state_groups: list[tuple[int, ...]] = field(default_factory=list)
-    removed_symbols: list[tuple[int, int, str, str]] = field(default_factory=list)
-    removed_transitions: list[tuple[int, int, str]] = field(default_factory=list)
-    unreachable_states: list[int] = field(default_factory=list)
+    def __init__(self):
+        self.merged_state_groups: list[tuple[int, ...]] = []
+        self.removed_symbols: list[tuple[int, int, str, str]] = []
+        self.removed_transitions: list[tuple[int, int, str]] = []
+        self.unreachable_states: list[int] = []
 
     def to_document(self) -> dict:
         name = TransitionSystem.state_name
@@ -65,7 +63,7 @@ class PruneReport:
             if case in cases and (src, dst) in out.transitions:
                 out.transitions[(src, dst)].discard(sym)
         dropped = {(src, dst) for (src, dst, case) in self.removed_transitions if case in cases}
-        return replace(out, transitions={
+        return out.with_transitions({
             edge: syms for edge, syms in out.transitions.items() if edge not in dropped
         })
 
@@ -198,7 +196,7 @@ def empty_cleanup(ts: TransitionSystem, report: PruneReport) -> TransitionSystem
             kept[(src, dst)] = symbols
         else:
             report.removed_transitions.append((src, dst, EMPTY_CLEANUP))
-    return replace(ts, transitions=kept)
+    return ts.with_transitions(kept)
 
 
 def _unreachable_states(ts: TransitionSystem) -> list[int]:

@@ -15,8 +15,6 @@ one state per twin class and unfolds the classes only for output.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-
 from .gridworld import Region
 from .ltl import Guard
 
@@ -36,7 +34,6 @@ def format_labelset(labelset: frozenset[str]) -> str:
     return "{" + ",".join(sorted(labelset)) + "}"
 
 
-@dataclass
 class TransitionSystem:
     """A finite transition system over region states.
 
@@ -50,13 +47,11 @@ class TransitionSystem:
     a new system.  Label sets on existing edges may still shrink in place.
     """
 
-    order: list[int]
-    labels: dict[int, frozenset[str]]
-    transitions: dict[tuple[int, int], set[str]]
-    initial: int
-    mode: str = PRIMITIVE
-
-    def __post_init__(self) -> None:
+    def __init__(self, order: list[int], labels: dict[int, frozenset[str]],
+                 transitions: dict[tuple[int, int], set[str]], initial: int,
+                 mode: str = PRIMITIVE):
+        self.order, self.labels, self.transitions, self.initial, self.mode = (
+            order, labels, transitions, initial, mode)
         position = {s: i for i, s in enumerate(self.order)}
         self._successors: dict[int, list[int]] = {s: [] for s in self.order}
         for (src, dst) in self.transitions:
@@ -94,6 +89,10 @@ class TransitionSystem:
             # One symbol for the whole label set, e.g. ``b&square``.
             return frozenset({Guard(labelset).format()})
         return labelset
+
+    def with_transitions(self, transitions: dict[tuple[int, int], set[str]]) -> "TransitionSystem":
+        """The same states, labels, initial state and mode over a new edge set."""
+        return TransitionSystem(self.order, self.labels, transitions, self.initial, self.mode)
 
     def quotient(self, mapping: dict[int, int | None]) -> "TransitionSystem":
         """A new system over the states that ``mapping`` maps to themselves.
@@ -232,7 +231,7 @@ def generate_ts_labels(ts: TransitionSystem, twinned=frozenset()) -> TransitionS
     for state in twinned:
         for edge in ts.out_edges(state):
             transitions[edge] |= contributes[position[state]]
-    return replace(ts, transitions=transitions)
+    return ts.with_transitions(transitions)
 
 
 def is_deterministic(

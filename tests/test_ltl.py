@@ -362,6 +362,23 @@ def test_lasso_check_memory_does_not_grow_with_the_prefix():
         assert peak < 2 << 20, (text, peak)
 
 
+def test_lasso_check_shares_equal_set_letters():
+    # A library caller may pass mutable set letters; each distinct letter is
+    # converted once, not once per position, so they cost what frozensets do.
+    aut = to_buchi(parse_ltl("G F a & G F c"))
+    peaks = {}
+    for kind in (frozenset, set):
+        prefix = [kind({"a"}), kind(), kind({"c"}), kind()] * 5000
+        cycle = [kind({"a"}), kind({"c"})]
+        tracemalloc.start()
+        try:
+            assert accepts_lasso(aut, prefix, cycle)
+            peaks[kind] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peaks[set] <= 2 * peaks[frozenset], peaks
+
+
 def test_eventually_dual_to_always_not():
     rng = random.Random(42)
     pos = to_buchi(parse_ltl("F a"))

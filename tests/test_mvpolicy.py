@@ -5,7 +5,6 @@ from __future__ import annotations
 import random
 import re
 import time
-from dataclasses import replace
 
 import pytest
 
@@ -301,7 +300,7 @@ def _with_beacon(grid: GridMap) -> tuple[GridMap, tuple[int, int]]:
     free = [i for i, labels in enumerate(grid.cells) if labels is not None]
     cells = list(grid.cells)
     cells[free[-1]] = frozenset({"z"})
-    return replace(grid, cells=tuple(cells)), (free[0] % grid.width, free[0] // grid.width)
+    return grid._replace(cells=tuple(cells)), (free[0] % grid.width, free[0] // grid.width)
 
 
 def test_mv_path_matches_reference(monkeypatch):
