@@ -75,13 +75,31 @@ def test_rendering_inserts_minimal_parentheses():
     assert to_text(parse_ltl("a & b | c")) == "a & b | c"
 
 
-@pytest.mark.parametrize(
-    "bad",
-    ["!(a | b)", "!true", "F", "a U", "a b", "a ^ b", "", "(a", "a)"],
-)
+# Each malformed input and the whole message it is rejected with.
+MALFORMED = {
+    "!(a | b)": "negation applies only to atomic propositions (offset 1)",
+    "!true": "negation applies only to atomic propositions (offset 1)",
+    "!": "negation applies only to atomic propositions (offset 1)",
+    "F": "unexpected token 'end of input' at offset 1",
+    "a U": "unexpected token 'end of input' at offset 3",
+    "a |": "unexpected token 'end of input' at offset 3",
+    "": "unexpected token 'end of input' at offset 0",
+    "a b": "unexpected token 'b' at offset 2",
+    "F a a": "unexpected token 'a' at offset 4",
+    "a ^ b": "unexpected character '^' at offset 2",
+    "(a": "expected ')' at offset 2",
+    "G (a": "expected ')' at offset 4",
+    "a)": "unexpected token ')' at offset 1",
+    "()": "unexpected token ')' at offset 1",
+    "a & | b": "unexpected token '|' at offset 4",
+}
+
+
+@pytest.mark.parametrize("bad", list(MALFORMED))
 def test_malformed_input_rejected(bad):
-    with pytest.raises(LtlParseError):
+    with pytest.raises(LtlParseError) as raised:
         parse_ltl(bad)
+    assert str(raised.value) == MALFORMED[bad]
 
 
 @pytest.mark.parametrize(
@@ -111,21 +129,50 @@ def test_atoms_collected():
     assert parse_ltl("true").atoms() == frozenset()
 
 
+# Each shape, and the offset at which one level more than MAX_NESTING fails.
 NESTED_SHAPES = {
-    "eventually": lambda n: "F " * n + "a",
-    "parentheses": lambda n: "(" * n + "a" + ")" * n,
-    "until_chain": lambda n: "!a U " * n + "b",
-    "conjunction_chain": lambda n: " & ".join(["a"] * (n + 1)),
+    "eventually": (lambda n: "F " * n + "a", 202),
+    "parentheses": (lambda n: "(" * n + "a" + ")" * n, 101),
+    "until_chain": (lambda n: "!a U " * n + "b", 505),
+    "conjunction_chain": (lambda n: " & ".join(["a"] * (n + 1)), 404),
+    "disjunction_chain": (lambda n: " | ".join(["a"] * (n + 1)), 404),
 }
 
 
 @pytest.mark.parametrize("shape", sorted(NESTED_SHAPES))
 def test_nesting_bound_is_exact(shape):
+    nest, offset = NESTED_SHAPES[shape]
     # Only parse: compiling F^k at this depth would take far too long.
-    at_bound = parse_ltl(NESTED_SHAPES[shape](MAX_NESTING), alphabet=frozenset({"a", "b"}))
+    at_bound = parse_ltl(nest(MAX_NESTING), alphabet=frozenset({"a", "b"}))
     assert parse_ltl(to_text(at_bound)) == at_bound
-    with pytest.raises(LtlParseError, match="nests deeper"):
-        parse_ltl(NESTED_SHAPES[shape](MAX_NESTING + 1))
+    with pytest.raises(LtlParseError) as raised:
+        parse_ltl(nest(MAX_NESTING + 1))
+    assert str(raised.value) == (
+        f"formula nests deeper than {MAX_NESTING} levels at offset {offset}"
+    )
+
+
+@pytest.mark.parametrize("shape", sorted(NESTED_SHAPES))
+def test_parsing_spends_at_most_five_frames_per_nesting_level(shape):
+    # MAX_NESTING's comment budgets five frames per level against Python's
+    # recursion limit; count the deepest stack of Python calls while parsing.
+    depth = deepest = 0
+
+    def profile(frame, event, arg):
+        nonlocal depth, deepest
+        if event == "call":
+            depth += 1
+            deepest = max(deepest, depth)
+        elif event == "return":
+            depth -= 1
+
+    text = NESTED_SHAPES[shape][0](MAX_NESTING)
+    sys.setprofile(profile)
+    try:
+        parse_ltl(text)
+    finally:
+        sys.setprofile(None)
+    assert deepest <= 5 * (MAX_NESTING + 2)
 
 
 @st.composite
