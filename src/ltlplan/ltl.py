@@ -126,7 +126,12 @@ def _subformulas(formula: LtlFormula) -> list[LtlFormula]:
     return list(found)
 
 
-_LEVEL_OR, _LEVEL_AND, _LEVEL_UNTIL, _LEVEL_UNARY = 1, 2, 3, 4
+# The binary operators, loosest first: token kind, text, node class and
+# whether it is right-associative.  A node's precedence level is its entry's
+# index here, and the unary operators bind at ``_LEVEL_UNARY``.
+_BINARY = (("OR", "|", Or, False), ("AND", "&", And, False), ("U", "U", Until, True))
+_LEVEL_OF = {entry[2]: level for level, entry in enumerate(_BINARY)}
+_LEVEL_UNARY = len(_BINARY)
 
 
 def to_text(formula: LtlFormula) -> str:
@@ -142,16 +147,11 @@ def _render(formula: LtlFormula, parent_level: int) -> str:
             return name
         case NotAtom(name):
             return f"!{name}"
-        case Or(left, right):
-            text = f"{_render(left, _LEVEL_OR)} | {_render(right, _LEVEL_OR)}"
-            level = _LEVEL_OR
-        case And(left, right):
-            text = f"{_render(left, _LEVEL_AND)} & {_render(right, _LEVEL_AND)}"
-            level = _LEVEL_AND
-        case Until(left, right):
-            # Right-associative: a left-nested until must keep its parens.
-            text = f"{_render(left, _LEVEL_UNTIL + 1)} U {_render(right, _LEVEL_UNTIL)}"
-            level = _LEVEL_UNTIL
+        case Or(left, right) | And(left, right) | Until(left, right):
+            level = _LEVEL_OF[type(formula)]
+            _, op, _, right_assoc = _BINARY[level]
+            # A right-associative operator keeps a left operand's own-level parens.
+            text = f"{_render(left, level + right_assoc)} {op} {_render(right, level)}"
         case Eventually(sub):
             text = f"F {_render(sub, _LEVEL_UNARY)}"
             level = _LEVEL_UNARY
@@ -185,32 +185,19 @@ MAX_NESTING = 100
 MAX_TABLEAU_EDGES = 100_000
 
 
-class _Tokenizer:
-    def __init__(self, text: str):
-        self.tokens: list[tuple[str, str, int]] = []
-        for match in _TOKEN_RE.finditer(text):
-            kind, value, pos = match.lastgroup, match.group(), match.start()
-            if kind == "bad":
-                raise LtlParseError(f"unexpected character {value!r} at offset {pos}")
-            if kind == "token":
-                self.tokens.append((_KINDS.get(value, "NAME"), value, pos))
-        self.tokens.append(("END", "", len(text)))
-        self.index = 0
-
-    def peek(self) -> tuple[str, str, int]:
-        return self.tokens[self.index]
-
-    def next(self) -> tuple[str, str, int]:
-        token = self.tokens[self.index]
-        self.index += 1
-        return token
-
-
 def parse_ltl(text: str, alphabet: frozenset[str] | None = None) -> LtlFormula:
     """Parse a formula; with ``alphabet`` given, atoms outside it are errors."""
-    tokens = _Tokenizer(text)
-    formula = _parse_or(tokens, 0)
-    kind, value, pos = tokens.peek()
+    tokens = []
+    for match in _TOKEN_RE.finditer(text):
+        kind, value, pos = match.lastgroup, match.group(), match.start()
+        if kind == "bad":
+            raise LtlParseError(f"unexpected character {value!r} at offset {pos}")
+        if kind == "token":
+            tokens.append((_KINDS.get(value, "NAME"), value, pos))
+    # The parse pops tokens off the end, so they lie in reverse behind an end marker.
+    tokens = [("END", "", len(text)), *reversed(tokens)]
+    formula = _parse_binary(tokens, 0, 0)
+    kind, value, pos = tokens[-1]
     if kind != "END":
         raise LtlParseError(f"unexpected token {value!r} at offset {pos}")
     if alphabet is not None:
@@ -221,64 +208,41 @@ def parse_ltl(text: str, alphabet: frozenset[str] | None = None) -> LtlFormula:
     return formula
 
 
-def _parse_or(tokens: _Tokenizer, depth: int) -> LtlFormula:
-    node = _parse_and(tokens, depth)
-    while tokens.peek()[0] == "OR":
-        tokens.next()
+def _parse_binary(tokens: list[tuple[str, str, int]], depth: int, level: int) -> LtlFormula:
+    """Parse operators of ``_BINARY[level]`` and tighter ones; past them, a unary formula."""
+    if level == _LEVEL_UNARY:
+        return _parse_unary(tokens, depth)
+    kind, _, node_class, right_assoc = _BINARY[level]
+    node = _parse_binary(tokens, depth, level + 1)
+    while tokens[-1][0] == kind:
+        tokens.pop()
         depth += 1
-        node = Or(node, _parse_and(tokens, depth))
+        node = node_class(node, _parse_binary(tokens, depth, level + 1 - right_assoc))
     return node
 
 
-def _parse_and(tokens: _Tokenizer, depth: int) -> LtlFormula:
-    node = _parse_until(tokens, depth)
-    while tokens.peek()[0] == "AND":
-        tokens.next()
-        depth += 1
-        node = And(node, _parse_until(tokens, depth))
-    return node
-
-
-def _parse_until(tokens: _Tokenizer, depth: int) -> LtlFormula:
-    node = _parse_unary(tokens, depth)
-    if tokens.peek()[0] == "U":
-        tokens.next()
-        return Until(node, _parse_until(tokens, depth + 1))
-    return node
-
-
-def _parse_unary(tokens: _Tokenizer, depth: int) -> LtlFormula:
-    kind, value, pos = tokens.peek()
+def _parse_unary(tokens: list[tuple[str, str, int]], depth: int) -> LtlFormula:
+    kind, value, pos = tokens.pop()
     if depth > MAX_NESTING:
         raise LtlParseError(f"formula nests deeper than {MAX_NESTING} levels at offset {pos}")
     if kind == "F":
-        tokens.next()
         return Eventually(_parse_unary(tokens, depth + 1))
     if kind == "G":
-        tokens.next()
         return Always(_parse_unary(tokens, depth + 1))
     if kind == "NOT":
-        tokens.next()
-        inner_kind, inner_value, inner_pos = tokens.next()
-        if inner_kind != "NAME":
-            raise LtlParseError(
-                f"negation applies only to atomic propositions (offset {inner_pos})"
-            )
-        return NotAtom(inner_value)
-    return _parse_primary(tokens, depth)
-
-
-def _parse_primary(tokens: _Tokenizer, depth: int) -> LtlFormula:
-    kind, value, pos = tokens.next()
+        kind, value, pos = tokens.pop()
+        if kind != "NAME":
+            raise LtlParseError(f"negation applies only to atomic propositions (offset {pos})")
+        return NotAtom(value)
     if kind == "TRUE":
         return Top()
     if kind == "NAME":
         return Atom(value)
     if kind == "LPAREN":
-        node = _parse_or(tokens, depth + 1)
-        closing = tokens.next()
-        if closing[0] != "RPAREN":
-            raise LtlParseError(f"expected ')' at offset {closing[2]}")
+        node = _parse_binary(tokens, depth + 1, 0)
+        kind, _, pos = tokens.pop()
+        if kind != "RPAREN":
+            raise LtlParseError(f"expected ')' at offset {pos}")
         return node
     raise LtlParseError(f"unexpected token {value or 'end of input'!r} at offset {pos}")
 
