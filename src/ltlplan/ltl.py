@@ -217,6 +217,7 @@ def _parse_binary(tokens: list[tuple[str, str, int]], depth: int, level: int) ->
     while tokens[-1][0] == kind:
         tokens.pop()
         depth += 1
+        # A right-associative operator's right operand may hold it again.
         node = node_class(node, _parse_binary(tokens, depth, level + 1 - right_assoc))
     return node
 
