@@ -20,7 +20,11 @@ PAState = tuple[int, str]
 
 
 class ProductAutomaton:
-    """Reachable product with deterministic state and edge ordering."""
+    """Reachable product with deterministic state and edge ordering.
+
+    ``edges`` maps each product edge to its policy symbols, sorted; the
+    edges over one system edge share one list, so nothing may mutate it.
+    """
 
     def __init__(self, states: list[PAState], initial: list[PAState],
                  accepting: frozenset[PAState], stoppable: frozenset[PAState],
@@ -81,6 +85,8 @@ def build_product(ts: TransitionSystem, aut: BuchiAutomaton) -> ProductAutomaton
     initial = [(ts.initial, q) for q in aut.step(aut.initial, ts.labels[ts.initial])]
     edges: dict[tuple[PAState, PAState], list[str]] = {}
     successors: dict[PAState, list[PAState]] = {}
+    # One sorted symbol list per TS edge, shared by every product edge over it.
+    symbols = {edge: sorted(policies) for edge, policies in ts.transitions.items()}
 
     def expand(src: PAState) -> list[PAState]:
         s, q = src
@@ -88,7 +94,7 @@ def build_product(ts: TransitionSystem, aut: BuchiAutomaton) -> ProductAutomaton
         for (_, t) in ts.out_edges(s):
             for q2 in aut.step(q, ts.labels[t]):
                 dst = (t, q2)
-                edges[(src, dst)] = sorted(ts.transitions[(s, t)])
+                edges[(src, dst)] = symbols[(s, t)]
                 out.append(dst)
         successors[src] = out
         return out
@@ -151,6 +157,9 @@ def find_plan(pa: ProductAutomaton) -> Plan | None:
 
     best = None  # (length, target, cycle states); a stoppable target's cycle is []
     for state in parent:
+        # ``parent`` is in BFS order: no later state starts a shorter plan.
+        if best is not None and dist[state] >= best[0]:
+            break
         if state in pa.stoppable:
             cycle = []
         elif state in pa.accepting:

@@ -20,7 +20,8 @@ from envgen import (
     sea_with_islands,
     ts_alphabet,
 )
-from ltlplan.gridworld import extract_regions, parse_map
+from ltlplan import product
+from ltlplan.gridworld import bfs_tree, extract_regions, parse_map, tree_depths
 from ltlplan.ltl import parse_ltl, to_buchi, to_text
 from ltlplan.mvpolicy import region_index
 from ltlplan.product import build_product, find_plan
@@ -227,6 +228,50 @@ def test_plan_prefers_stopping_over_cycling(open_room_grid):
         assert plan is not None
         assert plan.cycle == []
         assert plan.prefix_states[-1] in pa.stoppable
+
+
+# ---------------------------------------------------------------------------
+# Work on a board where every cell is its own region
+
+
+def six_symbol_board(side: int):
+    """Cell (x, y) holds ``"abcdef"[(x + 2y) % 6]``; the start cell (0, 0) is free."""
+    return parse_map("\n".join(
+        "".join("." if x == y == 0 else "abcdef"[(x + 2 * y) % 6] for x in range(side))
+        for y in range(side)
+    ))
+
+
+def test_plan_search_stops_at_the_best_length(monkeypatch):
+    pruned = pruned_system(six_symbol_board(8), PRIMITIVE)
+    pa = build_product(pruned, to_buchi(parse_ltl("F a & F b & F c & F d & F e & F f")))
+    cycle_searches = []
+    search = product.cycle_path
+
+    def counted(state, successors):
+        cycle_searches.append(state)
+        return search(state, successors)
+
+    monkeypatch.setattr(product, "cycle_path", counted)
+    plan = find_plan(pa)
+    assert plan is not None and plan.length == 6
+    # Only an accepting state that lies closer than the plan's length can
+    # start a shorter plan; the board has 310 accepting states, 84 of them
+    # closer than 6 policies.
+    depth = tree_depths(bfs_tree(pa.initial, pa.successors.__getitem__))
+    closer = [s for s in pa.accepting if depth[s] < plan.length and s not in pa.stoppable]
+    assert len(cycle_searches) <= len(closer) < 100
+
+
+def test_product_edges_share_one_symbol_list_per_system_edge():
+    pruned = pruned_system(six_symbol_board(8), PRIMITIVE)
+    pa = build_product(pruned, to_buchi(parse_ltl("F a & F b & F c & F d & F e & F f")))
+    by_system_edge: dict[tuple[int, int], set[int]] = {}
+    for ((s, _), (t, _)), symbols in pa.edges.items():
+        assert symbols == sorted(pruned.transitions[(s, t)])
+        by_system_edge.setdefault((s, t), set()).add(id(symbols))
+    assert len(pa.edges) > len(by_system_edge)
+    assert all(len(ids) == 1 for ids in by_system_edge.values())
 
 
 # ---------------------------------------------------------------------------
