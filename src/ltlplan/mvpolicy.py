@@ -422,7 +422,16 @@ class Trace:
 
     @classmethod
     def from_document(cls, doc: dict) -> "Trace":
-        """Rebuild a trace; raises ``ValueError`` on no cells or bad counts, bounds or moves."""
+        """Rebuild a trace; raises ``ValueError`` on no cells or bad counts, bounds or moves.
+
+        More than ``MAX_TRACE_CELLS`` cells or policy segments are rejected too.
+        That bounds a stored trace's size and the memory it takes, but not the
+        time to check it: ``accepts_lasso`` is quadratic in the cycle's length.
+        """
+        for key, what in (("cells", "cells"), ("segments", "policy segments")):
+            if len(doc[key]) > MAX_TRACE_CELLS:
+                raise ValueError(f"the trace holds {len(doc[key])} {what}, more than the"
+                                 f" MAX_TRACE_CELLS bound of {MAX_TRACE_CELLS}")
         cells = [(_require_count(cell, "x"), _require_count(cell, "y")) for cell in doc["cells"]]
         if not cells:
             raise ValueError("trace has no cells")

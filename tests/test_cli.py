@@ -525,6 +525,27 @@ def test_check_malformed_trace_exits_2(tmp_path, fields):
     assert main(["check", "--map", RING, "--ltl", "G F c", "--trace", str(bogus)]) == 2
 
 
+def test_check_rejects_a_stored_trace_past_the_bound(tmp_path, monkeypatch, capsys):
+    run_out = tmp_path / "run.json"
+    assert main(["run", "--map", RING, "--ltl", "F c & F b", "--out", str(run_out)]) == 0
+    doc = read_json(run_out)["trace"]
+    assert (len(doc["cells"]), len(doc["segments"])) == (11, 6)
+    last = len(doc["cells"]) - 1
+    parked = {"policy": "b", "start_index": last, "end_index": last, "forced_violations": 0}
+    check = ["check", "--map", RING, "--ltl", "F c & F b", "--trace", str(tmp_path / "trace.json")]
+    for bound, segments, exit_code, fault in [
+        (11, doc["segments"], 0, None),
+        (10, doc["segments"], 2, "11 cells, more than the MAX_TRACE_CELLS bound of 10"),
+        (11, doc["segments"] + [parked] * 6, 2, "12 policy segments"),
+    ]:
+        monkeypatch.setattr(mvpolicy, "MAX_TRACE_CELLS", bound)
+        (tmp_path / "trace.json").write_text(json.dumps({**doc, "segments": segments}))
+        assert main(check) == exit_code
+        err = capsys.readouterr().err
+        if fault:
+            assert f"cannot load trace: the trace holds {fault}" in err
+
+
 # ---------------------------------------------------------------------------
 # Output behavior
 
