@@ -128,7 +128,8 @@ def _subformulas(formula: LtlFormula) -> list[LtlFormula]:
 
 # The binary operators, loosest first: token kind, text, node class and
 # whether it is right-associative.  A node's precedence level is its entry's
-# index here, and the unary operators bind at ``_LEVEL_UNARY``.
+# index here; the unary operators bind tightest, at ``_LEVEL_UNARY``, so
+# they never need parentheses.
 _BINARY = (("OR", "|", Or, False), ("AND", "&", And, False), ("U", "U", Until, True))
 _LEVEL_OF = {entry[2]: level for level, entry in enumerate(_BINARY)}
 _LEVEL_UNARY = len(_BINARY)
@@ -147,20 +148,17 @@ def _render(formula: LtlFormula, parent_level: int) -> str:
             return name
         case NotAtom(name):
             return f"!{name}"
+        case Eventually(sub):
+            return f"F {_render(sub, _LEVEL_UNARY)}"
+        case Always(sub):
+            return f"G {_render(sub, _LEVEL_UNARY)}"
         case Or(left, right) | And(left, right) | Until(left, right):
             level = _LEVEL_OF[type(formula)]
             _, op, _, right_assoc = _BINARY[level]
             # A right-associative operator keeps a left operand's own-level parens.
             text = f"{_render(left, level + right_assoc)} {op} {_render(right, level)}"
-        case Eventually(sub):
-            text = f"F {_render(sub, _LEVEL_UNARY)}"
-            level = _LEVEL_UNARY
-        case Always(sub):
-            text = f"G {_render(sub, _LEVEL_UNARY)}"
-            level = _LEVEL_UNARY
-        case _:
-            raise TypeError(f"not a formula: {formula!r}")
-    return f"({text})" if level < parent_level else text
+            return f"({text})" if level < parent_level else text
+    raise TypeError(f"not a formula: {formula!r}")
 
 
 # ---------------------------------------------------------------------------
