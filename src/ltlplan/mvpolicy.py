@@ -428,9 +428,9 @@ class Trace:
         That bounds a stored trace's size and the memory it takes, but not the
         time to check it: ``accepts_lasso`` is quadratic in the cycle's length.
         """
-        for key, what in (("cells", "cells"), ("segments", "policy segments")):
+        for key in ("cells", "segments"):
             if len(doc[key]) > MAX_TRACE_CELLS:
-                raise ValueError(f"the trace holds {len(doc[key])} {what}, more than the"
+                raise ValueError(f"the trace holds {len(doc[key])} {key}, more than the"
                                  f" MAX_TRACE_CELLS bound of {MAX_TRACE_CELLS}")
         cells = [(_require_count(cell, "x"), _require_count(cell, "y")) for cell in doc["cells"]]
         if not cells:

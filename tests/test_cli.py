@@ -536,7 +536,7 @@ def test_check_rejects_a_stored_trace_past_the_bound(tmp_path, monkeypatch, caps
     for bound, segments, exit_code, fault in [
         (11, doc["segments"], 0, None),
         (10, doc["segments"], 2, "11 cells, more than the MAX_TRACE_CELLS bound of 10"),
-        (11, doc["segments"] + [parked] * 6, 2, "12 policy segments"),
+        (11, doc["segments"] + [parked] * 6, 2, "12 segments, more than the MAX_TRACE_CELLS"),
     ]:
         monkeypatch.setattr(mvpolicy, "MAX_TRACE_CELLS", bound)
         (tmp_path / "trace.json").write_text(json.dumps({**doc, "segments": segments}))
