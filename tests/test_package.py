@@ -11,8 +11,9 @@ import pytest
 
 import ltlplan
 from ltlplan import GridMap, Guard, Region, parse_policy
+from ltlplan.gridworld import extract_regions, parse_map
 from ltlplan.ltl import Always, And, Atom, Eventually, NotAtom, Or, Until
-from ltlplan.mvpolicy import TraceSegment
+from ltlplan.mvpolicy import Trace, TraceSegment, execute_plan, region_index
 
 
 def test_every_exported_name_resolves_once():
@@ -42,6 +43,10 @@ def test_records_keep_value_semantics():
     assert Atom("a") != NotAtom("a")
     assert len({Atom("a"), NotAtom("a")}) == 2
     assert And(x, y) != Or(x, y)
+    assert Until(x, y) != And(x, y)
+    assert Atom("a") != ("a",) and ("a",) != Atom("a")
+    assert hash(Atom("a")) == hash(("a",))
+    assert hash(And(x, y)) == hash((x, y))
     assert And(x, y) == And(Atom("x"), Atom("y"))
     assert hash(And(x, y)) == hash(And(Atom("x"), Atom("y")))
     frozen = ((x, "name"), (Until(x, y), "left"), (Always(x), "sub"), (Guard(), "positives"))
@@ -63,3 +68,7 @@ def test_records_keep_value_semantics():
     segment = TraceSegment(symbol="b", start=0, end=2, forced_violations=1)
     assert (segment.symbol, segment.start, segment.end, segment.forced_violations) == ("b", 0, 2, 1)
     assert segment == TraceSegment("b", 0, 2, 1)
+    grid = parse_map(".a.b")
+    index = region_index(extract_regions(grid)[0], grid.width, grid.height)
+    trace = execute_plan((0, 0), ["b"], ["a"], index, cycles=2)
+    assert Trace.from_document(trace.to_document()) == trace
