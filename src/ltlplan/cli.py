@@ -268,10 +268,10 @@ def cmd_check(p) -> int:
     except (OSError, ValueError, KeyError, TypeError, RecursionError) as exc:
         raise CliError(f"cannot load trace: {exc}", EXIT_BAD_INPUT)
     try:
-        trace.word, trace.word_cells = trace_word(trace.cells, p["index"])
+        word, word_cells = trace_word(trace.cells, p["index"])
     except KeyError:
         raise CliError("trace leaves the map's passable cells", EXIT_BAD_INPUT)
-    p["trace"] = trace
+    p["trace"] = trace._replace(word=word, word_cells=word_cells)
     _write_json(p["args"].out, {"satisfied": p["satisfied"]})
     return EXIT_OK if p["satisfied"] else EXIT_CHECK_FAILED
 

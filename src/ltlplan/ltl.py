@@ -41,70 +41,57 @@ class LtlParseError(ValueError):
 # Formula AST
 
 
-class LtlFormula:
-    """Base class for formula nodes; all nodes are immutable and hashable.
+class LtlFormula(tuple):
+    """Base class for formula nodes, each a ``namedtuple`` of its fields.
 
-    A node class names its fields in ``__slots__``, which are also its
-    ``match`` arguments; ``_key`` holds their values, compared and hashed.
+    A node equals only a node of the same class with equal fields, and
+    hashes as the plain tuple of its fields.
     """
 
-    __slots__ = ("_key",)
-
-    def __init__(self, *values):
-        if len(values) != len(self.__match_args__):
-            raise TypeError(f"{type(self).__name__} takes fields {self.__match_args__}")
-        for name, value in zip(self.__match_args__, values):
-            object.__setattr__(self, name, value)
-        object.__setattr__(self, "_key", values)
-
-    def __setattr__(self, name, *_):
-        raise AttributeError(f"cannot assign to field {name!r} of a formula")
-
-    __delattr__ = __setattr__
+    __slots__ = ()
 
     def __eq__(self, other):
-        return type(other) is type(self) and self._key == other._key
+        return type(other) is type(self) and tuple.__eq__(self, other)
 
-    def __hash__(self):
-        return hash(self._key)
+    def __ne__(self, other):
+        return not self == other
 
-    def __repr__(self):
-        return f"{type(self).__name__}({', '.join(map(repr, self._key))})"
+    __hash__ = tuple.__hash__
 
     def atoms(self) -> frozenset[str]:
         return frozenset(f.name for f in _subformulas(self) if isinstance(f, (Atom, NotAtom)))
 
 
-class Top(LtlFormula):
-    __slots__ = __match_args__ = ()
+class Top(namedtuple("Top", ""), LtlFormula):
+    __slots__ = ()
 
 
-class Atom(LtlFormula):
-    __slots__ = __match_args__ = ("name",)
+class Atom(namedtuple("Atom", "name"), LtlFormula):
+    __slots__ = ()
 
 
-class NotAtom(LtlFormula):
-    __slots__ = __match_args__ = ("name",)
+class NotAtom(namedtuple("NotAtom", "name"), LtlFormula):
+    __slots__ = ()
 
 
-class And(LtlFormula):
-    __slots__ = __match_args__ = ("left", "right")
+class And(namedtuple("And", "left right"), LtlFormula):
+    __slots__ = ()
 
 
-class Or(LtlFormula):
-    __slots__ = __match_args__ = ("left", "right")
+class Or(namedtuple("Or", "left right"), LtlFormula):
+    __slots__ = ()
 
 
-class Until(LtlFormula):
-    __slots__ = __match_args__ = ("left", "right")
+class Until(namedtuple("Until", "left right"), LtlFormula):
+    __slots__ = ()
 
 
-class Eventually(LtlFormula):
-    __slots__ = __match_args__ = ("sub",)
+class Eventually(namedtuple("Eventually", "sub"), LtlFormula):
+    __slots__ = ()
 
 
-class Always(LtlFormula):
-    __slots__ = __match_args__ = ("sub",)
+class Always(namedtuple("Always", "sub"), LtlFormula):
+    __slots__ = ()
 
 
 def _subformulas(formula: LtlFormula) -> list[LtlFormula]:
@@ -112,15 +99,11 @@ def _subformulas(formula: LtlFormula) -> list[LtlFormula]:
     found: dict[LtlFormula, None] = {}
 
     def walk(f: LtlFormula) -> None:
-        if f in found:
-            return
-        found[f] = None
-        match f:
-            case And(left, right) | Or(left, right) | Until(left, right):
-                walk(left)
-                walk(right)
-            case Eventually(sub) | Always(sub):
-                walk(sub)
+        if f not in found:
+            found[f] = None
+            for field in f:
+                if isinstance(field, LtlFormula):
+                    walk(field)
 
     walk(formula)
     return list(found)

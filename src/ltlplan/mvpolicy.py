@@ -124,7 +124,7 @@ class CellIndex(Mapping):
         return GridMasks.build(self)
 
 
-class GridMasks:
+class GridMasks(namedtuple("GridMasks", "passable unlabeled same_up same_left codes labels goals")):
     """A cell index as whole-grid bitsets, one bit per cell.
 
     Bit ``i`` stands for the index's cell number ``i``, so pad cells are
@@ -132,17 +132,12 @@ class GridMasks:
     ``same_up`` and ``same_left`` hold the passable cells in the same region
     as their neighbour above or to the left, which adjacent cells share
     exactly when they share a label set; shifted back, they give the cells
-    in the same region as their neighbour below or to the right.
+    in the same region as their neighbour below or to the right.  ``codes``
+    holds one byte per cell, highest bit first: its label set's code, 0 if
+    not passable; code ``c`` stands for ``labels[c - 1]``.
     """
 
-    def __init__(self, passable: int, unlabeled: int, same_up: int, same_left: int,
-                 codes: bytes, labels: list[LabelSet]):
-        self.passable, self.unlabeled, self.same_up, self.same_left = (
-            passable, unlabeled, same_up, same_left)
-        # One byte per cell, highest bit first: its label set's code, 0 if not
-        # passable; code ``c`` stands for ``labels[c - 1]``.
-        self.codes, self.labels = codes, labels
-        self.goals: dict[Guard, int] = {}
+    __slots__ = ()
 
     @classmethod
     def build(cls, index: CellIndex) -> GridMasks | None:
@@ -178,6 +173,7 @@ class GridMasks:
             same(1),
             highest_first,
             labels,
+            {},
         )
 
     def goal(self, policy: Guard) -> int:
@@ -394,20 +390,11 @@ class TraceSegment(namedtuple("TraceSegment", "symbol start end forced_violation
         }
 
 
-class Trace:
+class Trace(namedtuple("Trace", ("cells", "word", "word_cells", "segments", "prefix_segments",
+                                 "cycle_length", "cycles"), defaults=((), (), 0, 0, 0))):
     """A concrete run: cells visited, induced label word, segment map."""
 
-    def __init__(self, cells: list[Cell], word: list[LabelSet], word_cells: list[int] | None = None,
-                 segments: list[TraceSegment] | None = None, prefix_segments: int = 0,
-                 cycle_length: int = 0, cycles: int = 0):
-        self.cells, self.word = cells, word
-        self.word_cells = [] if word_cells is None else word_cells
-        self.segments = [] if segments is None else segments
-        self.prefix_segments, self.cycle_length, self.cycles = (
-            prefix_segments, cycle_length, cycles)
-
-    def __eq__(self, other):
-        return type(other) is type(self) and vars(self) == vars(other)
+    __slots__ = ()
 
     def to_document(self) -> dict:
         return {

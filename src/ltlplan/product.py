@@ -12,6 +12,8 @@ then on, which models the agent parking after the last task.
 
 from __future__ import annotations
 
+from collections import namedtuple
+
 from .gridworld import bfs_tree, cycle_path, tree_depths, tree_path
 from .ltl import BuchiAutomaton, empty_word_accepting_states
 from .tsys import TransitionSystem
@@ -19,20 +21,15 @@ from .tsys import TransitionSystem
 PAState = tuple[int, str]
 
 
-class ProductAutomaton:
+class ProductAutomaton(namedtuple("ProductAutomaton",
+                                  "states initial accepting stoppable edges successors")):
     """Reachable product with deterministic state and edge ordering.
 
     ``edges`` maps each product edge to its policy symbols, sorted; the
     edges over one system edge share one list, so nothing may mutate it.
     """
 
-    def __init__(self, states: list[PAState], initial: list[PAState],
-                 accepting: frozenset[PAState], stoppable: frozenset[PAState],
-                 edges: dict[tuple[PAState, PAState], list[str]],
-                 successors: dict[PAState, list[PAState]]):
-        self.states, self.initial, self.accepting, self.stoppable = (
-            states, initial, accepting, stoppable)
-        self.edges, self.successors = edges, successors
+    __slots__ = ()
 
     def state_name(self, state: PAState) -> str:
         return f"{TransitionSystem.state_name(state[0])}|{state[1]}"
@@ -113,13 +110,10 @@ def build_product(ts: TransitionSystem, aut: BuchiAutomaton) -> ProductAutomaton
     )
 
 
-class Plan:
+class Plan(namedtuple("Plan", "prefix cycle prefix_states cycle_states")):
     """A policy sequence: finite prefix plus an optionally empty cycle."""
 
-    def __init__(self, prefix: list[str], cycle: list[str],
-                 prefix_states: list[PAState], cycle_states: list[PAState]):
-        self.prefix, self.cycle = prefix, cycle
-        self.prefix_states, self.cycle_states = prefix_states, cycle_states
+    __slots__ = ()
 
     @property
     def length(self) -> int:
