@@ -261,6 +261,14 @@ def extract_regions(grid: GridMap) -> tuple[list[Region], dict[int, tuple[int, .
     return regions, adjacency
 
 
+def dot_text(kind: str, nodes, edges) -> str:
+    """Graphviz text: ``nodes`` holds (id, attributes) pairs, ``edges`` (source, target, label)."""
+    lines = [f"digraph {kind} {{", "  rankdir=LR;", "  node [shape=circle];"]
+    lines += [f"  {node} [{attributes}];" for node, attributes in nodes]
+    lines += [f'  {src} -> {dst} [label="{label}"];' for src, dst, label in edges]
+    return "\n".join(lines) + "\n}\n"
+
+
 def bfs_tree(sources, successors, target=None) -> dict:
     """Breadth-first search tree: every reached node mapped to its parent.
 

@@ -28,7 +28,7 @@ from __future__ import annotations
 import re
 from collections import namedtuple
 
-from .gridworld import KEYWORDS, SYMBOL, bfs_tree, cycle_path
+from .gridworld import KEYWORDS, SYMBOL, bfs_tree, cycle_path, dot_text
 
 LabelSet = frozenset[str]
 
@@ -308,15 +308,10 @@ class BuchiAutomaton:
         }
 
     def to_dot(self) -> str:
-        lines = ["digraph buchi {", "  rankdir=LR;", "  node [shape=circle];"]
-        for state in self.order:
-            shape = " peripheries=2" if state in self.accepting else ""
-            marker = ' style="bold"' if state == self.initial else ""
-            lines.append(f'  {state} [label="{state}"{shape}{marker}];')
-        for (src, dst) in self.edges():
-            lines.append(f'  {src} -> {dst} [label="{self.transitions[(src, dst)].format()}"];')
-        lines.append("}")
-        return "\n".join(lines) + "\n"
+        nodes = [(s, f'label="{s}"' + (" peripheries=2" if s in self.accepting else "")
+                  + (' style="bold"' if s == self.initial else "")) for s in self.order]
+        edges = [(src, dst, self.transitions[(src, dst)].format()) for src, dst in self.edges()]
+        return dot_text("buchi", nodes, edges)
 
 
 # ---------------------------------------------------------------------------

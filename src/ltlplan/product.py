@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 
-from .gridworld import bfs_tree, cycle_path, tree_depths, tree_path
+from .gridworld import bfs_tree, cycle_path, dot_text, tree_depths, tree_path
 from .ltl import BuchiAutomaton, empty_word_accepting_states
 from .tsys import TransitionSystem
 
@@ -56,17 +56,12 @@ class ProductAutomaton(namedtuple("ProductAutomaton",
         }
 
     def to_dot(self) -> str:
-        lines = ["digraph product {", "  rankdir=LR;", "  node [shape=circle];"]
         ids = {state: f"s{i}" for i, state in enumerate(self.states)}
-        for state in self.states:
-            shape = " peripheries=2" if state in self.accepting else ""
-            lines.append(f'  {ids[state]} [label="{self.state_name(state)}"{shape}];')
-        for src in self.states:
-            for dst in self.successors[src]:
-                label = ",".join(self.edges[(src, dst)])
-                lines.append(f'  {ids[src]} -> {ids[dst]} [label="{label}"];')
-        lines.append("}")
-        return "\n".join(lines) + "\n"
+        nodes = [(ids[s], f'label="{self.state_name(s)}"'
+                  + (" peripheries=2" if s in self.accepting else "")) for s in self.states]
+        edges = [(ids[src], ids[dst], ",".join(self.edges[(src, dst)]))
+                 for src in self.states for dst in self.successors[src]]
+        return dot_text("product", nodes, edges)
 
 
 def build_product(ts: TransitionSystem, aut: BuchiAutomaton) -> ProductAutomaton:

@@ -15,7 +15,7 @@ one state per twin class and unfolds the classes only for output.
 
 from __future__ import annotations
 
-from .gridworld import Region
+from .gridworld import Region, dot_text
 from .ltl import Guard
 
 # "{" sorts after every symbol character (letters, digits, "_", "&"), so
@@ -134,17 +134,12 @@ class TransitionSystem:
         }
 
     def to_dot(self) -> str:
-        lines = ["digraph ts {", "  rankdir=LR;", "  node [shape=circle];"]
-        for state in self.order:
-            name = self.state_name(state)
-            lines.append(
-                f'  {name} [label="{name}" xlabel="{format_labelset(self.labels[state])}"];'
-            )
-        for (src, dst) in self.edges():
-            label = ",".join(sorted(self.transitions[(src, dst)]))
-            lines.append(f'  {self.state_name(src)} -> {self.state_name(dst)} [label="{label}"];')
-        lines.append("}")
-        return "\n".join(lines) + "\n"
+        name = self.state_name
+        nodes = [(name(s), f'label="{name(s)}" xlabel="{format_labelset(self.labels[s])}"')
+                 for s in self.order]
+        edges = [(name(src), name(dst), ",".join(sorted(self.transitions[(src, dst)])))
+                 for src, dst in self.edges()]
+        return dot_text("ts", nodes, edges)
 
 
 def build_initial_ts(
