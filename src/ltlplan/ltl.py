@@ -16,10 +16,10 @@ the marks are degeneralized by levels: a state is a (next set, level)
 pair, and level ``k`` of ``k`` eventualities accepts.  A carried ``F φ``
 is dropped beside a carried ``G F φ``, so ``G F^k`` needs ``k + 2``
 states.  The tableau runs on integer bitsets over the formula's closure
-(its distinct subformulas, numbered once in ``to_text`` order, ties in
-first pre-order discovery), so each subformula is rendered once per
-compilation and the output does not depend on the interpreter's hash
-seed.  ``eval_ltl_on_lasso`` is an independent recursive evaluator over
+(its distinct subformulas, numbered once in ``to_text`` order, which
+renders distinct formulas distinctly), so each subformula is rendered
+once per compilation and the output does not depend on the interpreter's
+hash seed.  ``eval_ltl_on_lasso`` is an independent recursive evaluator over
 ultimately-periodic words used to cross-check the construction.
 """
 
@@ -138,8 +138,10 @@ def _render(formula: LtlFormula, parent_level: int) -> str:
         case Or(left, right) | And(left, right) | Until(left, right):
             level = _LEVEL_OF[type(formula)]
             _, op, _, right_assoc = _BINARY[level]
-            # A right-associative operator keeps a left operand's own-level parens.
-            text = f"{_render(left, level + right_assoc)} {op} {_render(right, level)}"
+            # The operand on the side the operator does not associate to keeps
+            # its own-level parentheses.
+            text = (f"{_render(left, level + right_assoc)} {op} "
+                    f"{_render(right, level + 1 - right_assoc)}")
             return f"({text})" if level < parent_level else text
     raise TypeError(f"not a formula: {formula!r}")
 
@@ -408,7 +410,7 @@ def to_buchi(formula: LtlFormula) -> BuchiAutomaton:
 
 
 def _closure(formula: LtlFormula) -> list[LtlFormula]:
-    """Distinct subformulas sorted by ``to_text``, ties in pre-order discovery."""
+    """Distinct subformulas sorted by ``to_text``; no two render alike, so no ties."""
     return sorted(_subformulas(formula), key=to_text)
 
 

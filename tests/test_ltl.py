@@ -203,17 +203,9 @@ def formulas(draw, depth=3):
 @settings(max_examples=150, deadline=None)
 @given(formulas())
 def test_rendering_roundtrip_preserves_meaning(formula):
-    # And/Or render without redundant parentheses, so reparsing may regroup
-    # them; the rendering must be a fixpoint and the meaning must not change.
-    again = parse_ltl(to_text(formula))
-    assert to_text(again) == to_text(formula)
-    assert again.atoms() == formula.atoms()
-    letters = [frozenset(), frozenset({"a"}), frozenset({"b", "square"})]
-    for i in range(len(letters)):
-        prefix, cycle = letters[:i], letters[i:] or [frozenset()]
-        assert eval_ltl_on_lasso(again, prefix, cycle) is eval_ltl_on_lasso(
-            formula, prefix, cycle
-        )
+    # Parentheses go only where the grammar needs them, so reparsing the
+    # rendering rebuilds the very tree, right-nested & and | included.
+    assert parse_ltl(to_text(formula)) == formula
 
 
 # ---------------------------------------------------------------------------
@@ -514,6 +506,8 @@ def test_random_automata_match_reference_or_semantics():
     assert 0.2 < sum(verdicts) / len(verdicts) < 0.8
 
 
+# Each holds ``a | (b | c)`` beside ``(a | b) | c``, two subformulas that
+# once rendered alike and tied in closure order.
 ALIKE_FORMULAS = [
     "G ((a | (b | c)) & ((a | b) | c))",
     "F (a | (b | c)) & F ((a | b) | c)",
@@ -551,7 +545,7 @@ def test_compile_output_is_independent_of_hash_seed():
     rng = random.Random(43)
     for text in ALIKE_FORMULAS:
         formula = parse_ltl(text)
-        assert _renders_alike(formula)
+        assert not _renders_alike(formula)
         aut = to_buchi(formula)
         for _ in range(300):
             prefix, cycle = random_lasso(rng, ATOMS)
