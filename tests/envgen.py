@@ -8,14 +8,17 @@ set-based tableau that the bitset Büchi construction replaced stays as its
 byte-for-byte reference, and the heap Dijkstra that the minimum-violation
 search (``mvpolicy.mv_path``, bitsets with a bucket-queue fallback)
 replaced stays as its tie-order reference.  The document readers
-and the ASCII renderer at the end serve round-trip tests only, so they
-live here rather than in the package.
+and the ASCII renderer serve round-trip tests only, so they live here
+rather than in the package.  The opcode counter at the end measures work
+for the growth contracts without a clock.
 """
 
 from __future__ import annotations
 
 import heapq
+import math
 import random
+import sys
 from collections import deque
 
 from ltlplan.gridworld import (
@@ -939,3 +942,41 @@ def buchi_from_document(doc: dict) -> BuchiAutomaton:
         accepting=frozenset(doc["accepting"]),
         transitions=transitions,
     )
+
+
+# ---------------------------------------------------------------------------
+# Counted work
+
+
+def count_opcodes(fn, *args) -> int:
+    """Bytecodes that ``fn(*args)`` executes in Python frames of this process.
+
+    Every frame the call opens is traced opcode by opcode; work done inside
+    C functions counts as the one opcode that calls them.
+    """
+    count = 0
+
+    def per_opcode(frame, event, arg):
+        nonlocal count
+        if event == "opcode":
+            count += 1
+        return per_opcode
+
+    def per_call(frame, event, arg):
+        frame.f_trace_lines, frame.f_trace_opcodes = False, True
+        return per_opcode
+
+    previous = sys.gettrace()
+    sys.settrace(per_call)
+    try:
+        fn(*args)
+    finally:
+        sys.settrace(previous)
+    return count
+
+
+def growth_exponent(sizes, counts) -> float:
+    """Least-squares slope of log(count) on log(size): ``k`` when work grows as size^k."""
+    xs, ys = [math.log(n) for n in sizes], [math.log(c) for c in counts]
+    mx, my = sum(xs) / len(xs), sum(ys) / len(ys)
+    return sum((x - mx) * (y - my) for x, y in zip(xs, ys)) / sum((x - mx) ** 2 for x in xs)
