@@ -25,6 +25,7 @@ import functools
 import json
 import sys
 import time
+from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
 
 from .gridworld import GridMap, MapParseError, extract_regions, parse_map
@@ -69,7 +70,42 @@ def _write_text(path: str | None, text: str) -> None:
 
 
 def _write_json(path: str | None, doc) -> None:
-    _write_text(path, json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    _write_text(path, _json_text(doc, "") + "\n")
+
+
+def _json_text(value, pad: str) -> str:
+    """``value`` as ``json.dumps(value, indent=2, sort_keys=True)`` writes it at margin ``pad``,
+    without ``json``'s pure-Python encoder.  Keys are strings; flat records fill one template."""
+    if type(value) is str:
+        return _quote(value)
+    if type(value) is int:
+        return int.__repr__(value)
+    inner = pad + "  "
+    if isinstance(value, dict):
+        body = ",\n".join([f"{inner}{_quote(k)}: {_json_text(value[k], inner)}"
+                            for k in sorted(value)])
+        return f"{{\n{body}\n{pad}}}" if value else "{}"
+    if isinstance(value, (list, tuple)):
+        body = _records(value, inner) or ",\n".join([inner + _json_text(v, inner) for v in value])
+        return f"[\n{body}\n{pad}]" if value else "[]"
+    return json.dumps(value)
+
+
+def _records(items, pad: str) -> str | None:
+    """``items`` at margin ``pad`` if they are dicts with one key set and every
+    column all ``int`` (``bool`` is not) or all ``str``, else ``None``."""
+    keys = sorted(items[0]) if items and type(items[0]) is dict else ()
+    if not keys or set(map(type, items)) != {dict} or set(map(len, items)) != {len(keys)}:
+        return None
+    columns = [[item.get(k) for item in items] for k in keys]  # a missing key reads None
+    for i, column in enumerate(columns):
+        kinds = set(map(type, column))
+        if kinds == {str}:
+            columns[i] = map(_quote, column)
+        elif kinds != {int}:
+            return None
+    fields = ",\n".join(f"{pad}  {_quote(k).replace('%', '%%')}: %s" for k in keys)
+    return ",\n".join(map(f"{pad}{{\n{fields}\n{pad}}}".__mod__, zip(*columns)))
 
 
 def _write_artifact(out: str | None, artifact, dot: str | None = None) -> None:

@@ -118,9 +118,8 @@ def map_from_document(doc: dict) -> GridMap:
     _check_size(width, height)
 
     cells: list[frozenset[str] | None] = [frozenset()] * (width * height)
-    for i, entry in enumerate(_require_list(doc, "obstacles")):
-        x, y = _require_cell(entry, width, height, f"obstacles[{i}]")
-        cells[y * width + x] = None
+    for at in _obstacle_cells(_require_list(doc, "obstacles"), width, height):
+        cells[at] = None
 
     for i, entry in enumerate(_require_list(doc, "cells")):
         where = f"cells[{i}]"
@@ -164,6 +163,18 @@ def _require_list(doc: dict, key: str) -> list:
 def _check_size(width: int, height: int) -> None:
     if width * height > MAX_CELLS:
         raise MapParseError(f"map has {width * height} cells, more than the {MAX_CELLS} allowed")
+
+
+def _obstacle_cells(entries: list, width: int, height: int) -> list[int]:
+    """Cell numbers ``y * width + x`` of the obstacle entries, checked in one pass; on a
+    fault, ``_require_cell`` checks them one by one and so names the first bad entry."""
+    if set(map(type, entries)) <= {dict}:
+        xs, ys = [entry.get("x") for entry in entries], [entry.get("y") for entry in entries]
+        if set(map(type, xs + ys)) <= {int} and (not xs or 0 <= min(xs) and max(xs) < width
+                                                  and 0 <= min(ys) and max(ys) < height):
+            return [y * width + x for x, y in zip(xs, ys)]
+    cells = [_require_cell(e, width, height, f"obstacles[{i}]") for i, e in enumerate(entries)]
+    return [y * width + x for x, y in cells]
 
 
 def _require_cell(entry, width: int, height: int, where: str) -> Cell:

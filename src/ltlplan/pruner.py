@@ -76,17 +76,26 @@ def prune(ts: TransitionSystem, classes=None) -> tuple[TransitionSystem, PruneRe
     for state in out.order:
         for symbol in out.task_symbols_of_state(state):
             completers.setdefault(symbol, []).append(state)
-    graph = out.graph()
-    distance_to = {
-        symbol: tree_depths(bfs_tree(sources, graph.__getitem__))
-        for symbol, sources in completers.items()
-    }
+    distance_to = _Distances(completers, out.graph())
     for state in out.order:
         case2_disambiguate(out, state, distance_to, report)
         case3_remove_ineffectual(out, state, report)
     out = empty_cleanup(out, report)
     report.unreachable_states = _unreachable_states(out)
     return out, report
+
+
+class _Distances(dict):
+    """``symbol -> {state: hops to its nearest completer}``, each found on first read: case2
+    reads only symbols that two out-edges of one state share.  No completer: unreachable."""
+
+    def __init__(self, completers: dict[str, list[int]], graph: dict[int, tuple[int, ...]]):
+        self.completers, self.graph = completers, graph
+
+    def __missing__(self, symbol: str) -> dict[int, int]:
+        sources = self.completers.get(symbol, ())
+        self[symbol] = tree_depths(bfs_tree(sources, self.graph.__getitem__))
+        return self[symbol]
 
 
 def case1_merge_equivalent(
@@ -156,7 +165,10 @@ def case2_disambiguate(
         edges = carriers[symbol]
         if len(edges) < 2:
             continue
-        dist = distance_to.get(symbol, {})
+        try:
+            dist = distance_to[symbol]
+        except KeyError:  # a plain dict may leave out a symbol no state completes
+            dist = {}
         scores = [dist.get(end, float("inf")) for (_, end) in edges]
         best = min(scores)
         if scores.count(best) == 1:

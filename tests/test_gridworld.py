@@ -172,6 +172,48 @@ def test_parse_json_validates_cells():
         )
 
 
+_CELL = {"x": 1, "y": 1}
+_BAD_OBSTACLES = {
+    "bool": ({"x": True, "y": 0}, "'x' and 'y' must be integers"),
+    "float": ({"x": 1, "y": 0.0}, "'x' and 'y' must be integers"),
+    "missing-key": ({"x": 1}, "'x' and 'y' must be integers"),
+    "non-dict": ([1, 0], "expected an object with 'x' and 'y'"),
+    "x-past-width": ({"x": 3, "y": 0}, "cell (3, 0) out of bounds"),
+    "y-past-height": ({"x": 0, "y": 3}, "cell (0, 3) out of bounds"),
+    "x-negative": ({"x": -1, "y": 0}, "cell (-1, 0) out of bounds"),
+    "y-negative": ({"x": 0, "y": -1}, "cell (0, -1) out of bounds"),
+}
+
+
+@pytest.mark.parametrize("at", [0, 2])
+@pytest.mark.parametrize("kind", sorted(_BAD_OBSTACLES))
+def test_parse_json_names_the_first_bad_obstacle(kind, at):
+    # The whole list is checked in one pass; a fault reruns the entry-by-entry
+    # checks, so the message still names the first bad entry.
+    entry, message = _BAD_OBSTACLES[kind]
+    obstacles = [_CELL] * 4
+    obstacles[at] = entry
+    for later in (None, {"x": "0", "y": 0}):  # a later fault is not the one reported
+        if later:
+            obstacles[3] = later
+        with pytest.raises(MapParseError, match=re.escape(f"obstacles[{at}]: {message}") + r"\Z"):
+            map_from_document({"width": 3, "height": 3, "obstacles": obstacles})
+
+
+def test_parse_json_obstacles_accept_what_the_entry_checks_accept():
+    class Coord(int):
+        pass
+
+    class Entry(dict):
+        pass
+
+    plain = map_from_document({"width": 3, "height": 2, "obstacles": [{"x": 2, "y": 1}, _CELL]})
+    assert plain.cells == (frozenset(),) * 4 + (None, None)
+    for obstacles in ([{"x": Coord(2), "y": 1}, _CELL], [Entry(x=2, y=1), _CELL]):
+        assert map_from_document({"width": 3, "height": 2, "obstacles": obstacles}) == plain
+    assert map_from_document({"width": 3, "height": 2, "obstacles": []}).cells == (frozenset(),) * 6
+
+
 def test_declared_map_size_is_capped():
     # The cap is checked before any cell is visited or stored.
     assert map_from_document({"width": MAX_CELLS, "height": 1}).width == MAX_CELLS

@@ -3,8 +3,11 @@
 from __future__ import annotations
 
 import random
+from collections import Counter
 
 import pytest
+
+import ltlplan.pruner
 
 from envgen import harsh_map, sea_with_islands, ts_alphabet
 from ltlplan.gridworld import bfs_tree, extract_regions, tree_depths
@@ -229,6 +232,37 @@ def test_prune_transitions_stable_on_harsh_maps():
             if relabel[a] != relabel[b]
         }
         assert renamed == original
+
+
+def test_prune_runs_one_search_per_tied_symbol(monkeypatch):
+    # A symbol's distances are found on its first read, and case2 reads only
+    # the symbols that two out-edges of one state share; one more search finds
+    # the unreachable states.
+    searches = []
+
+    def counting_bfs_tree(*args, **kwargs):
+        searches.append(args[0])
+        return bfs_tree(*args, **kwargs)
+
+    monkeypatch.setattr(ltlplan.pruner, "bfs_tree", counting_bfs_tree)
+    rng = random.Random(35)
+    spared = tied_somewhere = 0
+    grids = [sea_with_islands(rng) for _ in range(10)] + [harsh_map(rng) for _ in range(20)]
+    for grid in filter(None, grids):
+        for mode in (PRIMITIVE, COMPOSITE):
+            labeled = labeled_ts_for(grid, mode)
+            merged = case1_merge_equivalent(labeled, PruneReport())
+            tied = set()
+            for state in merged.order:
+                carried = Counter(symbol for edge in merged.out_edges(state)
+                                  for symbol in merged.transitions[edge] if symbol != EMPTY_LABEL)
+                tied |= {symbol for symbol, edges in carried.items() if edges > 1}
+            searches.clear()
+            prune(labeled)
+            assert len(searches) == len(tied) + 1
+            spared += len(tied) < len(ts_alphabet(merged))
+            tied_somewhere += bool(tied)
+    assert spared and tied_somewhere
 
 
 def test_disambiguation_result_independent_of_state_order(ring_ts):
