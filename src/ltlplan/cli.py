@@ -209,7 +209,7 @@ STAGES = {
     "grid": ("parse-map", lambda p: _load_map(p["args"])),
     "regions": (None, lambda p: extract_regions(p["grid"])),
     "start": (None, _start_cell),
-    "index": (None, lambda p: region_index(p["regions"][0], p["grid"].width, p["grid"].height)),
+    "index": (None, lambda p: region_index(p["regions"][0], p["grid"])),
     "symbols": (None, lambda p: frozenset().union(*(r.label for r in p["regions"][0]))),
     "twins": (None, lambda p: twin_classes(*p["regions"])),
     "origin": (None, _origin),

@@ -1,19 +1,22 @@
 """Labeled grid environments and their decomposition into regions.
 
 A grid map assigns each cell a (possibly empty) set of symbols; obstacle
-cells are impassable.  The map is one flat row-major tuple of label sets,
-``None`` marking an obstacle, from parsing through region labeling.
-Maximal 4-connected groups of cells that share the exact same label set
-form *regions*; the region adjacency graph is the abstraction every later
-stage works on.  A region is stored as its row runs, not as a set of cells.
+cells are impassable.  The map is one row-major string with one code
+character per cell, ``"\x00"`` marking an obstacle and every other code
+standing for one label set; parsing writes it, and region labeling and the
+execution bitsets read it.  Maximal 4-connected groups of cells that share
+the exact same label set form *regions*; the region adjacency graph is the
+abstraction every later stage works on.  A region is stored as its row
+runs, not as a set of cells.
 """
 
 from __future__ import annotations
 
 import json
 import re
+import sys
 from collections import deque, namedtuple
-from itertools import groupby
+from itertools import chain
 
 Cell = tuple[int, int]
 
@@ -33,12 +36,15 @@ class MapParseError(ValueError):
     """Raised when a map document is malformed; carries row/col context."""
 
 
-class GridMap(namedtuple("GridMap", "width height cells start", defaults=(None,))):
-    """A rectangular grid of labeled cells, stored flat in row-major order.
+class GridMap(namedtuple("GridMap", "width height codes labelsets start", defaults=(None,))):
+    """A rectangular grid of labeled cells, one code character per cell.
 
-    ``cells[y * width + x]`` is the label set of cell ``(x, y)``: empty when
-    the cell is unlabeled, ``None`` when it is an obstacle.  ``start`` is an
-    optional designated start cell for plan execution.
+    ``codes[y * width + x]`` is the code of cell ``(x, y)``: ``"\\x00"`` for
+    an obstacle, else ``chr(i)`` for the label set ``labelsets[i]`` (empty
+    when the cell is unlabeled).  Codes number distinct label sets from 1 in
+    row-major order of each set's first cell, so equal maps have equal codes
+    whatever format they were read from.  ``start`` is an optional
+    designated start cell for plan execution.
     """
 
     __slots__ = ()
@@ -47,21 +53,19 @@ class GridMap(namedtuple("GridMap", "width height cells start", defaults=(None,)
     def obstacles(self) -> frozenset[Cell]:
         """The obstacle cells; a view built anew on every access."""
         w = self.width
-        return frozenset(
-            (i % w, i // w) for i, labelset in enumerate(self.cells) if labelset is None
-        )
+        return frozenset((i % w, i // w) for i, code in enumerate(self.codes) if code == "\0")
 
     def is_free(self, cell: Cell) -> bool:
         """Whether the cell is on the map and not an obstacle."""
         x, y = cell
         on_map = 0 <= x < self.width and 0 <= y < self.height
-        return on_map and self.cells[y * self.width + x] is not None
+        return on_map and self.codes[y * self.width + x] != "\0"
 
     def default_start(self) -> Cell:
         """First unlabeled passable cell in row-major order."""
-        if frozenset() not in self.cells:
+        if frozenset() not in self.labelsets:
             raise MapParseError("map has no unlabeled passable cell to start from")
-        i = self.cells.index(frozenset())
+        i = self.codes.index(chr(self.labelsets.index(frozenset())))
         return (i % self.width, i // self.width)
 
     def resolved_start(self) -> Cell:
@@ -86,22 +90,21 @@ def _parse_ascii(text: str) -> GridMap:
         raise MapParseError("empty map")
     width = len(lines[0])
     _check_size(width, len(lines))
-    # Cell character -> label set; each new symbol character is checked once.
-    table: dict[str, frozenset[str] | None] = {ASCII_FREE: frozenset(), ASCII_OBSTACLE: None}
-    cells: list[frozenset[str] | None] = []
-    for y, line in enumerate(lines):
-        if len(line) != width:
-            raise MapParseError(
-                f"row {y + 1} has {len(line)} cells, expected {width} (map must be rectangular)"
-            )
-        for ch in sorted(set(line).difference(table), key=line.index):
-            if not SYMBOL_RE.match(ch):
+    text, valid = "".join(lines), (ASCII_FREE, ASCII_OBSTACLE)
+    chars = set(text)
+    if set(map(len, lines)) != {width} or not all(c in valid or SYMBOL_RE.match(c) for c in chars):
+        for y, line in enumerate(lines):  # name the first fault, row by row
+            if len(line) != width:
                 raise MapParseError(
-                    f"row {y + 1}, col {line.index(ch) + 1}: invalid cell character {ch!r}"
+                    f"row {y + 1} has {len(line)} cells, expected {width} (map must be rectangular)"
                 )
-            table[ch] = frozenset(ch)
-        cells.extend(map(table.__getitem__, line))
-    return GridMap(width, len(lines), tuple(cells))
+            for x, ch in enumerate(line):
+                if ch not in valid and not SYMBOL_RE.match(ch):
+                    raise MapParseError(f"row {y + 1}, col {x + 1}: invalid cell character {ch!r}")
+    order = sorted(chars - {ASCII_OBSTACLE}, key=text.find)  # each character by its first cell
+    table = {ord(ASCII_OBSTACLE): 0} | {ord(ch): code for code, ch in enumerate(order, 1)}
+    labelsets = [frozenset() if ch == ASCII_FREE else frozenset(ch) for ch in order]
+    return GridMap(width, len(lines), text.translate(table), (None, *labelsets))
 
 
 def _parse_structured(text: str) -> GridMap:
@@ -117,17 +120,54 @@ def map_from_document(doc: dict) -> GridMap:
     height = _require_dim(doc, "height")
     _check_size(width, height)
 
-    cells: list[frozenset[str] | None] = [frozenset()] * (width * height)
-    for at in _obstacle_cells(_require_list(doc, "obstacles"), width, height):
-        cells[at] = None
+    entries = _require_list(doc, "obstacles")
+    obstacles = _cell_numbers(entries, width, height)
+    if obstacles is None:  # check entry by entry, so that the message names the first bad one
+        found = [_require_cell(e, width, height, f"obstacles[{i}]") for i, e in enumerate(entries)]
+        obstacles = [y * width + x for x, y in found]
+    blocked = set(obstacles)
+    labeled = _labeled_cells(_require_list(doc, "cells"), blocked, width, height)
 
-    for i, entry in enumerate(_require_list(doc, "cells")):
+    start: Cell | None = None
+    if "start" in doc:
+        start = _require_cell(doc["start"], width, height, "start")
+        if start[1] * width + start[0] in blocked:
+            raise MapParseError("start cell is an obstacle")
+
+    # Number the label sets in row-major order of their first cells, as ``_parse_ascii`` does.
+    cells = width * height
+    free = next((at for at in range(cells) if at not in blocked and at not in labeled), None)
+    if free is not None:
+        labeled[free] = frozenset()
+    labelsets = (None, *dict.fromkeys(map(labeled.get, sorted(labeled))))
+    number = {labelset: code for code, labelset in enumerate(labelsets)}
+    buf = bytearray(number.get(frozenset(), 0).to_bytes(4, sys.byteorder)) * cells
+    codes = memoryview(buf).cast("I")  # one four-byte code per cell, in native byte order
+    for at in obstacles:
+        codes[at] = 0
+    for at, labelset in labeled.items():
+        codes[at] = number[labelset]
+    # Read in native order: cell 0's code, 0 or 1, is never taken for a byte-order mark.
+    return GridMap(width, height, buf.decode("utf-32", "surrogatepass"), labelsets, start)
+
+
+def _labeled_cells(entries: list, blocked: set[int], width: int, height: int) -> dict:
+    """Label sets by cell number ``y * width + x``, checked in one pass; on a fault,
+    entry by entry, so that the message names the first bad entry."""
+    ats = _cell_numbers(entries, width, height)
+    raws = [entry.get("labels") for entry in entries] if ats is not None else [None]
+    if (set(map(type, raws)) <= {list} and all(raws) and set(map(type, chain(*raws))) <= {str}
+            and all(map(SYMBOL_RE.match, set(chain(*raws)))) and blocked.isdisjoint(ats)
+            and len(set(ats)) == len(ats)):
+        return dict(zip(ats, map(frozenset, raws)))
+    labeled: dict[int, frozenset[str]] = {}
+    for i, entry in enumerate(entries):
         where = f"cells[{i}]"
         x, y = cell = _require_cell(entry, width, height, where)
         at = y * width + x
-        if cells[at] is None:
+        if at in blocked:
             raise MapParseError(f"{where}: cell {cell} is also an obstacle")
-        if cells[at]:
+        if at in labeled:
             raise MapParseError(f"{where}: duplicate entry for cell {cell}")
         raw = entry.get("labels")
         if not isinstance(raw, list) or not raw:
@@ -135,15 +175,8 @@ def map_from_document(doc: dict) -> GridMap:
         for sym in raw:
             if not isinstance(sym, str) or not SYMBOL_RE.match(sym):
                 raise MapParseError(f"{where}: invalid symbol {sym!r}")
-        cells[at] = frozenset(raw)
-
-    start: Cell | None = None
-    if "start" in doc:
-        start = _require_cell(doc["start"], width, height, "start")
-        if cells[start[1] * width + start[0]] is None:
-            raise MapParseError("start cell is an obstacle")
-
-    return GridMap(width, height, tuple(cells), start)
+        labeled[at] = frozenset(raw)
+    return labeled
 
 
 def _require_dim(doc: dict, key: str) -> int:
@@ -165,16 +198,15 @@ def _check_size(width: int, height: int) -> None:
         raise MapParseError(f"map has {width * height} cells, more than the {MAX_CELLS} allowed")
 
 
-def _obstacle_cells(entries: list, width: int, height: int) -> list[int]:
-    """Cell numbers ``y * width + x`` of the obstacle entries, checked in one pass; on a
-    fault, ``_require_cell`` checks them one by one and so names the first bad entry."""
+def _cell_numbers(entries: list, width: int, height: int) -> list[int] | None:
+    """Cell numbers ``y * width + x`` of ``{"x": x, "y": y}`` entries, checked in one
+    pass; ``None`` on any fault, for the caller to check them entry by entry."""
     if set(map(type, entries)) <= {dict}:
         xs, ys = [entry.get("x") for entry in entries], [entry.get("y") for entry in entries]
         if set(map(type, xs + ys)) <= {int} and (not xs or 0 <= min(xs) and max(xs) < width
                                                   and 0 <= min(ys) and max(ys) < height):
             return [y * width + x for x, y in zip(xs, ys)]
-    cells = [_require_cell(e, width, height, f"obstacles[{i}]") for i, e in enumerate(entries)]
-    return [y * width + x for x, y in cells]
+    return None
 
 
 def _require_cell(entry, width: int, height: int, where: str) -> Cell:
@@ -207,10 +239,12 @@ def extract_regions(grid: GridMap) -> tuple[list[Region], dict[int, tuple[int, .
     Rosenfeld & Pfaltz, JACM 1966): each row splits into maximal runs of
     one label set, and a union-find joins the runs that overlap an
     equally-labeled run of the row above.  Runs that abut in a row, or
-    overlap across rows with different labels, make the adjacency.  Label
-    sets are compared by value, never by identity.
+    overlap across rows with different labels, make the adjacency.  Runs
+    are found and compared by their cells' codes, which stand for label sets
+    by value; each row's runs are the stretches between code changes.
     """
-    width, cells = grid.width, grid.cells
+    width, codes = grid.width, grid.codes
+    changes = cell_changes(codes, 1 if len(grid.labelsets) <= 256 else 4, 1)  # 0x80: a new code
     runs: list[tuple[int, int, int]] = []  # passable runs in row-major order
     parent: list[int] = []  # union-find forest over run indices
     touching: set[tuple[int, int]] = set()  # differently-labeled run pairs
@@ -220,27 +254,29 @@ def extract_regions(grid: GridMap) -> tuple[list[Region], dict[int, tuple[int, .
             parent[i] = i = parent[parent[i]]
         return i
 
-    above: list[tuple[int, int, frozenset[str], int]] = []  # (start, stop, label, run) per row
+    above: list[tuple[int, int, str, int]] = []  # (start, stop, code, run) per row
     for y in range(grid.height):
-        row: list[tuple[int, int, frozenset[str], int]] = []
-        start = 0
-        for label, group in groupby(cells[y * width : (y + 1) * width]):
-            stop = start + len(list(group))
-            if label is not None:
+        row: list[tuple[int, int, str, int]] = []
+        base, start = y * width, 0
+        # A row starts a run; each change after its first cell starts the next.
+        for gap in changes[base + 1 : base + width].split(b"\x80"):
+            stop = start + len(gap) + 1
+            code = codes[base + start]
+            if code != "\0":
                 run = len(runs)
                 runs.append((y, start, stop))
                 parent.append(run)
                 if row and row[-1][1] == start:
                     touching.add((row[-1][3], run))
-                row.append((start, stop, label, run))
+                row.append((start, stop, code, run))
             start = stop
         i = j = 0
         n_above, n_row = len(above), len(row)
         while i < n_above and j < n_row:
-            a_start, a_stop, a_label, a_run = above[i]
-            b_start, b_stop, b_label, b_run = row[j]
+            a_start, a_stop, a_code, a_run = above[i]
+            b_start, b_stop, b_code, b_run = row[j]
             if a_start < b_stop and b_start < a_stop:
-                if a_label != b_label:
+                if a_code != b_code:
                     touching.add((a_run, b_run))
                 else:
                     a_root, b_root = find(a_run), find(b_run)
@@ -259,7 +295,7 @@ def extract_regions(grid: GridMap) -> tuple[list[Region], dict[int, tuple[int, .
     for rid, run in zip(run_rid, runs):
         members[rid].append(run)
     regions = [  # labeled by the cell that starts each region's first run
-        Region(rid, tuple(rows), cells[rows[0][0] * width + rows[0][1]])
+        Region(rid, tuple(rows), grid.labelsets[ord(codes[rows[0][0] * width + rows[0][1]])])
         for rid, rows in enumerate(members)
     ]
 
@@ -270,6 +306,18 @@ def extract_regions(grid: GridMap) -> tuple[list[Region], dict[int, tuple[int, .
         neighbors[b].add(a)
     adjacency = {rid: tuple(sorted(adj)) for rid, adj in enumerate(neighbors)}
     return regions, adjacency
+
+
+def cell_changes(codes: str, size: int, shift: int) -> bytes:
+    """One byte per cell of ``codes``: 0x80 where its code differs from the code ``shift``
+    cells before (zero before the first), else 0.  Each code is encoded in ``size`` bytes,
+    one lane of one integer; adding a lane's low bits carries into its top bit, never past."""
+    data = codes.encode("latin-1" if size == 1 else "utf-32-le", "surrogatepass")
+    low = int.from_bytes((b"\xff" * (size - 1) + b"\x7f") * len(codes), "little")
+    high = int.from_bytes((bytes(size - 1) + b"\x80") * len(codes), "little")
+    number = int.from_bytes(data, "little")
+    diff = number ^ number << 8 * size * shift
+    return (((diff & low) + low | diff) & high).to_bytes(len(data), "little")[size - 1 :: size]
 
 
 def dot_text(kind: str, nodes, edges) -> str:

@@ -10,9 +10,11 @@ satisfy the policy, and returns that violation count with the path.
 ``execute_plan`` chains such paths for a whole plan, records each count
 as the segment's forced minimum, and records the induced label word,
 which ``check_trace`` replays on a Büchi automaton.  Every search reads
-only the cell index that ``region_index`` builds from the run's regions:
-its keys are the passable cells, and every move goes to one of them.
-The index, its bitsets and the queue share its padded cell numbering.
+only the cell index that ``region_index`` builds from the run's regions
+and map: its keys are the passable cells, and every move goes to one of
+them.  The index, its bitsets and the queue share its padded cell
+numbering, and the bitsets take each cell's label set from the map's own
+one-code-per-cell string.
 
 The search runs breadth-first on whole-grid bitsets, one cost layer at a
 time, and falls back to a bucket queue where those layers are too sparse
@@ -32,7 +34,7 @@ from collections.abc import Mapping
 from functools import cached_property
 from itertools import chain, repeat
 
-from .gridworld import Cell, Region, tree_path
+from .gridworld import Cell, GridMap, Region, cell_changes, tree_path
 from .ltl import BuchiAutomaton, Guard, LabelSet, accepts_lasso
 
 # Most cells, and most policy segments, one executed trace may hold.  A
@@ -91,12 +93,12 @@ class CellIndex(Mapping):
     region id, or -1 for an impassable or pad cell, and ``labels_of[rid]``
     is region ``rid``'s label set.  ``stride`` is a multiple of 8 above
     ``width``, so a step off a row's end lands on a pad cell.  The searches
-    read these lists directly; the mapping view serves every other reader.
+    read these lists, and the bitsets the ``grid``'s codes, directly; the
+    mapping view serves every other reader.
     """
 
-    def __init__(self, width: int, height: int, stride: int, region_of: list[int],
-                 labels_of: list[LabelSet]):
-        self.width, self.height, self.stride = width, height, stride
+    def __init__(self, grid: GridMap, stride: int, region_of: list[int], labels_of: list[LabelSet]):
+        self.grid, self.width, self.height, self.stride = grid, grid.width, grid.height, stride
         self.region_of, self.labels_of = region_of, labels_of
 
     def __getitem__(self, cell: Cell) -> tuple[int, LabelSet]:
@@ -133,38 +135,28 @@ class GridMasks(namedtuple("GridMasks", "passable unlabeled same_up same_left co
     as their neighbour above or to the left, which adjacent cells share
     exactly when they share a label set; shifted back, they give the cells
     in the same region as their neighbour below or to the right.  ``codes``
-    holds one byte per cell, highest bit first: its label set's code, 0 if
-    not passable; code ``c`` stands for ``labels[c - 1]``.
+    holds one byte per cell, highest bit first: the map's code for its
+    label set, 0 if not passable; code ``c`` stands for ``labels[c - 1]``.
     """
 
     __slots__ = ()
 
     @classmethod
     def build(cls, index: CellIndex) -> GridMasks | None:
-        """``None`` when the index has more than 255 label sets."""
-        label_code: dict[LabelSet, int] = {}
-        code_of = [label_code.setdefault(ls, len(label_code) + 1) for ls in index.labels_of]
-        if len(label_code) > 255:
+        """``None`` when the map has more than 255 label sets."""
+        grid, width, pad = index.grid, index.width, "\0" * (index.stride - index.width)
+        if len(grid.labelsets) > 256:
             return None
-        code_of.append(0)  # region_of[i] == -1: impassable or pad
-        cells = bytes(map(code_of.__getitem__, index.region_of))
-        labels = list(label_code)
-        highest_first = cells[::-1]
+        cells = pad.join(grid.codes[i : i + width] for i in range(0, len(grid.codes), width)) + pad
+        labels = list(grid.labelsets[1:])
+        highest_first = cells.encode("latin-1")[::-1]
         passable = _cells_where(highest_first, labels, lambda _: True)
-        # Byte i of ``number`` is cell i's code; a cell shares its neighbour's
-        # label set when the XOR of their bytes is zero.
-        number = int.from_bytes(cells, "little")
-        low = int.from_bytes(b"\x7f" * len(cells), "little")
-        high = int.from_bytes(b"\x80" * len(cells), "little")
         equal = bytearray(b"0" * 256)
         equal[0] = ord("1")
 
         def same(shift: int) -> int:
-            """Passable cells with the same code as the cell ``shift`` bits before them."""
-            diff = number ^ number << 8 * shift
-            differs = ((diff & low) + low | diff) & high  # 0x80 per nonzero byte, no carries
-            bits = differs.to_bytes(len(cells), "little")[::-1].translate(equal)
-            return int(bits, 2) & passable
+            """Passable cells with the same code as the cell ``shift`` cells before them."""
+            return int(cell_changes(cells, 1, shift)[::-1].translate(equal), 2) & passable
 
         return cls(
             passable,
@@ -192,16 +184,16 @@ def _cells_where(codes: bytes, labels: list[LabelSet], holds) -> int:
     return int(codes.translate(table), 2)
 
 
-def region_index(regions: list[Region], width: int, height: int) -> CellIndex:
-    """Index every passable cell of a ``width`` x ``height`` map by region."""
-    stride = (width + 8) & -8
-    region_of = [-1] * (height * stride)
+def region_index(regions: list[Region], grid: GridMap) -> CellIndex:
+    """Index every passable cell of ``grid``, which ``regions`` decompose, by region."""
+    stride = (grid.width + 8) & -8
+    region_of = [-1] * (grid.height * stride)
     for region in regions:
         rid = region.id
         for y, start, stop in region.runs:
             row = y * stride
             region_of[row + start : row + stop] = [rid] * (stop - start)
-    return CellIndex(width, height, stride, region_of, [region.label for region in regions])
+    return CellIndex(grid, stride, region_of, [region.label for region in regions])
 
 
 def mv_path(start: Cell, policy: Guard, index: CellIndex) -> tuple[int, list[Cell]]:

@@ -42,7 +42,7 @@ def obstacle_course_grid():
 
 def labeled_ts_for(grid, mode=PRIMITIVE):
     regions, adjacency = extract_regions(grid)
-    initial = region_index(regions, grid.width, grid.height)[grid.resolved_start()][0]
+    initial = region_index(regions, grid)[grid.resolved_start()][0]
     return generate_ts_labels(build_initial_ts(regions, adjacency, initial, mode))
 
 

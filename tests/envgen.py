@@ -44,7 +44,7 @@ from ltlplan.ltl import (
     Until,
     to_text,
 )
-from ltlplan.mvpolicy import UnreachableTargetError, mv_path, parse_policy
+from ltlplan.mvpolicy import GridMasks, UnreachableTargetError, mv_path, parse_policy
 from ltlplan.product import PAState, ProductAutomaton
 from ltlplan.tsys import COMPOSITE, EMPTY_LABEL, PRIMITIVE, TransitionSystem
 
@@ -56,20 +56,33 @@ ATOMS = ["a", "b", "c"]
 
 
 def grid_map(width: int, height: int, labels: dict, obstacles=frozenset()) -> GridMap:
-    """A map from a ``(x, y) -> label set`` dict and a set of obstacle cells.
-
-    The label sets go into ``GridMap.cells`` as given, not interned, so equal
-    sets stay distinct objects, as in a map parsed from JSON.
-    """
-    return GridMap(
+    """A map from a ``(x, y) -> label set`` dict and a set of obstacle cells."""
+    return grid_from_cells(
         width,
         height,
-        tuple(
+        [
             None if (x, y) in obstacles else labels.get((x, y), frozenset())
             for y in range(height)
             for x in range(width)
-        ),
+        ],
     )
+
+
+def grid_from_cells(width: int, height: int, cells, start=None) -> GridMap:
+    """A map from its row-major per-cell label sets, ``None`` marking an obstacle.
+
+    Label sets are numbered by value in row-major order of each set's first
+    cell, as the parsers number them, so equal sets share one code however
+    many distinct objects hold them.
+    """
+    labelsets = (None, *dict.fromkeys(ls for ls in cells if ls is not None))
+    code = {labelset: chr(i) for i, labelset in enumerate(labelsets)}
+    return GridMap(width, height, "".join(code[ls] for ls in cells), labelsets, start)
+
+
+def cell_labels(grid: GridMap) -> list:
+    """The map's row-major per-cell label sets, ``None`` marking an obstacle."""
+    return [grid.labelsets[ord(code)] for code in grid.codes]
 
 
 # Draws a retrying generator may make before it raises: a wrong
@@ -310,7 +323,9 @@ def map_symbols(grid: GridMap) -> frozenset[str]:
 def cell_label(grid: GridMap, cell: tuple[int, int]) -> frozenset[str]:
     """The cell's label set; empty for an obstacle or a cell off the map."""
     x, y = cell
-    return grid.cells[y * grid.width + x] if grid.is_free(cell) else frozenset()
+    if not grid.is_free(cell):
+        return frozenset()
+    return grid.labelsets[ord(grid.codes[y * grid.width + x])]
 
 
 def region_cells(region) -> frozenset[tuple[int, int]]:
@@ -323,6 +338,34 @@ def reference_region_index(regions) -> dict:
     return {
         cell: (region.id, region.label) for region in regions for cell in region_cells(region)
     }
+
+
+def reference_masks(index) -> GridMasks | None:
+    """``GridMasks.build`` cell by cell, from the index's regions rather than the map's codes.
+
+    Each cell takes the code of its region's label set, numbered from 1 in
+    order of first appearance; ``None`` past 255 label sets.
+    """
+    label_code: dict[frozenset[str], int] = {}
+    code_of = [label_code.setdefault(ls, len(label_code) + 1) for ls in index.labels_of]
+    if len(label_code) > 255:
+        return None
+    cells = bytes(0 if rid < 0 else code_of[rid] for rid in index.region_of)
+    labels, stride = list(label_code), index.stride
+
+    def bitset(holds) -> int:  # bit i is cell i
+        bits = ["1" if code and holds(i, code) else "0" for i, code in enumerate(cells)]
+        return int("".join(reversed(bits)), 2)
+
+    return GridMasks(
+        bitset(lambda i, code: True),
+        bitset(lambda i, code: not labels[code - 1]),
+        bitset(lambda i, code: i >= stride and cells[i - stride] == code),
+        bitset(lambda i, code: i >= 1 and cells[i - 1] == code),
+        cells[::-1],
+        labels,
+        {},
+    )
 
 
 def reference_mv_path(start, policy, index) -> tuple[int, list]:
@@ -867,17 +910,17 @@ def to_ascii(grid: GridMap) -> str:
 
 def map_document(grid: GridMap) -> dict:
     """The structured JSON document that ``parse_map`` reads back as ``grid``."""
-    w = grid.width
+    w, cells = grid.width, cell_labels(grid)
     doc = {
         "width": w,
         "height": grid.height,
         "cells": [
             {"x": i % w, "y": i // w, "labels": sorted(labelset)}
-            for i, labelset in enumerate(grid.cells)
+            for i, labelset in enumerate(cells)
             if labelset
         ],
         "obstacles": [
-            {"x": i % w, "y": i // w} for i, labelset in enumerate(grid.cells) if labelset is None
+            {"x": i % w, "y": i // w} for i, labelset in enumerate(cells) if labelset is None
         ],
     }
     if grid.start is not None:

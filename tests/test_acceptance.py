@@ -47,7 +47,7 @@ from conftest import labeled_ts_for
 def pipeline(grid, mode):
     """labeled system, pruned system, and prune report for a map."""
     regions, adjacency = extract_regions(grid)
-    initial = region_index(regions, grid.width, grid.height)[grid.resolved_start()][0]
+    initial = region_index(regions, grid)[grid.resolved_start()][0]
     labeled = generate_ts_labels(build_initial_ts(regions, adjacency, initial, mode))
     pruned, report = prune(labeled)
     return labeled, pruned, report
@@ -145,7 +145,7 @@ def test_criterion_4__pruned_transitions_are_realizable():
         for group in report.merged_state_groups:
             for other in group[1:]:
                 rep_of[other] = group[0]
-        index = region_index(extract_regions(grid)[0], grid.width, grid.height)
+        index = region_index(extract_regions(grid)[0], grid)
         cells_of: dict[int, list] = {}
         for cell, (region, _) in index.items():
             cells_of.setdefault(region, []).append(cell)
@@ -199,9 +199,7 @@ def test_criterion_6__open_room_single_goal_case_study(open_room_grid):
     assert plan is not None
     assert plan.prefix == ["b&square"]
     assert plan.cycle == []
-    index = region_index(
-        extract_regions(open_room_grid)[0], open_room_grid.width, open_room_grid.height
-    )
+    index = region_index(extract_regions(open_room_grid)[0], open_room_grid)
     trace = execute_plan(open_room_grid.resolved_start(), plan.prefix, plan.cycle, index)
     assert check_trace(aut, trace)
     assert unsafe_report(trace)["count"] == 0
@@ -218,7 +216,7 @@ def test_criterion_7__obstacle_course_two_goal_case_study(obstacle_course_grid):
         ["b&circle", "b&square", "p&square"],
         ["circle&p", "b&square", "b&circle"],
     )
-    index = region_index(extract_regions(grid)[0], grid.width, grid.height)
+    index = region_index(extract_regions(grid)[0], grid)
     trace = execute_plan(grid.resolved_start(), plan.prefix, plan.cycle, index)
     assert check_trace(aut, trace)
     assert unsafe_report(trace)["count"] == 0

@@ -381,7 +381,7 @@ def test_long_cyclic_run_reuses_searches(monkeypatch, tmp_path):
 
     doc = read_json(out)
     grid = parse_map(Path(RING).read_text())
-    index = mvpolicy.region_index(extract_regions(grid)[0], grid.width, grid.height)
+    index = mvpolicy.region_index(extract_regions(grid)[0], grid)
     plan = doc["plan"]
     unshared = _unshared_trace(grid.resolved_start(), plan["prefix"], plan["cycle"], index, 800)
     pairs = {(unshared.cells[seg.start], seg.symbol) for seg in unshared.segments}

@@ -14,6 +14,7 @@ from __future__ import annotations
 import pytest
 
 from envgen import count_opcodes, growth_exponent
+from ltlplan.gridworld import extract_regions, parse_map
 from ltlplan.ltl import accepts_lasso, parse_ltl, to_buchi
 from ltlplan.product import build_product, find_plan
 from ltlplan.tsys import PRIMITIVE
@@ -48,3 +49,29 @@ def test_plan_search_is_linear_in_the_product():
         sizes.append(len(pa.states))
         counts.append(count_opcodes(find_plan, pa))
     assert growth_exponent(sizes, counts) <= LINEAR, (sizes, counts)
+
+
+def test_product_build_is_linear_in_the_product():
+    aut = to_buchi(parse_ltl("F a & F b & F c & F d & F e & F f"))
+    sizes, counts = [], []
+    for side in (6, 8, 10):
+        ts = pruned_system(six_symbol_board(side), PRIMITIVE)
+        sizes.append(len(build_product(ts, aut).states))
+        counts.append(count_opcodes(build_product, ts, aut))
+    assert growth_exponent(sizes, counts) <= LINEAR, (sizes, counts)
+
+
+def _map_stages(text: str) -> None:
+    extract_regions(parse_map(text))
+
+
+def test_map_stages_are_linear_in_the_cells():
+    # An a/b checkerboard with a free start cell: one region, and one row run,
+    # per cell, so the runs cost the most interpreter work a map can ask for.
+    sizes, counts = [], []
+    for side in (16, 32, 64):
+        rows = ("".join("ab"[(x + y) % 2] for x in range(side)) for y in range(side))
+        text = "." + "\n".join(rows)[1:]
+        sizes.append(side * side)
+        counts.append(count_opcodes(_map_stages, text))
+    assert growth_exponent(sizes, counts) <= LINEAR, counts

@@ -10,13 +10,16 @@ import pytest
 
 from envgen import (
     cell_label,
+    cell_labels,
     floyd_warshall_hops,
+    grid_from_cells,
     harsh_map,
     map_document,
     map_symbols,
     neighbors4,
     random_grid,
     region_cells,
+    reference_masks,
     reference_region_index,
     reference_regions,
     sea_with_islands,
@@ -34,7 +37,7 @@ from ltlplan.gridworld import (
     tree_depths,
     tree_path,
 )
-from ltlplan.mvpolicy import region_index
+from ltlplan.mvpolicy import GridMasks, region_index
 
 
 def hop_distance(adjacency: dict[int, tuple[int, ...]], s1: int, s2: int) -> int | None:
@@ -200,6 +203,29 @@ def test_parse_json_names_the_first_bad_obstacle(kind, at):
             map_from_document({"width": 3, "height": 3, "obstacles": obstacles})
 
 
+_BAD_CELLS = {
+    "out-of-bounds": ({"x": 3, "y": 0, "labels": ["a"]}, "cell (3, 0) out of bounds"),
+    "on-an-obstacle": ({"x": 0, "y": 0, "labels": ["a"]}, "cell (0, 0) is also an obstacle"),
+    "duplicate": ({"x": 1, "y": 1, "labels": ["b"]}, "duplicate entry for cell (1, 1)"),
+    "no-labels": ({"x": 2, "y": 2}, "'labels' must be a non-empty list"),
+    "empty-labels": ({"x": 2, "y": 2, "labels": []}, "'labels' must be a non-empty list"),
+    "keyword": ({"x": 2, "y": 2, "labels": ["a", "G"]}, "invalid symbol 'G'"),
+    "non-string": ({"x": 2, "y": 2, "labels": [["a"]]}, "invalid symbol ['a']"),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_BAD_CELLS))
+def test_parse_json_names_the_first_bad_cell_entry(kind):
+    # As with obstacles, a fault anywhere reruns the entry-by-entry checks.
+    entry, message = _BAD_CELLS[kind]
+    later = {"x": 2, "y": 1, "labels": ["true"]}  # a later fault is not the one reported
+    cells = [{"x": 1, "y": 1, "labels": ["a"]}, entry, later]
+    doc = {"width": 3, "height": 3, "obstacles": [{"x": 0, "y": 0}], "cells": cells}
+    with pytest.raises(MapParseError, match=re.escape(f"cells[1]: {message}") + r"\Z"):
+        map_from_document(doc)
+    assert map_from_document({**doc, "cells": cells[:1]}).codes == "\x00\x01\x01\x01\x02\x01\x01\x01\x01"
+
+
 def test_parse_json_obstacles_accept_what_the_entry_checks_accept():
     class Coord(int):
         pass
@@ -208,10 +234,10 @@ def test_parse_json_obstacles_accept_what_the_entry_checks_accept():
         pass
 
     plain = map_from_document({"width": 3, "height": 2, "obstacles": [{"x": 2, "y": 1}, _CELL]})
-    assert plain.cells == (frozenset(),) * 4 + (None, None)
+    assert (plain.codes, plain.labelsets) == ("\x01" * 4 + "\x00" * 2, (None, frozenset()))
     for obstacles in ([{"x": Coord(2), "y": 1}, _CELL], [Entry(x=2, y=1), _CELL]):
         assert map_from_document({"width": 3, "height": 2, "obstacles": obstacles}) == plain
-    assert map_from_document({"width": 3, "height": 2, "obstacles": []}).cells == (frozenset(),) * 6
+    assert map_from_document({"width": 3, "height": 2, "obstacles": []}).codes == "\x01" * 6
 
 
 def test_declared_map_size_is_capped():
@@ -320,7 +346,7 @@ def test_regions_are_connected_and_maximal():
         if grid is None:
             continue
         regions, _ = extract_regions(grid)
-        index = region_index(regions, grid.width, grid.height)
+        index = region_index(regions, grid)
         for region in regions:
             cells = region_cells(region)
             frontier = [next(iter(cells))]
@@ -398,7 +424,7 @@ RUN_SHAPES = {
 
 def _index_matches_reference(grid) -> bool:
     regions, _ = extract_regions(grid)
-    index = region_index(regions, grid.width, grid.height)
+    index = region_index(regions, grid)
     return dict(index) == reference_region_index(regions)
 
 
@@ -430,6 +456,56 @@ def test_run_labeling_matches_reference_on_seeded_maps():
     for grid in grids:
         assert _region_triples(grid) == reference_regions(grid), to_ascii(grid)
         assert _index_matches_reference(grid), to_ascii(grid)
+
+
+# ---------------------------------------------------------------------------
+# One code per cell
+
+
+def _one_letter_labels(grid: GridMap) -> GridMap:
+    """The map with each label set renamed to a one-letter symbol, so ASCII art holds it."""
+    cells = cell_labels(grid)
+    letters = dict(zip(dict.fromkeys(ls for ls in cells if ls), "abcdefghijklmnopqrstuvwxyz"))
+    cells = [frozenset(letters[ls]) if ls else ls for ls in cells]
+    return grid_from_cells(grid.width, grid.height, cells)
+
+
+def test_codes_match_the_cell_by_cell_oracles():
+    # Every map reads to the map that envgen builds cell by cell, from its JSON
+    # document in any entry order and, where its labels fit, from ASCII art;
+    # its regions and its search bitsets match the oracles built cell by cell.
+    rng = random.Random(43)
+    grids = [sea_with_islands(rng) for _ in range(10)]
+    grids += [walled_hub_map(rng, side=rng.choice((6, 17, 32))) for _ in range(10)]
+    grids += [g for g in (harsh_map(rng) for _ in range(20)) if g is not None]
+    grids += [random_grid(rng, rng.randint(1, 24), rng.randint(1, 24)) for _ in range(20)]
+    for grid in grids:
+        letters = _one_letter_labels(grid)
+        assert parse_map(to_ascii(letters)) == letters, to_ascii(letters)
+        for form in (grid, letters):
+            doc = json.loads(json.dumps(map_document(form)))
+            assert map_from_document(doc) == form, to_ascii(form)
+            rng.shuffle(doc["cells"])
+            rng.shuffle(doc["obstacles"])
+            assert map_from_document(doc) == form, to_ascii(form)
+            regions, adjacency = extract_regions(form)
+            assert _region_triples(form) == reference_regions(form), to_ascii(form)
+            index = region_index(regions, form)
+            assert GridMasks.build(index) == reference_masks(index), to_ascii(form)
+
+
+def test_codes_past_the_surrogate_range_extract_correctly():
+    # 57,345 label sets: codes from U+D800 to U+DFFF are lone surrogates, which
+    # the four-byte cells of the run scan must carry like any other code.
+    side = 256
+    cells = [
+        None if i % 16 == 8 else frozenset() if i % 16 == 0 else frozenset({f"s{i}"})
+        for i in range(side * side)
+    ]
+    grid = grid_from_cells(side, side, cells)
+    assert len(grid.labelsets) == 57346 and max(grid.codes) > "\udfff"
+    assert map_from_document(map_document(grid)) == grid
+    assert _region_triples(grid) == reference_regions(grid)
 
 
 # ---------------------------------------------------------------------------

@@ -180,7 +180,7 @@ def test_check_trace_judges_the_run_the_plan_defines():
     # enters c again, but repetition 1 taken as the period does.
     grid = parse_map("ba.cb.\n")
     regions, _ = extract_regions(grid)
-    index = region_index(regions, grid.width, grid.height)
+    index = region_index(regions, grid)
     formula = parse_ltl("F G !c")
     trace = execute_plan((5, 0), [], ["b", "a"], index, cycles=1)
     run = reference_plan_lasso((5, 0), [], ["b", "a"], index)

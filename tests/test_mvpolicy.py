@@ -10,8 +10,10 @@ import pytest
 
 import ltlplan.mvpolicy as mvpolicy
 from envgen import (
+    cell_labels,
     count_violations,
     first_region_change,
+    grid_from_cells,
     grid_map,
     harsh_map,
     map_symbols,
@@ -45,7 +47,7 @@ BYPASS = ".ab\n...\n"  # direct route crosses a; the detour row is violation-fre
 
 
 def index_of(grid):
-    return region_index(extract_regions(grid)[0], grid.width, grid.height)
+    return region_index(extract_regions(grid)[0], grid)
 
 
 # ---------------------------------------------------------------------------
@@ -223,7 +225,7 @@ def _outcome(search, start, policy, index):
 def _compare_with_reference(grid, starts=None) -> list:
     """Every start (default: every passable cell) x every policy on the map."""
     regions = extract_regions(grid)[0]
-    flat = region_index(regions, grid.width, grid.height)
+    flat = region_index(regions, grid)
     ref = reference_region_index(regions)
     symbols = sorted(map_symbols(grid))
     # A negated literal and a symbol no region carries exercise the other outcomes.
@@ -297,10 +299,11 @@ def _paths_match_reference() -> None:
 
 def _with_beacon(grid: GridMap) -> tuple[GridMap, tuple[int, int]]:
     """The map with its last passable cell relabeled ``z``, and its first passable cell."""
-    free = [i for i, labels in enumerate(grid.cells) if labels is not None]
-    cells = list(grid.cells)
+    cells = cell_labels(grid)
+    free = [i for i, labels in enumerate(cells) if labels is not None]
     cells[free[-1]] = frozenset({"z"})
-    return grid._replace(cells=tuple(cells)), (free[0] % grid.width, free[0] // grid.width)
+    beacon = grid_from_cells(grid.width, grid.height, cells, grid.start)
+    return beacon, (free[0] % grid.width, free[0] // grid.width)
 
 
 def test_mv_path_matches_reference(monkeypatch):
@@ -373,19 +376,22 @@ def test_winding_corridor_search_is_quick():
 
 def test_over_255_label_sets_search_on_the_queue(monkeypatch):
     # The bitsets code each label set in one byte; the unlabeled set is one.
+    # Past 255 label sets the map's codes take more than one byte too.
     def row(symbols: int) -> GridMap:
         labels = {(2 * i + 1, 0): frozenset({f"s{i}"}) for i in range(symbols)}
         return grid_map(2 * symbols, 1, labels)
 
     assert index_of(row(254)).masks is not None
     queued = _count_queue(monkeypatch)
-    grid = row(255)
-    index = index_of(grid)
-    assert index.masks is None
-    policy = parse_policy("s254")
-    want = reference_mv_path((0, 0), policy, reference_region_index(extract_regions(grid)[0]))
-    assert mv_path((0, 0), policy, index) == want == (254, [(x, 0) for x in range(510)])
-    assert len(queued) == 1
+    for searches, symbols in enumerate((255, 300), 1):
+        grid = row(symbols)
+        index = index_of(grid)
+        assert index.masks is None
+        policy = parse_policy(f"s{symbols - 1}")
+        want = reference_mv_path((0, 0), policy, reference_region_index(extract_regions(grid)[0]))
+        path = [(x, 0) for x in range(2 * symbols)]
+        assert mv_path((0, 0), policy, index) == want == (symbols - 1, path)
+        assert len(queued) == searches
 
 
 def test_cell_index_rejects_cells_off_the_map():

@@ -62,13 +62,13 @@ def test_records_keep_value_semantics():
     runs = ((0, 0, 2),)
     assert Region(0, runs, frozenset({"a"})) == Region(0, runs, frozenset({"a"}))
     assert Region(0, runs, frozenset({"a"})) != Region(1, runs, frozenset({"a"}))
-    cells = (frozenset(), None)
-    assert GridMap(2, 1, cells) == GridMap(2, 1, cells, None)
-    assert GridMap(2, 1, cells) != GridMap(2, 1, cells, (0, 0))
+    codes, labelsets = "\x01\x00", (None, frozenset())
+    assert GridMap(2, 1, codes, labelsets) == GridMap(2, 1, codes, labelsets, None)
+    assert GridMap(2, 1, codes, labelsets) != GridMap(2, 1, codes, labelsets, (0, 0))
     segment = TraceSegment(symbol="b", start=0, end=2, forced_violations=1)
     assert (segment.symbol, segment.start, segment.end, segment.forced_violations) == ("b", 0, 2, 1)
     assert segment == TraceSegment("b", 0, 2, 1)
     grid = parse_map(".a.b")
-    index = region_index(extract_regions(grid)[0], grid.width, grid.height)
+    index = region_index(extract_regions(grid)[0], grid)
     trace = execute_plan((0, 0), ["b"], ["a"], index, cycles=2)
     assert Trace.from_document(trace.to_document()) == trace

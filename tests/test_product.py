@@ -33,7 +33,7 @@ from test_golden import BUNDLED, MAPS
 
 def pruned_system(grid, mode):
     regions, adjacency = extract_regions(grid)
-    initial = region_index(regions, grid.width, grid.height)[grid.resolved_start()][0]
+    initial = region_index(regions, grid)[grid.resolved_start()][0]
     labeled = generate_ts_labels(build_initial_ts(regions, adjacency, initial, mode))
     return prune(labeled)[0]
 

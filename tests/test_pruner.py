@@ -146,7 +146,7 @@ def _assert_apart(source: TransitionSystem, derived: list[TransitionSystem]) -> 
 def test_derived_systems_never_share_or_change_input_symbol_sets(request, grid, mode):
     grid = request.getfixturevalue(grid)
     regions, adjacency = extract_regions(grid)
-    initial = region_index(regions, grid.width, grid.height)[grid.resolved_start()][0]
+    initial = region_index(regions, grid)[grid.resolved_start()][0]
     unlabeled = build_initial_ts(regions, adjacency, initial, mode)
     before = edge_labels(unlabeled)
     labeled = generate_ts_labels(unlabeled)

@@ -113,7 +113,7 @@ def test_labels_match_independent_hop_derivation():
     for _ in range(30):
         grid = sea_with_islands(rng, max_side=10)
         regions, adjacency = extract_regions(grid)
-        initial = region_index(regions, grid.width, grid.height)[grid.resolved_start()][0]
+        initial = region_index(regions, grid)[grid.resolved_start()][0]
         bare = build_initial_ts(regions, adjacency, initial, PRIMITIVE)
         labeled = generate_ts_labels(bare)
         order = [r.id for r in regions]
@@ -129,7 +129,7 @@ def test_labels_match_independent_hop_derivation():
 
 def _bare_systems(grid):
     regions, adjacency = extract_regions(grid)
-    initial = region_index(regions, grid.width, grid.height)[grid.resolved_start()][0]
+    initial = region_index(regions, grid)[grid.resolved_start()][0]
     return [build_initial_ts(regions, adjacency, initial, mode) for mode in (PRIMITIVE, COMPOSITE)]
 
 
@@ -180,7 +180,7 @@ def test_labels_match_reference_on_one_way_transitions(monkeypatch):
 
 def test_labeling_preserves_structure(ring_grid):
     regions, adjacency = extract_regions(ring_grid)
-    index = region_index(regions, ring_grid.width, ring_grid.height)
+    index = region_index(regions, ring_grid)
     initial = index[ring_grid.resolved_start()][0]
     bare = build_initial_ts(regions, adjacency, initial)
     labeled = generate_ts_labels(bare)
@@ -285,7 +285,7 @@ def test_harsh_maps_label_deterministically():
         if grid is None:
             continue
         regions, adjacency = extract_regions(grid)
-        initial = region_index(regions, grid.width, grid.height)[grid.resolved_start()][0]
+        initial = region_index(regions, grid)[grid.resolved_start()][0]
         for mode in (PRIMITIVE, COMPOSITE):
             once = generate_ts_labels(build_initial_ts(regions, adjacency, initial, mode))
             twice = generate_ts_labels(build_initial_ts(regions, adjacency, initial, mode))

@@ -34,7 +34,7 @@ MODES = (PRIMITIVE, COMPOSITE)
 def assert_matches_full_system(grid, start, mode) -> Pipeline:
     """Every labeled, pruned and replayed document equals the all-region path's."""
     regions, adjacency = extract_regions(grid)
-    initial = region_index(regions, grid.width, grid.height)[start][0]
+    initial = region_index(regions, grid)[start][0]
     bare = build_initial_ts(regions, adjacency, initial, mode)
     full = generate_ts_labels(bare)
     pruned, report = prune(full)
@@ -62,7 +62,7 @@ def seeded_maps(seed: int):
 
 
 def passable_cells(grid) -> list[tuple[int, int]]:
-    return [(i % grid.width, i // grid.width) for i, ls in enumerate(grid.cells) if ls is not None]
+    return [(i % grid.width, i // grid.width) for i, code in enumerate(grid.codes) if code != "\0"]
 
 
 @pytest.mark.parametrize("seed", range(30))
