@@ -77,16 +77,19 @@ def build_product(ts: TransitionSystem, aut: BuchiAutomaton) -> ProductAutomaton
     initial = [(ts.initial, q) for q in aut.step(aut.initial, ts.labels[ts.initial])]
     edges: dict[tuple[PAState, PAState], list[str]] = {}
     successors: dict[PAState, list[PAState]] = {}
-    # One sorted symbol list per TS edge, shared by every product edge over it.
-    symbols = {edge: sorted(policies) for edge, policies in ts.transitions.items()}
+    # One sorted symbol list per TS edge, made when a product edge first crosses
+    # it and shared by every product edge over it.
+    symbols: dict[tuple[int, int], list[str]] = {}
 
     def expand(src: PAState) -> list[PAState]:
         s, q = src
         out: list[PAState] = []
-        for (_, t) in ts.out_edges(s):
-            for q2 in aut.step(q, ts.labels[t]):
-                dst = (t, q2)
-                edges[(src, dst)] = symbols[(s, t)]
+        for edge in ts.out_edges(s):
+            for q2 in aut.step(q, ts.labels[edge[1]]):
+                dst = (edge[1], q2)
+                if edge not in symbols:
+                    symbols[edge] = sorted(ts.symbols(edge))
+                edges[(src, dst)] = symbols[edge]
                 out.append(dst)
         successors[src] = out
         return out

@@ -15,11 +15,23 @@ Four passes run in a fixed order:
 * ``emptyCleanup`` strips the empty-label sentinel and drops transitions
   whose label set became empty.
 
+Case1 partitions the whole system, while the other three passes each read
+and change one state's out-edges.  So :func:`prune` runs case1 and returns
+a system that prunes a state by case2, case3 and emptyCleanup the first
+time its out-edges are read: a product that reaches few states prunes few.
+Reading the whole system (``transitions``, ``edges()``, ``graph()``, its
+documents) or any field of its report first prunes every state left, in
+``order``.  Either way the system and the report are those of running each
+pass over every state in turn.
+
 Every change is recorded in a :class:`PruneReport` that can deterministically
 replay the reduction on the original system.
 """
 
 from __future__ import annotations
+
+from functools import cached_property
+from itertools import chain
 
 from .gridworld import bfs_tree, tree_depths
 from .tsys import EMPTY_LABEL, TransitionSystem
@@ -69,48 +81,115 @@ class PruneReport:
 
 
 def prune(ts: TransitionSystem, classes=None) -> tuple[TransitionSystem, PruneReport]:
-    """Run all reduction passes; ``classes`` as for ``case1_merge_equivalent``."""
-    report = PruneReport()
-    out = case1_merge_equivalent(ts, report, classes)
-    completers: dict[str, list[int]] = {}
-    for state in out.order:
-        for symbol in out.task_symbols_of_state(state):
-            completers.setdefault(symbol, []).append(state)
-    distance_to = _Distances(completers, out.graph())
-    for state in out.order:
-        case2_disambiguate(out, state, distance_to, report)
-        case3_remove_ineffectual(out, state, report)
-    out = empty_cleanup(out, report)
-    report.unreachable_states = _unreachable_states(out)
-    return out, report
+    """Case1 now, every other pass per state on first read; ``classes`` as for
+    ``case1_merge_equivalent``."""
+    blocks, merged, outgoing, incoming = _partition(ts, classes)
+    pruned = _Pruned(ts, blocks, outgoing, incoming)
+    return pruned, _Report(pruned, merged)
 
 
-class _Distances(dict):
-    """``symbol -> {state: hops to its nearest completer}``, each found on first read: case2
-    reads only symbols that two out-edges of one state share.  No completer: unreachable."""
+class _OnRead(dict):
+    """``key -> find(key)``, each found on first read.  Given the number of keys,
+    ``size``, it lets ``find`` and all that it holds go once the last is found."""
 
-    def __init__(self, completers: dict[str, list[int]], graph: dict[int, tuple[int, ...]]):
-        self.completers, self.graph = completers, graph
+    def __init__(self, find, size: int = -1):
+        self.find, self.size = find, size
 
-    def __missing__(self, symbol: str) -> dict[int, int]:
-        sources = self.completers.get(symbol, ())
-        self[symbol] = tree_depths(bfs_tree(sources, self.graph.__getitem__))
-        return self[symbol]
+    def __missing__(self, key):
+        self[key] = value = self.find(key)
+        if len(self) == self.size:
+            self.find = None
+        return value
 
 
-def case1_merge_equivalent(
-    ts: TransitionSystem, report: PruneReport, classes: list[int] | None = None
-) -> TransitionSystem:
-    """Collapse equivalence classes of duplicate states.
+class _Pruned(TransitionSystem):
+    """Case1's quotient of a system, each state pruned when its out-edges are first read.
 
-    ``classes[r]`` is the state that stands for region ``r`` and its twins
-    (``tsys.twin_classes``); without it each state stands for itself.  The
-    report lists every region of each merged block.
+    A state's changes wait in ``changes`` for the report: its case2 and case3
+    removals, its sentinel removals and its dropped edges.  A state's merged
+    out-edges pool the input's symbol sets when it is pruned, so the input must
+    not change while states are left; once none is left, the system lets go of
+    the input and of case1's partition.  The functions that find things on read
+    hold no reference to the system, so it is freed without the cycle collector.
     """
-    outgoing: dict[int, list[tuple[frozenset[str], int]]] = {s: [] for s in ts.order}
-    incoming: dict[int, list[tuple[frozenset[str], int]]] = {s: [] for s in ts.order}
+
+    def __init__(self, ts: TransitionSystem, blocks: list[list[int]],
+                 outgoing: dict[int, list], incoming: dict[int, list]):
+        members = {block[0]: block for block in blocks}
+        rep = {s: block[0] for block in blocks for s in block}
+        position = {s: i for i, s in enumerate(ts.order)}
+        self.order = list(members)
+        self.labels = {s: ts.labels[s] for s in self.order}
+        self.initial, self.mode = rep[ts.initial], ts.mode
+        own = {s: self.task_symbols_of_state(s) for s in self.order}
+        completers: dict[str, list[int]] = {}
+        for state in self.order:
+            for symbol in own[state]:
+                completers.setdefault(symbol, []).append(state)
+        # Undirected neighbours in the quotient, each state's found on first read.
+        graph = _OnRead(lambda v: {rep[u] for m in members[v]
+                                   for _, u in chain(outgoing[m], incoming[m])} - {v})
+        # symbol -> {state: hops to its nearest completer}: case2 reads only symbols
+        # that two out-edges of one state share.  No completer: unreachable.
+        distance_to = _OnRead(lambda symbol: tree_depths(
+            bfs_tree(completers.get(symbol, ()), graph.__getitem__)))
+        changes = self.changes = {}
+
+        def prune_state(state: int) -> dict[int, set[str]]:
+            """``state``'s merged out-edges after case2, case3 and emptyCleanup, by target."""
+            merged_out: dict[int, set[str]] = {}
+            for member in members[state]:
+                for edge in ts.out_edges(member):
+                    if rep[edge[1]] != state:
+                        merged_out.setdefault(rep[edge[1]], set()).update(ts.symbols(edge))
+            out = {dst: merged_out[dst] for dst in sorted(merged_out, key=position.__getitem__)}
+            removed = _disambiguate(state, out, distance_to) + _drop_completed(state, own[state], out)
+            kept, swept, dropped = _clean(state, out)
+            changes[state] = (removed, swept, dropped)
+            return kept
+
+        self._successors = _OnRead(prune_state, len(self.order))
+
+    @cached_property
+    def transitions(self) -> dict[tuple[int, int], set[str]]:
+        """Every edge in ``edges()`` order, once each state left is pruned in ``order``."""
+        return {(src, dst): symbols
+                for src in self.order for dst, symbols in self._successors[src].items()}
+
+    def symbols(self, edge: tuple[int, int]) -> set[str]:
+        return self._successors[edge[0]][edge[1]]
+
+
+class _Report(PruneReport):
+    """The report of a :class:`_Pruned` system and case1's ``merged`` region groups,
+    assembled when a field is first read."""
+
+    def __init__(self, pruned: _Pruned, merged: list[tuple[int, ...]]):
+        self.pruned, self.merged = pruned, merged
+
+    def __getattr__(self, name: str):
+        if name not in ("merged_state_groups", "removed_symbols", "removed_transitions",
+                        "unreachable_states"):
+            raise AttributeError(name)
+        pruned = self.pruned
+        pruned.transitions  # prunes every state left
+        removed, swept, dropped = zip(*map(pruned.changes.__getitem__, pruned.order))
+        self.merged_state_groups = self.merged
+        self.removed_symbols = [*chain(*removed), *chain(*swept)]
+        self.removed_transitions = list(chain(*dropped))
+        self.unreachable_states = _unreachable_states(pruned)
+        return getattr(self, name)
+
+
+def _partition(ts: TransitionSystem, classes: list[int] | None):
+    """Case1's blocks, by first state in ``order``; the merged region groups it
+    reports; and each state's out- and in-edges as ``(label number, other end)``
+    pairs, equal symbol sets having equal numbers."""
+    outgoing: dict[int, list[tuple[int, int]]] = {s: [] for s in ts.order}
+    incoming: dict[int, list[tuple[int, int]]] = {s: [] for s in ts.order}
+    number: dict[frozenset[str], int] = {}
     for (src, dst), syms in ts.transitions.items():
-        label = frozenset(syms)
+        label = number.setdefault(frozenset(syms), len(number))
         outgoing[src].append((label, dst))
         incoming[dst].append((label, src))
     block_of = dict(ts.labels)  # label sets are the initial blocks
@@ -133,8 +212,22 @@ def case1_merge_equivalent(
     regions: dict[object, list[int]] = {}
     for region, state in enumerate(classes) if classes else zip(ts.order, ts.order):
         regions.setdefault(block_of[state], []).append(region)
-    report.merged_state_groups.extend(tuple(g) for g in regions.values() if len(g) > 1)
-    return _merge(ts, [tuple(members) for members in groups.values() if len(members) > 1])
+    merged = [tuple(g) for g in regions.values() if len(g) > 1]
+    return list(groups.values()), merged, outgoing, incoming
+
+
+def case1_merge_equivalent(
+    ts: TransitionSystem, report: PruneReport, classes: list[int] | None = None
+) -> TransitionSystem:
+    """Collapse equivalence classes of duplicate states.
+
+    ``classes[r]`` is the state that stands for region ``r`` and its twins
+    (``tsys.twin_classes``); without it each state stands for itself.  The
+    report lists every region of each merged block.
+    """
+    blocks, merged, _, _ = _partition(ts, classes)
+    report.merged_state_groups.extend(merged)
+    return _merge(ts, [tuple(block) for block in blocks if len(block) > 1])
 
 
 def _merge(ts: TransitionSystem, groups: list[tuple[int, ...]]) -> TransitionSystem:
@@ -143,6 +236,11 @@ def _merge(ts: TransitionSystem, groups: list[tuple[int, ...]]) -> TransitionSys
     for group in groups:
         mapping.update(dict.fromkeys(group[1:], group[0]))
     return ts.quotient(mapping)
+
+
+def _out(ts: TransitionSystem, state: int) -> dict[int, set[str]]:
+    """``state``'s out-edges by target, holding ``ts``'s own symbol sets."""
+    return {edge[1]: ts.symbols(edge) for edge in ts.out_edges(state)}
 
 
 def case2_disambiguate(
@@ -156,42 +254,50 @@ def case2_disambiguate(
     ``distance_to[symbol]`` maps each state to its hop count to the
     nearest state completing ``symbol``; missing entries are unreachable.
     """
-    carriers: dict[str, list[tuple[int, int]]] = {}
-    for edge in ts.out_edges(state):
-        for symbol in ts.transitions[edge]:
+    report.removed_symbols += _disambiguate(state, _out(ts, state), distance_to)
+
+
+def _disambiguate(state: int, out: dict[int, set[str]], distance_to) -> list:
+    """Case2 on ``state``'s out-edges ``out``, in place; returns its removals."""
+    carriers: dict[str, list[int]] = {}
+    for dst, symbols in out.items():
+        for symbol in symbols:
             if symbol != EMPTY_LABEL:
-                carriers.setdefault(symbol, []).append(edge)
+                carriers.setdefault(symbol, []).append(dst)
+    removals = []
     for symbol in sorted(carriers):
-        edges = carriers[symbol]
-        if len(edges) < 2:
+        ends = carriers[symbol]
+        if len(ends) < 2:
             continue
         try:
             dist = distance_to[symbol]
         except KeyError:  # a plain dict may leave out a symbol no state completes
             dist = {}
-        scores = [dist.get(end, float("inf")) for (_, end) in edges]
+        scores = [dist.get(end, float("inf")) for end in ends]
         best = min(scores)
-        if scores.count(best) == 1:
-            keeper = edges[scores.index(best)]
-            removals = [e for e in edges if e != keeper]
-        else:
-            removals = edges
-        for (src, dst) in removals:
-            ts.transitions[(src, dst)].discard(symbol)
-            report.removed_symbols.append((src, dst, symbol, CASE2))
+        keeper = ends[scores.index(best)] if scores.count(best) == 1 else None
+        for dst in ends:
+            if dst != keeper:
+                out[dst].discard(symbol)
+                removals.append((state, dst, symbol, CASE2))
+    return removals
 
 
 def case3_remove_ineffectual(
     ts: TransitionSystem, state: int, report: PruneReport
 ) -> None:
     """Remove symbols the state itself completes from its outgoing labels."""
-    own = ts.task_symbols_of_state(state)
-    if not own:
-        return
-    for edge in ts.out_edges(state):
-        for symbol in sorted(own & ts.transitions[edge]):
-            ts.transitions[edge].discard(symbol)
-            report.removed_symbols.append((edge[0], edge[1], symbol, CASE3))
+    report.removed_symbols += _drop_completed(state, ts.task_symbols_of_state(state), _out(ts, state))
+
+
+def _drop_completed(state: int, own: frozenset[str], out: dict[int, set[str]]) -> list:
+    """Case3 on ``state``, which completes ``own``, in place; returns its removals."""
+    removals = []
+    for dst, symbols in out.items() if own else ():
+        for symbol in sorted(own & symbols):
+            symbols.discard(symbol)
+            removals.append((state, dst, symbol, CASE3))
+    return removals
 
 
 def empty_cleanup(ts: TransitionSystem, report: PruneReport) -> TransitionSystem:
@@ -200,15 +306,27 @@ def empty_cleanup(ts: TransitionSystem, report: PruneReport) -> TransitionSystem
     Returns a new system; ``ts`` is left as it was.
     """
     kept: dict[tuple[int, int], set[str]] = {}
-    for (src, dst) in ts.edges():
-        if EMPTY_LABEL in ts.transitions[(src, dst)]:
-            report.removed_symbols.append((src, dst, EMPTY_LABEL, EMPTY_CLEANUP))
-        symbols = ts.transitions[(src, dst)] - {EMPTY_LABEL}
-        if symbols:
-            kept[(src, dst)] = symbols
-        else:
-            report.removed_transitions.append((src, dst, EMPTY_CLEANUP))
+    for state in ts.order:
+        out, swept, dropped = _clean(state, _out(ts, state))
+        kept.update(((state, dst), symbols) for dst, symbols in out.items())
+        report.removed_symbols += swept
+        report.removed_transitions += dropped
     return ts.with_transitions(kept)
+
+
+def _clean(state: int, out: dict[int, set[str]]) -> tuple[dict[int, set[str]], list, list]:
+    """EmptyCleanup on ``state``: its kept out-edges in new sets, its sentinel
+    removals and its dropped edges."""
+    kept, swept, dropped = {}, [], []
+    for dst, symbols in out.items():
+        if EMPTY_LABEL in symbols:
+            swept.append((state, dst, EMPTY_LABEL, EMPTY_CLEANUP))
+        symbols = symbols - {EMPTY_LABEL}
+        if symbols:
+            kept[dst] = symbols
+        else:
+            dropped.append((state, dst, EMPTY_CLEANUP))
+    return kept, swept, dropped
 
 
 def _unreachable_states(ts: TransitionSystem) -> list[int]:

@@ -45,6 +45,8 @@ class TransitionSystem:
     The edge set is fixed at construction: each state's successor list is
     built once, in ``order`` position, and passes that drop edges return
     a new system.  Label sets on existing edges may still shrink in place.
+    The system ``pruner.prune`` returns builds a state's successors when
+    they are first read, and every state's when ``transitions`` is read.
     """
 
     def __init__(self, order: list[int], labels: dict[int, frozenset[str]],
@@ -67,6 +69,10 @@ class TransitionSystem:
 
     def out_edges(self, state: int) -> list[tuple[int, int]]:
         return [(state, dst) for dst in self._successors[state]]
+
+    def symbols(self, edge: tuple[int, int]) -> set[str]:
+        """The symbols on ``edge``; a pruned system prunes only the edge's source to read them."""
+        return self.transitions[edge]
 
     def edges(self) -> list[tuple[int, int]]:
         """Every transition, by source then target ``order`` position."""

@@ -7,7 +7,10 @@ reference answers for the fast implementations in the package.  The
 set-based tableau that the bitset Büchi construction replaced stays as its
 byte-for-byte reference, and the heap Dijkstra that the minimum-violation
 search (``mvpolicy.mv_path``, bitsets with a bucket-queue fallback)
-replaced stays as its tie-order reference.  The document readers
+replaced stays as its tie-order reference.  The prune reference is the
+one exception: it runs the pruner's own per-pass functions eagerly, pass
+after pass over every state, as the order-free answer that pruning states
+on first read must reproduce.  The document readers
 and the ASCII renderer serve round-trip tests only, so they live here
 rather than in the package.  The opcode counter at the end measures work
 for the growth contracts without a clock.
@@ -46,6 +49,13 @@ from ltlplan.ltl import (
 )
 from ltlplan.mvpolicy import GridMasks, UnreachableTargetError, mv_path, parse_policy
 from ltlplan.product import PAState, ProductAutomaton
+from ltlplan.pruner import (
+    PruneReport,
+    case1_merge_equivalent,
+    case2_disambiguate,
+    case3_remove_ineffectual,
+    empty_cleanup,
+)
 from ltlplan.tsys import COMPOSITE, EMPTY_LABEL, PRIMITIVE, TransitionSystem
 
 ATOMS = ["a", "b", "c"]
@@ -199,6 +209,21 @@ def random_grid(rng: random.Random, width: int, height: int) -> GridMap:
             elif roll < 0.7:
                 labels[(x, y)] = frozenset(rng.choice(("a", "b", "ab")))
     return grid_map(width, height, labels, obstacles)
+
+
+def random_ts(rng: random.Random, max_states: int = 10) -> TransitionSystem:
+    """A random directed system: edges need not come in both directions, label sets
+    may repeat and edges may carry the empty-label sentinel; the transitions dict
+    lists edges in a random order."""
+    order = rng.sample(range(2 * max_states), rng.randint(2, max_states))
+    labels = {s: frozenset(rng.sample(ATOMS, rng.randint(0, 2))) for s in order}
+    pairs = [(a, b) for a in order for b in order if a != b]
+    transitions = {
+        edge: set(rng.sample([*ATOMS, EMPTY_LABEL], rng.randint(0, 3)))
+        for edge in rng.sample(pairs, rng.randint(1, len(pairs)))
+    }
+    return TransitionSystem(order, labels, transitions, rng.choice(order),
+                            rng.choice((PRIMITIVE, COMPOSITE)))
 
 
 # ---------------------------------------------------------------------------
@@ -657,6 +682,43 @@ def reference_ts_labels(ts: TransitionSystem) -> dict[tuple[int, int], set[str]]
 def ts_alphabet(ts: TransitionSystem) -> frozenset[str]:
     """All task symbols any state of ``ts`` can complete."""
     return frozenset().union(*(ts.task_symbols_of_state(s) for s in ts.order))
+
+
+def distances_to_symbols(ts: TransitionSystem) -> dict[str, dict[int, int]]:
+    """Hops from every state to the nearest completer of each symbol, over
+    undirected edges; a state no completer reaches is left out."""
+    graph = ts.graph()
+    distances = {}
+    for symbol in ts_alphabet(ts):
+        hops = {s: 0 for s in ts.order if symbol in ts.task_symbols_of_state(s)}
+        queue = deque(hops)
+        while queue:
+            node = queue.popleft()
+            for nxt in graph[node]:
+                if nxt not in hops:
+                    hops[nxt] = hops[node] + 1
+                    queue.append(nxt)
+        distances[symbol] = hops
+    return distances
+
+
+def reference_prune(ts: TransitionSystem, classes=None) -> tuple[TransitionSystem, PruneReport]:
+    """``pruner.prune`` as one eager pass after another over the whole system.
+
+    Case1's merge; then case2 and case3 on each state in ``order``, with every
+    symbol's distances found up front; then emptyCleanup over every edge; then
+    the states no path from the initial state reaches.
+    """
+    report = PruneReport()
+    merged = case1_merge_equivalent(ts, report, classes)
+    distance_to = distances_to_symbols(merged)
+    for state in merged.order:
+        case2_disambiguate(merged, state, distance_to, report)
+        case3_remove_ineffectual(merged, state, report)
+    pruned = empty_cleanup(merged, report)
+    reached = bfs_tree([pruned.initial], lambda s: [dst for (_, dst) in pruned.out_edges(s)])
+    report.unreachable_states = [s for s in pruned.order if s not in reached]
+    return pruned, report
 
 
 def reference_product(ts: TransitionSystem, aut: BuchiAutomaton) -> dict:

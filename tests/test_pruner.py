@@ -2,15 +2,31 @@
 
 from __future__ import annotations
 
+import argparse
+import contextlib
+import io
+import json
 import random
+import weakref
 from collections import Counter
 
 import pytest
 
+import ltlplan.cli as cli
 import ltlplan.pruner
 
-from envgen import harsh_map, sea_with_islands, ts_alphabet
-from ltlplan.gridworld import bfs_tree, extract_regions, tree_depths
+from envgen import (
+    distances_to_symbols,
+    harsh_map,
+    map_document,
+    map_symbols,
+    random_ts,
+    reference_prune,
+    sea_with_islands,
+    ts_alphabet,
+    walled_hub_map,
+)
+from ltlplan.gridworld import bfs_tree, extract_regions
 from ltlplan.mvpolicy import region_index
 from ltlplan.pruner import (
     ALL_CASES,
@@ -35,16 +51,6 @@ from conftest import labeled_ts_for
 
 def edge_labels(ts: TransitionSystem) -> dict[tuple[int, int], frozenset[str]]:
     return {edge: frozenset(syms) for edge, syms in ts.transitions.items()}
-
-
-def distances_to_symbols(ts: TransitionSystem) -> dict[str, dict[int, int]]:
-    """Hops from every state to the nearest completer of each symbol."""
-    return {
-        symbol: tree_depths(bfs_tree(
-            [s for s in ts.order if symbol in ts.task_symbols_of_state(s)], ts.graph().__getitem__
-        ))
-        for symbol in ts_alphabet(ts)
-    }
 
 
 # ---------------------------------------------------------------------------
@@ -258,11 +264,95 @@ def test_prune_runs_one_search_per_tied_symbol(monkeypatch):
                                   for symbol in merged.transitions[edge] if symbol != EMPTY_LABEL)
                 tied |= {symbol for symbol, edges in carried.items() if edges > 1}
             searches.clear()
-            prune(labeled)
+            pruned, report = prune(labeled)
+            pruned.transitions, report.unreachable_states  # every state pruned, then the report
             assert len(searches) == len(tied) + 1
             spared += len(tied) < len(ts_alphabet(merged))
             tied_somewhere += bool(tied)
     assert spared and tied_somewhere
+
+
+def seeded_systems(rng: random.Random):
+    """Random directed systems, then labeled systems of seeded island, harsh and walled-hub
+    maps in both modes, each without twin classes and then the command-line stage's over
+    them.  Each system lists its transitions in a random order."""
+    for _ in range(4):
+        yield random_ts(rng), None
+    grids = [sea_with_islands(rng), harsh_map(rng), walled_hub_map(rng, rng.randint(12, 24))]
+    for grid in grids:
+        if grid is None or frozenset() not in grid.labelsets:
+            continue  # no default start cell
+        for mode in (PRIMITIVE, COMPOSITE):
+            yield labeled_ts_for(grid, mode), None
+            p = cli.Pipeline(args=argparse.Namespace(mode=mode))
+            p["grid"] = grid
+            yield p["labeled"], p["twins"]
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_states_pruned_in_any_order_match_the_eager_reference(seed):
+    rng = random.Random(360 + seed)
+    for ts, classes in seeded_systems(rng):
+        ts = ts.with_transitions(dict(rng.sample(list(ts.transitions.items()), len(ts.transitions))))
+        reference, reference_report = reference_prune(ts, classes)
+        expected = (reference.to_document(), reference_report.to_document())
+
+        pruned, report = prune(ts, classes)
+        read = rng.sample(pruned.order, rng.randint(0, len(pruned.order)))
+        for state in read:  # as the product reads them
+            for edge in pruned.out_edges(state):
+                pruned.symbols(edge)
+        assert set(pruned.changes) == set(read)
+        assert (pruned.to_document(), report.to_document()) == expected
+        assert list(pruned.transitions) == list(reference.transitions)
+
+        pruned, report = prune(ts, classes)
+        assert report.to_document() == expected[1]  # prunes every state first
+        assert set(pruned.changes) == set(pruned.order)
+        assert pruned.to_document() == expected[0]
+
+
+def test_the_last_state_pruned_lets_go_of_the_input(open_room_ts):
+    ts = open_room_ts.with_transitions(dict(open_room_ts.transitions))
+    pruned = prune(ts)[0]
+    expected = prune(open_room_ts)[0].to_document()
+    held = weakref.ref(ts)
+    del ts
+    for state in pruned.order[:-1]:
+        pruned.out_edges(state)
+    assert held() is not None
+    pruned.out_edges(pruned.order[-1])
+    assert held() is None  # freed at once, without the cycle collector
+    assert pruned.to_document() == expected
+
+
+@pytest.mark.parametrize("command", ["run", "plan"])
+def test_run_and_plan_prune_only_the_states_the_product_reaches(monkeypatch, tmp_path, command):
+    made = {}
+
+    def recorded(name: str, fn):
+        def call(*args):
+            made[name] = fn(*args)
+            return made[name]
+        monkeypatch.setattr(cli, name, call)
+
+    recorded("prune", cli.prune)
+    recorded("build_product", cli.build_product)
+    rng = random.Random(37)
+    fewer = 0
+    for _ in range(8):
+        grid = walled_hub_map(rng, rng.randint(16, 32))
+        (tmp_path / "map.json").write_text(json.dumps(map_document(grid)))
+        s, t = rng.sample(sorted(map_symbols(grid)), 2)
+        formula = rng.choice((f"F {s}", f"F {s} & F {t}", f"G F {s}", f"!{s} U {t}"))
+        argv = [command, "--map", str(tmp_path / "map.json"), "--ltl", formula,
+                "--mode", rng.choice((PRIMITIVE, COMPOSITE))]
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            assert cli.main(argv) in (0, 3, 4)
+        pruned = made["prune"][0]
+        assert set(pruned.changes) == {state for state, _ in made["build_product"].states}
+        fewer += len(pruned.changes) < len(pruned.order)
+    assert fewer
 
 
 def test_disambiguation_result_independent_of_state_order(ring_ts):

@@ -3,7 +3,7 @@
 ``benchmarks/tracer.py`` records a missing or reshaped layer function as
 zero instead of failing, so a refactor that renames or reshapes one would
 silently blank the benchmark's per-layer metrics.  These tests load the
-tracer read-only and run ``run`` and ``check`` ops through it.
+tracer read-only and run ``run``, ``plan`` and ``check`` ops through it.
 """
 
 from __future__ import annotations
@@ -12,6 +12,7 @@ import contextlib
 import importlib.util
 import io
 import json
+from collections import Counter
 from pathlib import Path
 
 from ltlplan.cli import main
@@ -19,6 +20,7 @@ from ltlplan.cli import main
 REPO = Path(__file__).resolve().parent.parent
 OPEN_ROOM = str(REPO / "maps" / "shapes_open_room.json")
 OBSTACLE_COURSE = str(REPO / "maps" / "shapes_obstacle_course.json")
+RING = str(REPO / "maps" / "nested_abc.txt")
 
 
 def _load_tracer():
@@ -73,3 +75,33 @@ def test_traced_cell_count_excludes_obstacles():
     assert code == 0
     assert tracer.missing == []
     assert metrics["gridworld.cells"] == _passable_cells(OBSTACLE_COURSE)
+
+
+def test_traced_pruner_counts_match_the_prune_documents(tmp_path):
+    # The pruned system prunes a state when the product first reads it, and the
+    # tracer reads the whole system and its report only after each op: the
+    # counts must still be those of every state pruned.
+    tracer = _load_tracer().Tracer()
+    out, report = tmp_path / "pruned.json", tmp_path / "report.json"
+    for path, mode, ltl in ((RING, "primitive", "G F c"), (OBSTACLE_COURSE, "composite", "F square")):
+        base = ["--map", path, "--mode", mode]
+        assert main(["prune", *base, "--out", str(out), "--report", str(report)]) == 0
+        pruned, doc = json.loads(out.read_text()), json.loads(report.read_text())
+        cases = Counter(r["case"] for r in doc["removed_symbols"])
+        dropped = Counter(r["case"] for r in doc["removed_transitions"])
+        expected = {
+            "pruner.states_out": len(pruned["states"]),
+            "pruner.transitions_out": len(pruned["transitions"]),
+            "pruner.merged_states": sum(len(group) - 1 for group in doc["merged"]),
+            "pruner.case2_removed": cases["case2"],
+            "pruner.case3_removed": cases["case3"],
+            "pruner.empty_removed": dropped["emptyCleanup"],
+            "pruner.unreachable": len(doc["unreachable"]),
+        }
+        if path == RING:
+            assert cases["case2"] and doc["unreachable"]
+        for op_id, command in enumerate(("run", "plan")):
+            code, _, metrics = _traced_op(tracer, op_id, [command, *base, "--ltl", ltl])
+            assert code == 0
+            assert tracer.missing == []
+            assert {key: metrics[key] for key in expected} == expected, command
